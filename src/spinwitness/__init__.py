@@ -2,13 +2,13 @@
 
 Two macroscopic observables -- internal energy U and magnetization M --
 certify entanglement whenever W = |U + B*M| / (N*|J|) exceeds 1. The
-package evaluates W on exact finite chains (dense diagonalization), on the
-infinite XX chain (closed-form integrals, with a free-fermion oracle in
-between), and maps the entangled region of the (kT/|J|, B/|J|) plane.
+package evaluates W on exact finite chains (diagonalized in symmetry
+sectors), on the infinite XX chain (closed-form integrals, with a
+free-fermion oracle in between), and maps the entangled region of the
+(kT/|J|, B/|J|) plane.
 """
 
 from .exactdiag import (
-    HamiltonianMatrix,
     PairState,
     ThermalObservables,
     bond_list,
@@ -76,7 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BOUNDARY_OPEN", "BOUNDARY_PERIODIC", "BoundaryCurve", "CheckResult",
     "DimensionlessPoint", "FAMILY_XX", "FAMILY_XXX", "FAMILY_XYZ",
-    "HamiltonianMatrix", "ModeSpectrum", "ModelSpec", "PairState",
+    "ModeSpectrum", "ModelSpec", "PairState",
     "QuadratureError", "RegionGrid", "SIGN_AS_PRINTED", "SIGN_SINGLET_GROUND",
     "SpecError", "THERMODYNAMIC_LIMIT", "THRESHOLD", "ThermalObservables",
     "ThermalPoint", "ValidatedSpec", "WitnessInputs", "WitnessReport",

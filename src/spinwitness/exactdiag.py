@@ -1,4 +1,4 @@
-"""Dense exact diagonalization for finite Heisenberg chains.
+"""Exact diagonalization of finite Heisenberg chains, one symmetry sector at a time.
 
 The Hamiltonian acts on N Pauli spins,
 
@@ -8,8 +8,21 @@ with s = +1 under the ``singlet-ground`` convention and s = -1 under
 ``as-printed`` (see :mod:`spinwitness.model`). Basis states are bit
 strings: site j lives on bit (N-1-j) and bit value 0 means sz = +1, so
 basis index 0 is the all-up state. In this basis sx.sx and sy.sy both map a
-state to its double-flip partner with a real coefficient, hence H is real
-symmetric and one `numpy.linalg.eigh` call yields the full spectrum.
+state to its double-flip partner with a real coefficient, s (Jx + Jy) for an
+antiparallel pair and s (Jx - Jy) for a parallel one, hence H is real
+symmetric.
+
+A double flip keeps the parity of the number of down spins, and when
+Jx == Jy it only moves antiparallel pairs, so it keeps that number too. H
+is therefore block diagonal: in the N + 1 total-S^z sectors (basis states
+of fixed popcount) when Jx == Jy, otherwise in the two S^z-parity
+sectors. Each block is assembled from index tables that depend only on
+(N, boundary, conserved quantity) and diagonalized by its own
+`numpy.linalg.eigh` call; no 2^N x 2^N matrix is formed. Every state of a
+total-S^z sector has sum_j sz_j = N - 2k, so there B only shifts the
+block's energies by -B (N - 2k): those eigensystems are cached without B,
+and one diagonalization serves every field. :func:`build_hamiltonian`
+assembles the dense matrix, which serves as an independent oracle.
 
 Thermal averages never special-case T -> 0: weights are
 exp(-beta (E - E0)) normalized through a log-sum-exp partition function, so
@@ -21,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,11 +46,14 @@ from .model import (
     validate_spec,
 )
 
-# Dense full diagonalization cap (dimension 2**14 = 16384). Deliberately a
-# plain module attribute so callers can raise it at their own risk.
+# Exact-diagonalization cap: at N = 14 the widest total-S^z block is 3432
+# and a parity block 8192. Deliberately a plain module attribute so callers
+# can raise it at their own risk.
 SITE_CAP = 14
 
-# Two eigensystems at the cap are ~0.5 GB; keep the cache small.
+# A cached eigensystem holds sum_k dim_k^2 floats. At N = 14 that is
+# C(28, 14) * 8 B ~ 320 MB in total-S^z sectors and 1.1 GB in the two parity
+# sectors (a dense one would be 2 GB); keep the cache small.
 _EIG_CACHE_SIZE = 8
 
 _DEGENERACY_TOL = 1e-9
@@ -45,15 +62,6 @@ _SIGMA_YY = np.array([[0.0, 0.0, 0.0, -1.0],
                       [0.0, 0.0, 1.0, 0.0],
                       [0.0, 1.0, 0.0, 0.0],
                       [-1.0, 0.0, 0.0, 0.0]])
-
-
-@dataclass(frozen=True, eq=False)
-class HamiltonianMatrix:
-    """Dense Hamiltonian together with the bond list that built it."""
-
-    matrix: np.ndarray
-    bonds: tuple[tuple[int, int], ...]
-    spec: ValidatedSpec
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,7 @@ def _require_finite(vspec: ValidatedSpec) -> int:
         raise SpecError("exact diagonalization requires a finite n_sites")
     if vspec.n_sites > SITE_CAP:
         raise SpecError(
-            f"n_sites={vspec.n_sites} exceeds the dense-diagonalization cap "
+            f"n_sites={vspec.n_sites} exceeds the exact-diagonalization cap "
             f"{SITE_CAP} (raise spinwitness.exactdiag.SITE_CAP to override)")
     return vspec.n_sites
 
@@ -118,12 +126,17 @@ def _site_z(n_sites: int) -> np.ndarray:
     return z
 
 
-def build_hamiltonian(spec) -> HamiltonianMatrix:
-    """Assemble the dense real-symmetric Hamiltonian for a finite spec.
+def _flip_mask(n_sites: int, i: int, j: int) -> int:
+    return (1 << (n_sites - 1 - i)) | (1 << (n_sites - 1 - j))
 
-    For each bond (i, j): sz.sz is diagonal, while sx.sx and sy.sy connect
-    r to r ^ mask with coefficients 1 and -z_i(r) z_j(r). The diagonal also
-    carries the field term -B sum_j sz_j.
+
+def build_hamiltonian(spec) -> np.ndarray:
+    """The dense real-symmetric 2^N x 2^N Hamiltonian of a finite spec.
+
+    This is the oracle for the block-diagonal production path, not part of
+    it. For each bond (i, j): sz.sz is diagonal, while sx.sx and sy.sy
+    connect r to r ^ mask with coefficients 1 and -z_i(r) z_j(r). The
+    diagonal also carries the field term -B sum_j sz_j.
     """
     vspec = validate_spec(spec)
     n = _require_finite(vspec)
@@ -134,62 +147,159 @@ def build_hamiltonian(spec) -> HamiltonianMatrix:
 
     h = np.zeros((dim, dim))
     diag = -vspec.b * z.sum(axis=0)
-    bonds = bond_list(n, vspec.boundary)
-    for i, j in bonds:
+    for i, j in bond_list(n, vspec.boundary):
         zij = z[i] * z[j]
         diag += s * vspec.jz * zij
-        mask = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
-        h[r ^ mask, r] += s * (vspec.jx - vspec.jy * zij)
+        h[r ^ _flip_mask(n, i, j), r] += s * (vspec.jx - vspec.jy * zij)
     h[r, r] += diag
-    return HamiltonianMatrix(matrix=h, bonds=bonds, spec=vspec)
+    return h
+
+
+class _Sector(NamedTuple):
+    """One diagonal block: its basis states and its off-diagonal pattern."""
+
+    states: np.ndarray   # basis indices in the block, ascending
+    span: slice          # the block's rows in the per-state tables of _Basis
+    flips: np.ndarray    # flat indices (to * dim + from) of the bond flips in the block
+    n_antiparallel: int  # flips[:n_antiparallel] move antiparallel pairs, the rest parallel
+
+
+class _Basis(NamedTuple):
+    """The blocks of one chain geometry, with per-state tables in block order."""
+
+    sectors: tuple[_Sector, ...]
+    states: np.ndarray     # every basis index, block after block
+    zsum: np.ndarray       # sum_j sz_j of each state
+    zz_sum: np.ndarray     # sum_bonds sz_i sz_j of each state
+    bond_zz: np.ndarray    # (n_bonds, 2^N): sz_i sz_j of each bond and state
+    flip_slot: np.ndarray  # for every flip of every block: its bond, + n_bonds if parallel
+
+
+def _partners(states: np.ndarray, mask: int):
+    """Positions (to, from) of the pairs (state ^ mask, state) inside ``states``."""
+    partner = states ^ mask
+    to = np.minimum(np.searchsorted(states, partner), states.size - 1)
+    inside = states[to] == partner
+    return to[inside], np.flatnonzero(inside)
+
+
+@lru_cache(maxsize=64)
+def _basis(n_sites: int, boundary: str, conserve_sz: bool) -> _Basis:
+    """Block tables of an N-site chain; no coupling or field enters them.
+
+    Blocks are the total-S^z sectors (ordered by the number of down spins
+    k) when ``conserve_sz``, otherwise the even and odd parity sectors.
+    """
+    z = _site_z(n_sites)
+    downs = np.rint((n_sites - z.sum(axis=0)) / 2.0).astype(np.int64)
+    label = downs if conserve_sz else downs % 2
+    states = np.argsort(label, kind="stable")  # by block, ascending inside each
+    bonds = bond_list(n_sites, boundary)
+    bond_zz = np.empty((len(bonds), states.size))
+    for b, (i, j) in enumerate(bonds):
+        bond_zz[b] = (z[i] * z[j])[states]
+
+    sectors, slots, start = [], [np.empty(0, np.int64)], 0
+    for dim in np.bincount(label).tolist():
+        span = slice(start, start + dim)
+        start += dim
+        flat, slot = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for b, (i, j) in enumerate(bonds):
+            to, frm = _partners(states[span], _flip_mask(n_sites, i, j))
+            flat.append(to * dim + frm)
+            slot.append(np.where(bond_zz[b, span][frm] < 0.0, b, b + len(bonds)))
+        flat, slot = np.concatenate(flat), np.concatenate(slot)
+        order = np.argsort(slot >= len(bonds), kind="stable")  # antiparallel flips first
+        sectors.append(_Sector(states[span], span, flat[order],
+                               int(np.count_nonzero(slot < len(bonds)))))
+        slots.append(slot[order])
+    return _Basis(tuple(sectors), states, z.sum(axis=0)[states], bond_zz.sum(axis=0),
+                  bond_zz, np.concatenate(slots))
 
 
 @lru_cache(maxsize=_EIG_CACHE_SIZE)
 def _eigensystem(vspec: ValidatedSpec):
-    """Full spectrum (ascending) and eigenvectors, cached per spec.
+    """Energies (ascending within each block, in block order) and per-block vectors.
 
-    ``lru_cache`` serializes insertion, so concurrent readers are safe; at
-    worst two threads diagonalize the same spec once each.
+    Cached per spec; ``lru_cache`` serializes insertion, so concurrent
+    readers are safe and at worst two threads diagonalize one spec once each.
     """
-    energies, vectors = np.linalg.eigh(build_hamiltonian(vspec).matrix)
+    basis = _basis(vspec.n_sites, vspec.boundary, vspec.jx == vspec.jy)
+    s = float(vspec.coupling_sign)
+    diagonal = s * vspec.jz * basis.zz_sum - vspec.b * basis.zsum
+    energies = np.empty(diagonal.size)
+    vectors = []
+    for sec in basis.sectors:
+        dim = sec.states.size
+        h = np.zeros((dim, dim))
+        # Distinct bonds flip distinct masks, so no (to, from) entry repeats.
+        h.flat[sec.flips[:sec.n_antiparallel]] = s * (vspec.jx + vspec.jy)
+        h.flat[sec.flips[sec.n_antiparallel:]] = s * (vspec.jx - vspec.jy)
+        h.flat[::dim + 1] = diagonal[sec.span]
+        block_energies, block_vectors = np.linalg.eigh(h)
+        energies[sec.span] = block_energies
+        block_vectors.setflags(write=False)
+        vectors.append(block_vectors)
     energies.setflags(write=False)
-    vectors.setflags(write=False)
-    return energies, vectors
+    return energies, tuple(vectors)
 
 
-def _permuted_rowdot(weighted: np.ndarray, perm: np.ndarray, chunk: int = 2048) -> np.ndarray:
-    """out[r] = sum_k weighted[perm[r], k] * weighted[r, k], chunked in r.
+def _spectrum(vspec: ValidatedSpec):
+    """(basis, energies at the spec's field, per-block eigenvectors)."""
+    conserve_sz = vspec.jx == vspec.jy
+    basis = _basis(vspec.n_sites, vspec.boundary, conserve_sz)
+    if not conserve_sz:
+        return (basis, *_eigensystem(vspec))
+    energies, vectors = _eigensystem(replace(vspec, b=0.0))
+    return basis, energies - vspec.b * basis.zsum, vectors
 
-    Chunking keeps the gather temporary below chunk*dim floats, which
-    matters near the site cap.
+
+def _boltzmann(energies: np.ndarray, beta: float):
+    """Weights exp(-beta (E - E0)) / Z' and ln Z, with E0 the lowest energy."""
+    e0 = float(energies.min())
+    w = np.exp(-beta * (energies - e0))
+    z0 = float(w.sum())
+    return w / z0, math.log(z0) - beta * e0
+
+
+def _block_densities(basis: _Basis, vectors, p: np.ndarray):
+    """Yield (sector, rho) with rho = V diag(p) V^T of the block's weighted vectors.
+
+    Vectors of weight exactly 0 (outside the ground multiplet, or with an
+    underflowed Boltzmann factor) add nothing and are skipped; a block with
+    no weight at all yields rho = None.
     """
-    out = np.empty(weighted.shape[0])
-    for start in range(0, weighted.shape[0], chunk):
-        rows = slice(start, start + chunk)
-        out[rows] = np.einsum("ij,ij->i", weighted[perm[rows]], weighted[rows])
-    return out
+    for sec, v in zip(basis.sectors, vectors):
+        p_block = p[sec.span]
+        keep = p_block > 0.0
+        if not keep.any():
+            yield sec, None
+            continue
+        weighted = v[:, keep] * np.sqrt(p_block[keep])
+        yield sec, weighted @ weighted.T
 
 
-def _observables_from_weights(vspec: ValidatedSpec, energies, vectors, p):
-    """(U, M, bond correlators) for the mixture sum_k p[k] |v_k><v_k|."""
-    n = vspec.n_sites
-    u = float(p @ energies)
-    weighted = vectors * np.sqrt(p)
-    q = np.einsum("ij,ij->i", weighted, weighted)  # basis-diagonal of rho
-    z = _site_z(n)
-    m = float(q @ z.sum(axis=0))
+def _observables_from_weights(basis: _Basis, energies, vectors, p):
+    """(U, M, bond correlators) for the mixture sum_k p[k] |v_k><v_k|.
 
-    r = np.arange(1 << n, dtype=np.int64)
-    correlators = []
-    for i, j in bond_list(n, vspec.boundary):
-        zij = z[i] * z[j]
-        mask = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
-        rd = _permuted_rowdot(weighted, r ^ mask)
-        xx = float(rd.sum())
-        yy = float(-(rd @ zij))
-        zz = float(q @ zij)
-        correlators.append((xx, yy, zz))
-    return u, m, tuple(correlators)
+    A bond's xx sums rho[r ^ mask, r] over its flips; yy weights each term
+    by -z_i z_j, i.e. +1 for an antiparallel pair and -1 for a parallel one.
+    """
+    q = np.zeros(p.size)  # basis-diagonal of rho
+    flip_values = []
+    for sec, rho in _block_densities(basis, vectors, p):
+        if rho is None:
+            flip_values.append(np.zeros(sec.flips.size))
+            continue
+        q[sec.span] = rho.diagonal()
+        flip_values.append(rho.ravel()[sec.flips])
+    n_bonds = basis.bond_zz.shape[0]
+    by_slot = np.bincount(basis.flip_slot, np.concatenate(flip_values),
+                          minlength=2 * n_bonds)
+    antiparallel, parallel = by_slot[:n_bonds], by_slot[n_bonds:]
+    correlators = zip((antiparallel + parallel).tolist(), (antiparallel - parallel).tolist(),
+                      (basis.bond_zz @ q).tolist())
+    return float(p @ energies), float(q @ basis.zsum), tuple(correlators)
 
 
 def thermal_observables(spec, kt: float) -> ThermalObservables:
@@ -201,12 +311,9 @@ def thermal_observables(spec, kt: float) -> ThermalObservables:
     vspec = validate_spec(spec)
     _require_finite(vspec)
     beta = ThermalPoint(float(kt)).beta
-    energies, vectors = _eigensystem(vspec)
-    shifted = energies - energies[0]
-    w = np.exp(-beta * shifted)
-    z0 = float(w.sum())
-    log_partition = math.log(z0) - beta * energies[0]
-    u, m, correlators = _observables_from_weights(vspec, energies, vectors, w / z0)
+    basis, energies, vectors = _spectrum(vspec)
+    p, log_partition = _boltzmann(energies, beta)
+    u, m, correlators = _observables_from_weights(basis, energies, vectors, p)
     return ThermalObservables(u=u, m=m, bond_correlators=correlators,
                               log_partition=log_partition)
 
@@ -215,22 +322,23 @@ def ground_state_energy(spec) -> float:
     """Lowest eigenvalue of the chain Hamiltonian."""
     vspec = validate_spec(spec)
     _require_finite(vspec)
-    return float(_eigensystem(vspec)[0][0])
+    return float(_spectrum(vspec)[1].min())
 
 
 def ground_state_observables(spec) -> ThermalObservables:
     """U, M, correlators averaged uniformly over the ground multiplet.
 
     This is the T -> 0 limit of the thermal state; ``log_partition`` is NaN
-    since no temperature is involved.
+    since no temperature is involved. The multiplet may span several blocks.
     """
     vspec = validate_spec(spec)
     _require_finite(vspec)
-    energies, vectors = _eigensystem(vspec)
-    scale = max(1.0, abs(energies[0]))
-    members = (energies - energies[0]) < _DEGENERACY_TOL * scale
+    basis, energies, vectors = _spectrum(vspec)
+    e0 = energies.min()
+    scale = max(1.0, abs(e0))
+    members = (energies - e0) < _DEGENERACY_TOL * scale
     p = members / members.sum()
-    u, m, correlators = _observables_from_weights(vspec, energies, vectors, p)
+    u, m, correlators = _observables_from_weights(basis, energies, vectors, p)
     return ThermalObservables(u=u, m=m, bond_correlators=correlators,
                               log_partition=float("nan"))
 
@@ -264,7 +372,11 @@ def reduced_pair_state(spec, kt: float, site_pair: tuple[int, int]) -> PairState
     """Partial trace of the thermal state down to two sites.
 
     The returned 4x4 matrix is in the |s_a s_b> product basis with
-    s_pair[0] first; basis order (uu, ud, du, dd).
+    s_pair[0] first; basis order (uu, ud, du, dd). The thermal state is
+    real and conserves S^z parity, so every two-site Pauli expectation
+    with an odd number of x/y factors, or with one x and one y, vanishes:
+    rho = (1/4) sum over {1, z_a, z_b, z_a z_b, x_a x_b, y_a y_b} of
+    <P> P, each <P> summed block by block.
     """
     vspec = validate_spec(spec)
     n = _require_finite(vspec)
@@ -275,12 +387,27 @@ def reduced_pair_state(spec, kt: float, site_pair: tuple[int, int]) -> PairState
         raise SpecError("site pair must name two distinct sites")
 
     beta = ThermalPoint(float(kt)).beta
-    energies, vectors = _eigensystem(vspec)
-    w = np.exp(-beta * (energies - energies[0]))
-    weighted = vectors * np.sqrt(w / w.sum())
-    tensor = weighted.reshape((2,) * n + (weighted.shape[1],))
-    bra = np.moveaxis(tensor, (a, b), (0, 1)).reshape(4, -1)
-    return PairState(np.asarray(bra @ bra.T, dtype=complex))
+    basis, energies, vectors = _spectrum(vspec)
+    p, _ = _boltzmann(energies, beta)
+    z_a, z_b = (1.0 - 2.0 * ((basis.states >> (n - 1 - site)) & 1) for site in (a, b))
+    z_ab = z_a * z_b
+    mask = _flip_mask(n, a, b)
+    q = np.zeros(p.size)
+    xx = yy = 0.0
+    for sec, rho in _block_densities(basis, vectors, p):
+        if rho is None:
+            continue
+        q[sec.span] = rho.diagonal()
+        to, frm = _partners(sec.states, mask)
+        values = rho[to, frm]
+        xx += float(values.sum())
+        yy -= float(values @ z_ab[sec.span][frm])
+    za, zb, zab = float(q @ z_a), float(q @ z_b), float(q @ z_ab)
+    rho = np.diag([1.0 + za + zb + zab, 1.0 + za - zb - zab,
+                   1.0 - za + zb - zab, 1.0 - za - zb + zab])
+    rho[0, 3] = rho[3, 0] = xx - yy
+    rho[1, 2] = rho[2, 1] = xx + yy
+    return PairState(rho / 4.0)
 
 
 def concurrence(pair) -> float:

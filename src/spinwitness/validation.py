@@ -1,7 +1,7 @@
 """Self-checks wiring the independent computation routes against each other.
 
 Each check compares two routes to the same physics (witness identity,
-free-fermion oracle vs dense diagonalization, quadrature vs derivative,
+free-fermion oracle vs exact diagonalization, quadrature vs derivative,
 symmetry pairs) and records the worst residual. The CLI ``validate``
 subcommand renders these results and fails its exit code if any check
 fails. A user-supplied tolerance override applies to the quadrature

@@ -83,6 +83,15 @@ class WitnessReport:
         }
 
 
+def _finite_inputs(u, m, b) -> tuple[float, float, float]:
+    """(U, M, B) as floats; a NaN or infinite one would yield a meaningless verdict."""
+    values = (float(u), float(m), float(b))
+    for name, value in zip(("U", "M", "B"), values):
+        if not math.isfinite(value):
+            raise SpecError(f"witness input {name} must be finite, got {value}")
+    return values
+
+
 def witness_value(u, m, b, j, n_sites, source: str = SOURCE_EXTERNAL) -> WitnessReport:
     """Evaluate W = |U + B*M| / (N*|J|) from measured totals.
 
@@ -98,7 +107,7 @@ def witness_value(u, m, b, j, n_sites, source: str = SOURCE_EXTERNAL) -> Witness
         raise SpecError(f"n_sites must be >= 1, got {n_sites}")
     if source not in SOURCES:
         raise SpecError(f"unknown witness source {source!r}")
-    u, m, b = float(u), float(m), float(b)
+    u, m, b = _finite_inputs(u, m, b)
     value = abs(u + b * m) / (n * abs(j))
     return WitnessReport(value=value, entangled=value > THRESHOLD, source=source,
                          inputs=WitnessInputs(u=u, m=m, b=b, j=j, n_sites=n))
@@ -110,7 +119,7 @@ def per_site_witness_report(u_per_site, m_per_site, b, j,
     j = float(j)
     if j == 0.0 or not math.isfinite(j):
         raise SpecError("witness undefined for J = 0")
-    u, m, b = float(u_per_site), float(m_per_site), float(b)
+    u, m, b = _finite_inputs(u_per_site, m_per_site, b)
     value = abs(u + b * m) / abs(j)
     return WitnessReport(value=value, entangled=value > THRESHOLD, source=source,
                          inputs=WitnessInputs(u=u, m=m, b=b, j=j, n_sites=None))

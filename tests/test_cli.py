@@ -47,6 +47,16 @@ def test_measured_witness_requires_inputs(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--u", "nan"), ("--m", "inf"), ("--b", "-inf")])
+def test_measured_witness_rejects_non_finite_inputs(capsys, flag, value):
+    argv = {"--u": "-6", "--m": "0", "--b": "0"}
+    argv[flag] = value
+    rc, out, err = run(["witness", "--measured", "--n", "4"]
+                       + [f"{k}={v}" for k, v in argv.items()], capsys)
+    assert rc == 1
+    assert out == "" and "finite" in err
+
+
 def test_model_witness_matches_the_library(capsys):
     rc, out, _ = run(["witness", "--model", "xxx", "--n", "6", "--b", "0.5",
                       "--kt", "0.8", "--out", "json"], capsys)

@@ -1,20 +1,25 @@
-"""Dense diagonalization against closed forms and an independent operator oracle.
+"""Exact diagonalization against closed forms and independent oracles.
 
 The oracle Hamiltonian is assembled from explicit Kronecker products of
 Pauli matrices (site 0 = leftmost factor, sz = diag(+1, -1)), with thermal
 averages via scipy's expm. Agreement pins down the bit-twiddling basis
-conventions, not just the spectra.
+conventions, not just the spectra. The symmetry-sector production path is
+also compared with one dense diagonalization of the whole space.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import linalg
 
 from spinwitness import exactdiag
 from spinwitness.exactdiag import (
     PairState,
+    ThermalObservables,
     bond_list,
     build_hamiltonian,
     concurrence,
@@ -59,22 +64,22 @@ def test_bond_list():
 
 def test_two_site_xxx_spectrum_both_conventions():
     # singlet-ground: J > 0 antiferromagnetic, singlet at -3J below the triplet
-    h = build_hamiltonian(ModelSpec.xxx(1.0, n_sites=2, boundary="open")).matrix
+    h = build_hamiltonian(ModelSpec.xxx(1.0, n_sites=2, boundary="open"))
     assert np.allclose(np.linalg.eigvalsh(h), [-3.0, 1.0, 1.0, 1.0], atol=1e-12)
     # as-printed: the global sign flips, the triplet drops below the singlet
     h = build_hamiltonian(ModelSpec.xxx(1.0, n_sites=2, boundary="open",
-                                        sign_convention="as-printed")).matrix
+                                        sign_convention="as-printed"))
     assert np.allclose(np.linalg.eigvalsh(h), [-1.0, -1.0, -1.0, 3.0], atol=1e-12)
 
 
 def test_two_site_xx_spectrum_in_field():
-    h = build_hamiltonian(ModelSpec.xx(1.0, b=0.5, n_sites=2, boundary="open")).matrix
+    h = build_hamiltonian(ModelSpec.xx(1.0, b=0.5, n_sites=2, boundary="open"))
     assert np.allclose(np.linalg.eigvalsh(h), [-2.0, -1.0, 1.0, 2.0], atol=1e-12)
 
 
 def test_three_site_ring_spectrum():
     # frustrated triangle: two degenerate doublets at -3J, quadruplet at +3J
-    h = build_hamiltonian(ModelSpec.xxx(1.0, n_sites=3)).matrix
+    h = build_hamiltonian(ModelSpec.xxx(1.0, n_sites=3))
     assert np.allclose(np.linalg.eigvalsh(h), [-3.0] * 4 + [3.0] * 4, atol=1e-12)
 
 
@@ -103,7 +108,7 @@ def test_hamiltonian_matches_kron_oracle():
                  ModelSpec.xx(-0.8, b=0.2, n_sites=5, boundary="open"),
                  ModelSpec.xyz(0.9, -0.4, 0.6, b=0.3, n_sites=4, boundary="open"),
                  ModelSpec.xxx(1.0, b=0.1, n_sites=3, sign_convention="as-printed")):
-        mine = build_hamiltonian(spec).matrix
+        mine = build_hamiltonian(spec)
         oracle = kron_hamiltonian(spec)
         assert np.max(np.abs(oracle.imag)) < 1e-12
         assert np.max(np.abs(mine - oracle.real)) < 1e-12
@@ -111,7 +116,7 @@ def test_hamiltonian_matches_kron_oracle():
 
 def test_hamiltonian_is_real_symmetric():
     h = build_hamiltonian(ModelSpec.xyz(1.0, -0.3, 0.7, b=0.5, n_sites=5,
-                                        boundary="open")).matrix
+                                        boundary="open"))
     assert h.dtype == np.float64
     assert np.max(np.abs(h - h.T)) == 0.0
 
@@ -119,7 +124,7 @@ def test_hamiltonian_is_real_symmetric():
 def test_total_sz_is_conserved():
     for spec in (ModelSpec.xxx(1.0, b=0.4, n_sites=5),
                  ModelSpec.xx(1.0, b=0.4, n_sites=5)):
-        h = build_hamiltonian(spec).matrix
+        h = build_hamiltonian(spec)
         sz_total = sum(op_at(SZ, j, 5).real for j in range(5))
         assert np.max(np.abs(h @ sz_total - sz_total @ h)) < 1e-12
 
@@ -294,3 +299,155 @@ def test_temperature_must_be_positive():
         thermal_observables(spec, 0.0)
     with pytest.raises(SpecError):
         thermal_observables(spec, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Symmetry sectors against one dense diagonalization of the whole space
+
+
+def dense_reference(spec, kt):
+    """U, M, bond correlators, ln Z and a pair-state function from one dense eigh.
+
+    ``kt=None`` averages uniformly over the ground multiplet instead. The
+    pair state is the explicit partial trace of the weighted eigenvectors.
+    """
+    vspec = validate_spec(spec)
+    n = vspec.n_sites
+    energies, vectors = np.linalg.eigh(build_hamiltonian(vspec))
+    shifted = energies - energies[0]
+    if kt is None:
+        members = shifted < 1e-9 * max(1.0, abs(energies[0]))
+        p, log_z = members / members.sum(), float("nan")
+    else:
+        w = np.exp(-shifted / kt)
+        p, log_z = w / w.sum(), math.log(w.sum()) - energies[0] / kt
+    weighted = vectors * np.sqrt(p)
+    rho = weighted @ weighted.T
+    r = np.arange(1 << n)
+    z = 1.0 - 2.0 * ((r[None, :] >> (n - 1 - np.arange(n))[:, None]) & 1)
+    correlators = []
+    for i, j in bond_list(n, vspec.boundary):
+        flipped = rho[r ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j))), r]
+        zij = z[i] * z[j]
+        correlators.append((flipped.sum(), -(flipped @ zij), rho.diagonal() @ zij))
+
+    def pair(a, b):
+        tensor = weighted.reshape((2,) * n + (weighted.shape[1],))
+        bra = np.moveaxis(tensor, (a, b), (0, 1)).reshape(4, -1)
+        return bra @ bra.T
+
+    obs = ThermalObservables(u=float(p @ energies), m=float(rho.diagonal() @ z.sum(axis=0)),
+                             bond_correlators=tuple(correlators), log_partition=log_z)
+    return obs, pair
+
+
+def assert_observables_close(obs, ref, tol):
+    assert abs(obs.u - ref.u) < tol * max(1.0, abs(ref.u))
+    assert abs(obs.m - ref.m) < tol
+    if math.isnan(ref.log_partition):
+        assert math.isnan(obs.log_partition)
+    else:
+        assert abs(obs.log_partition - ref.log_partition) < tol * max(1.0, abs(ref.log_partition))
+    assert len(obs.bond_correlators) == len(ref.bond_correlators)
+    for mine, theirs in zip(obs.bond_correlators, ref.bond_correlators):
+        assert np.max(np.abs(np.subtract(mine, theirs))) < tol
+
+
+SECTOR_CASES = [(family, boundary, sign, n)
+                for family in ("xxx", "xx", "xyz")
+                for boundary in ("open", "periodic")
+                for sign in ("singlet-ground", "as-printed")
+                for n in range(1, 10)
+                if boundary == "open" or n >= 3]
+
+
+def sector_case_spec(family, boundary, sign, n, b=0.45):
+    if family == "xyz":
+        return ModelSpec.xyz(0.9, -0.4, 0.6, b=b, n_sites=n, boundary=boundary,
+                             sign_convention=sign)
+    make = ModelSpec.xxx if family == "xxx" else ModelSpec.xx
+    return make(-1.3, b=b, n_sites=n, boundary=boundary, sign_convention=sign)
+
+
+@pytest.mark.parametrize("family, boundary, sign, n", SECTOR_CASES)
+def test_sectors_match_dense_diagonalization(family, boundary, sign, n):
+    spec = sector_case_spec(family, boundary, sign, n)
+    for kt in (0.3, 2.0, None):
+        ref, ref_pair = dense_reference(spec, kt)
+        if kt is None:
+            assert_observables_close(ground_state_observables(spec), ref, 1e-11)
+            continue
+        assert_observables_close(thermal_observables(spec, kt), ref, 1e-11)
+        for a, b in {(0, 1), (0, n - 1), (n - 1, 0)} if n >= 2 else ():
+            rho = reduced_pair_state(spec, kt, (a, b)).matrix
+            assert np.max(np.abs(rho - ref_pair(a, b))) < 1e-11
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["xxx", "xx", "xyz"]),
+       boundary=st.sampled_from(["open", "periodic"]),
+       sign=st.sampled_from(["singlet-ground", "as-printed"]),
+       n=st.integers(1, 6),
+       couplings=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       b=st.one_of(st.just(0.0), st.floats(-3.0, 3.0),
+                   st.floats(10.0, 1e3).flatmap(lambda x: st.sampled_from([x, -x]))),
+       kt=st.floats(1e-3, 1e3))
+def test_sectors_match_dense_for_random_specs(family, boundary, sign, n, couplings, b, kt):
+    assume(boundary == "open" or n >= 3)
+    jx, jy, jz = couplings
+    if family == "xyz":
+        spec = ModelSpec.xyz(jx, jy, jz, b=b, n_sites=n, boundary=boundary,
+                             sign_convention=sign)
+    else:
+        make = ModelSpec.xxx if family == "xxx" else ModelSpec.xx
+        spec = make(jx, b=b, n_sites=n, boundary=boundary, sign_convention=sign)
+    # Both routes carry eigenvalue errors of a few ulps of the energy scale;
+    # a Boltzmann weight moves by beta times that.
+    energy_scale = n * (abs(jx) + abs(jy) + abs(jz) + abs(b))
+    tol = 1e-12 * (1.0 + energy_scale / kt)
+    obs = thermal_observables(spec, kt)
+    ref, _ = dense_reference(spec, kt)
+    assert abs(obs.u - ref.u) < tol * max(1.0, energy_scale)
+    assert abs(obs.log_partition - ref.log_partition) < tol
+    assert abs(obs.m - ref.m) < tol * n
+    for mine, theirs in zip(obs.bond_correlators, ref.bond_correlators):
+        assert np.max(np.abs(np.subtract(mine, theirs))) < tol * n
+
+
+def count_eigh_calls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_field_sweep_costs_one_diagonalization_when_sz_is_conserved(monkeypatch):
+    calls = count_eigh_calls(monkeypatch)
+    # Couplings no other test uses, so the eigensystem cache starts cold.
+    for spec in (ModelSpec.xxx(0.8137, n_sites=6), ModelSpec.xx(-0.6113, n_sites=5,
+                                                                 boundary="open"),
+                 ModelSpec.xyz(0.7121, 0.7121, -0.3, n_sites=4)):
+        n = spec.n_sites
+        for b in (0.0, 0.35, -1.7, 40.0):
+            thermal_observables(replace(spec, b=b), 0.9)
+            ground_state_observables(replace(spec, b=b))
+            reduced_pair_state(replace(spec, b=b), 0.4, (0, 1))
+        thermo_consistency(replace(spec, b=0.2), 0.7)
+        # One eigh per total-S^z sector k = 0..N, once for every field.
+        assert sorted(calls) == sorted(math.comb(n, k) for k in range(n + 1))
+        calls.clear()
+
+
+def test_parity_sectors_rediagonalize_per_field(monkeypatch):
+    calls = count_eigh_calls(monkeypatch)
+    spec = ModelSpec.xyz(0.6217, -0.4, 0.3, n_sites=5)
+    fields = (0.0, 0.35, -1.7)
+    for b in fields:
+        thermal_observables(replace(spec, b=b), 0.9)
+        thermal_observables(replace(spec, b=b), 0.2)
+    assert calls == [16, 16] * len(fields)

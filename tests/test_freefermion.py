@@ -27,7 +27,7 @@ def test_mode_occupations_reconstruct_the_spin_spectrum():
             modes.offset + sum(occ * e for occ, e in zip(bits, modes.energies))
             for bits in itertools.product((0, 1), repeat=n))
         spec = ModelSpec.xx(j, b=b, n_sites=n, boundary="open")
-        spin = np.linalg.eigvalsh(build_hamiltonian(spec).matrix)
+        spin = np.linalg.eigvalsh(build_hamiltonian(spec))
         assert np.allclose(fermionic, spin, atol=1e-12)
 
 

@@ -48,6 +48,15 @@ def test_witness_value_rejections():
         witness_value(1.0, 0.0, 0.0, 1.0, 4, source="hearsay")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_measured_inputs_are_rejected(bad):
+    for u, m, b in ((bad, 0.0, 0.0), (-3.0, bad, 0.5), (-3.0, 0.0, bad)):
+        with pytest.raises(SpecError, match="finite"):
+            witness_value(u, m, b, 1.0, 4)
+        with pytest.raises(SpecError, match="finite"):
+            per_site_witness_report(u, m, b, 1.0)
+
+
 def test_report_to_dict_is_json_ready():
     report = witness_value(-3.0, 0.0, 0.0, 1.0, 2)
     payload = json.loads(json.dumps(report.to_dict()))
