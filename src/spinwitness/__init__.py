@@ -47,7 +47,6 @@ from .thermolimit import (
     critical_field_low_temperature,
     critical_field_zero_temperature,
     critical_temperature_zero_field,
-    dispersion_f,
     lowtemp_ferro_log_partition,
     lowtemp_ferro_witness,
     region_scan,
@@ -84,7 +83,7 @@ __all__ = [
     "boundary_trace", "build_hamiltonian", "concurrence",
     "concurrence_from_energy", "critical_field_low_temperature",
     "critical_field_zero_temperature", "critical_temperature_zero_field",
-    "dispersion_f", "ground_state_energy", "ground_state_observables",
+    "ground_state_energy", "ground_state_observables",
     "jw_modes", "jw_observables", "jw_observables_for_spec",
     "lowtemp_ferro_log_partition", "lowtemp_ferro_witness",
     "per_site_witness_report", "product_state_witness", "reduced_pair_state",

@@ -15,15 +15,14 @@ validation errors, 2 numerical failures, 3 validation-suite failure.
 Model fields may come from a ``key = value`` config file (--config);
 explicit flags beat the file, built-in defaults fill anything left. All
 inputs are reduced units per |J| when --j is left at its default 1.0;
-pass an explicit --j for absolute energy units. SPINWITNESS_WORKERS sets
-the scan worker count (default: serial).
+pass an explicit --j for absolute energy units.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -52,8 +51,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_VALIDATION = 3
-
-_WORKERS_ENV = "SPINWITNESS_WORKERS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,34 +258,22 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
-def _workers_from_env() -> int | None:
-    raw = os.environ.get(_WORKERS_ENV)
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise SpecError(f"{_WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise SpecError(f"{_WORKERS_ENV} must be >= 1, got {workers}")
-    return workers
-
-
 def _axis(lo, hi, steps, name):
-    steps = int(steps)
+    lo, hi, steps = float(lo), float(hi), int(steps)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise SpecError(f"{name} range must be finite, got [{lo}, {hi}]")
     if steps < 1:
         raise SpecError(f"{name} steps must be >= 1, got {steps}")
     if steps == 1:
-        return np.array([float(lo)])
+        return np.array([lo])
     if not hi > lo:
         raise SpecError(f"{name} range needs max > min, got [{lo}, {hi}]")
-    return np.linspace(float(lo), float(hi), steps)
+    return np.linspace(lo, hi, steps)
 
 
 def cmd_scan(args) -> int:
     grid = region_scan(_axis(args.kt_min, args.kt_max, args.kt_steps, "kT"),
                        _axis(args.b_min, args.b_max, args.b_steps, "B"),
-                       workers=_workers_from_env(),
                        abs_tol=args.tol if args.tol else DEFAULT_ABS_TOL,
                        as_printed=args.eq9_as_printed)
     out_path = Path(args.out_path or f"region.{args.out}")

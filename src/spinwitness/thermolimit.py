@@ -27,6 +27,13 @@ whose T -> 0 limit is (4/pi) sqrt(1 - (B/2J)^2) for |B| < 2|J| and 0
 beyond. Hence the entangled region touches kT = 0 out to the critical
 field B_c = 2 sqrt(1 - pi^2/16) |J| and B = 0 up to kT_c of order |J|.
 
+Routes: ``region_scan`` and ``boundary_trace`` evaluate W by this one
+integral, batched over all cells or fields in one vectorized quadrature.
+Single points use the scalar routes: ``xx_witness`` (U + B*M from two
+integrals; it also serves ``region_scan(as_printed=True)`` and the
+endpoint root finders) and ``xx_witness_single_integral``; the two are
+each other's cross-check in ``validate``.
+
 U is exactly even in both K and C, and M even in K and odd in C; all
 integrals are evaluated at (|K|, |C|) with M's sign restored afterwards,
 which makes W(J,B) = W(-J,B) = W(J,-B) hold bit-for-bit.
@@ -40,7 +47,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -51,6 +57,7 @@ from .quadrature import (
     DEFAULT_ABS_TOL,
     QuadratureError,
     adaptive_quadrature,
+    adaptive_quadrature_rows,
     adaptive_quadrature_split,
 )
 from .witness import (
@@ -64,19 +71,6 @@ MAGNETIZATION_LNZ_DERIVATIVE = "lnz-derivative"
 MAGNETIZATION_AS_PRINTED = "as-printed"
 
 DEFAULT_BISECTION_RESIDUAL = 1e-6
-
-
-def dispersion_f(coupling_over_kt, field_over_kt, omega):
-    """Dimensionless dispersion f(K, C, w), literal square-root form.
-
-    Algebraically equal to |2K cos w - C|; the radicand is clipped at zero
-    to absorb roundoff near that kink.
-    """
-    k, c = float(coupling_over_kt), float(field_over_kt)
-    omega = np.asarray(omega, dtype=float)
-    radicand = (2.0 * k * k + 2.0 * k * k * np.cos(2.0 * omega)
-                - 4.0 * c * k * np.cos(omega) + c * c)
-    return np.sqrt(np.clip(radicand, 0.0, None))
 
 
 def _ln_2cosh(x):
@@ -296,44 +290,63 @@ def _witness_w(kt_over_j, b_over_j, abs_tol, as_printed=False) -> float:
                       as_printed=as_printed).value
 
 
-def region_scan(kt_over_j_values, b_over_j_values, workers: int | None = None,
-                abs_tol: float = DEFAULT_ABS_TOL, as_printed: bool = False) -> RegionGrid:
+def _witness_rows(kt_over_j, b_over_j, abs_tol):
+    """W at many (kT/|J|, B/|J|) points by the one-integral route, batched.
+
+    Returns ``(w, failures)`` as :func:`adaptive_quadrature_rows` does:
+    failed points carry W = NaN and a message under their index.
+    """
+    with np.errstate(over="ignore"):
+        k = 1.0 / kt_over_j
+        c = np.abs(b_over_j) / kt_over_j
+    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(c))):
+        raise SpecError("dimensionless couplings must be finite")
+
+    def integrand(rows, omega):
+        cos = np.cos(omega)
+        return cos * np.tanh(2.0 * k[rows, None] * cos - c[rows, None])
+
+    values, failures = adaptive_quadrature_rows(integrand, k.size, 0.0, math.pi,
+                                                abs_tol=abs_tol)
+    return np.abs(2.0 * values / math.pi), failures
+
+
+def region_scan(kt_over_j_values, b_over_j_values, abs_tol: float = DEFAULT_ABS_TOL,
+                as_printed: bool = False) -> RegionGrid:
     """Evaluate the witness on the full (kT/|J|, B/|J|) grid.
 
-    Cells are independent pure integrals, so any worker count produces
-    bit-identical output: the grid is assembled in enumeration order
-    (row-major in B then kT), never completion order. Per-cell quadrature
-    failures are recorded, not raised.
+    All cells go through one batched quadrature of the one-integral route
+    (2/pi)|int cos w tanh(2K cos w - C) dw|; a cell's value does not depend
+    on the rest of the grid, so a 1x1 scan of a point reproduces its cell
+    bit for bit. ``as_printed=True`` evaluates each cell by the
+    two-integral U + B*M route with the printed magnetization instead.
+    Per-cell quadrature failures are recorded, not raised.
     """
     kt_values = np.asarray(kt_over_j_values, dtype=float)
     b_values = np.asarray(b_over_j_values, dtype=float)
     if kt_values.ndim != 1 or b_values.ndim != 1 or kt_values.size == 0 or b_values.size == 0:
         raise SpecError("grid axes must be non-empty 1-D arrays")
+    if not (np.all(np.isfinite(kt_values)) and np.all(np.isfinite(b_values))):
+        raise SpecError("grid axes must be finite")
     if np.any(kt_values <= 0.0):
         raise SpecError("kT/|J| axis must be strictly positive")
 
-    cells = [(ib, ik, float(kt), float(b))
-             for ib, b in enumerate(b_values) for ik, kt in enumerate(kt_values)]
-
-    def evaluate(cell):
-        ib, ik, kt, b = cell
-        try:
-            return ib, ik, _witness_w(kt, b, abs_tol, as_printed), None
-        except QuadratureError as exc:
-            return ib, ik, float("nan"), str(exc)
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            results = list(pool.map(evaluate, cells))
+    shape = (b_values.size, kt_values.size)
+    if as_printed:
+        w = np.empty(shape)
+        errors = []
+        for ib, b in enumerate(b_values):
+            for ik, kt in enumerate(kt_values):
+                try:
+                    w[ib, ik] = _witness_w(float(kt), float(b), abs_tol, as_printed=True)
+                except QuadratureError as exc:
+                    w[ib, ik] = float("nan")
+                    errors.append((ib, ik, str(exc)))
     else:
-        results = [evaluate(cell) for cell in cells]
-
-    w = np.empty((b_values.size, kt_values.size))
-    errors = []
-    for ib, ik, value, message in results:
-        w[ib, ik] = value
-        if message is not None:
-            errors.append((ib, ik, message))
+        flat, failures = _witness_rows(np.tile(kt_values, b_values.size),
+                                       np.repeat(b_values, kt_values.size), abs_tol)
+        w = flat.reshape(shape)
+        errors = [(*divmod(i, kt_values.size), failures[i]) for i in sorted(failures)]
     entangled = np.where(np.isnan(w), False, w > 1.0)
     form = MAGNETIZATION_AS_PRINTED if as_printed else MAGNETIZATION_LNZ_DERIVATIVE
     return RegionGrid(kt_over_j=kt_values, b_over_j=b_values, w=w, entangled=entangled,
@@ -401,31 +414,67 @@ def critical_field_low_temperature(kt_over_j: float = 1e-3, j: float = 1.0,
     return root * abs(float(j))
 
 
+def _bisect_fields(b_over_j, lo: float, hi: float, residual_tol: float, abs_tol: float,
+                   max_iter: int = 200) -> np.ndarray:
+    """kT roots of W(kT, B) = 1 for every field at once; NaN where unbracketed.
+
+    Each field takes the steps of :func:`_bisect_to_residual` with its stop
+    rule; every step is one batched W evaluation of the fields still open.
+    """
+    def g(kt, b):
+        w, failures = _witness_rows(kt, b, abs_tol)
+        if failures:
+            raise QuadratureError(failures[min(failures)])
+        return w - 1.0
+
+    n = b_over_j.size
+    lo_t, hi_t = np.full(n, float(lo)), np.full(n, float(hi))
+    g_ends = g(np.concatenate((lo_t, hi_t)), np.concatenate((b_over_j, b_over_j)))
+    g_lo, g_hi = g_ends[:n], g_ends[n:]
+    roots = np.where(g_lo == 0.0, lo_t, np.where(g_hi == 0.0, hi_t, np.nan))
+    active = np.flatnonzero((g_lo != 0.0) & (g_hi != 0.0)
+                            & (np.signbit(g_lo) != np.signbit(g_hi)))
+    for _ in range(max_iter):
+        if active.size == 0:
+            return roots
+        mid = 0.5 * (lo_t[active] + hi_t[active])
+        g_mid = g(mid, b_over_j[active])
+        done = np.abs(g_mid) < residual_tol
+        roots[active[done]] = mid[done]
+        up = np.signbit(g_mid) == np.signbit(g_lo[active])
+        lo_t[active[up]], g_lo[active[up]] = mid[up], g_mid[up]
+        hi_t[active[~up]] = mid[~up]
+        active = active[~done]
+    if active.size:
+        raise QuadratureError(
+            f"bisection did not reach residual {residual_tol:g} in {max_iter} steps")
+    return roots
+
+
 def boundary_trace(b_over_j_values, kt_min: float = 1e-3, kt_max: float = 5.0,
                    residual_tol: float = DEFAULT_BISECTION_RESIDUAL,
                    abs_tol: float = DEFAULT_ABS_TOL) -> BoundaryCurve:
     """Trace kT_c(B) by bisection at each requested field.
 
+    All fields, plus B = 0 for the zero-field endpoint unless it is among
+    them, are bisected in lockstep with batched one-integral W evaluations.
     Fields where [kt_min, kt_max] does not bracket W = 1 (above the
     critical field, or kT_c below kt_min) are reported as no-crossing
     entries rather than errors.
     """
-    if not (0.0 < kt_min < kt_max):
-        raise SpecError(f"need 0 < kt_min < kt_max, got [{kt_min}, {kt_max}]")
-    points = []
-    no_crossing = []
-    for b in sorted(float(b) for b in np.atleast_1d(np.asarray(b_over_j_values, dtype=float))):
-        root = _bisect_to_residual(lambda t: _witness_w(t, b, abs_tol) - 1.0,
-                                   kt_min, kt_max, residual_tol)
-        if root is None:
-            no_crossing.append(b)
-        else:
-            points.append((b, root))
-    zero_field = _bisect_to_residual(lambda t: _witness_w(t, 0.0, abs_tol) - 1.0,
-                                     kt_min, kt_max, residual_tol)
+    if not (math.isfinite(kt_min) and math.isfinite(kt_max) and 0.0 < kt_min < kt_max):
+        raise SpecError(f"need finite 0 < kt_min < kt_max, got [{kt_min}, {kt_max}]")
+    fields = sorted(float(b) for b in np.atleast_1d(np.asarray(b_over_j_values, dtype=float)))
+    if not all(math.isfinite(b) for b in fields):
+        raise SpecError("fields must be finite")
+    zero_at = next((i for i, b in enumerate(fields) if b == 0.0), len(fields))
+    solve = fields if zero_at < len(fields) else [*fields, 0.0]
+    roots = _bisect_fields(np.array(solve), kt_min, kt_max, residual_tol, abs_tol)
+    points = [(b, float(t)) for b, t in zip(fields, roots) if not math.isnan(t)]
+    no_crossing = [b for b, t in zip(fields, roots) if math.isnan(t)]
     return BoundaryCurve(points=tuple(points), no_crossing=tuple(no_crossing),
                          residual_tol=residual_tol, kt_window=(kt_min, kt_max),
-                         zero_field_ktc=float("nan") if zero_field is None else zero_field,
+                         zero_field_ktc=float(roots[zero_at]),
                          zero_temperature_bc=critical_field_zero_temperature(1.0))
 
 
@@ -442,6 +491,7 @@ def _expit(x: float) -> float:
 
 
 def _lowtemp_args(n_sites, kt, b, j):
+    """Validated (N, beta, B, J, ln h), h = N exp(-2 beta B)/sqrt(8 pi beta J)."""
     n = int(n_sites)
     if n < 1:
         raise SpecError(f"n_sites must be >= 1, got {n_sites}")
@@ -451,7 +501,8 @@ def _lowtemp_args(n_sites, kt, b, j):
         raise SpecError("the low-temperature form needs a ferromagnetic coupling J > 0")
     if b <= 0.0:
         raise SpecError("the low-temperature form needs a field B > 0")
-    return n, beta, b, j
+    ln_h = math.log(n) - 2.0 * beta * b - 0.5 * math.log(8.0 * math.pi * beta * j)
+    return n, beta, b, j, ln_h
 
 
 def lowtemp_ferro_log_partition(n_sites, kt, b, j,
@@ -468,8 +519,7 @@ def lowtemp_ferro_log_partition(n_sites, kt, b, j,
     variant reading kept only for comparison: it loses the extensive
     ground-state energy and with it the W -> 1 conclusion.
     """
-    n, beta, b, j = _lowtemp_args(n_sites, kt, b, j)
-    ln_h = math.log(n) - 2.0 * beta * b - 0.5 * math.log(8.0 * math.pi * beta * j)
+    n, beta, b, j, ln_h = _lowtemp_args(n_sites, kt, b, j)
     leading = (b if printed_exponent else n) * beta * (j + b)
     return leading + float(np.logaddexp(0.0, ln_h))
 
@@ -486,8 +536,7 @@ def lowtemp_ferro_witness(n_sites, kt, b, j,
     large N, contradicting the W = 1 conclusion; it is reported for
     comparison only.
     """
-    n, beta, b, j = _lowtemp_args(n_sites, kt, b, j)
-    ln_h = math.log(n) - 2.0 * beta * b - 0.5 * math.log(8.0 * math.pi * beta * j)
+    n, beta, b, j, ln_h = _lowtemp_args(n_sites, kt, b, j)
     sigma = _expit(ln_h)
     band = sigma * (2.0 * b + 0.5 / beta)
     if printed_exponent:

@@ -2,11 +2,13 @@
 
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from spinwitness import quadrature
 from spinwitness.cli import main
 from spinwitness.quadrature import QuadratureError
 from spinwitness.svgfig import region_geometry
@@ -177,21 +179,29 @@ def test_scan_writes_csv(tmp_path, capsys):
     assert len(lines) == 13
 
 
-def test_scan_bytes_are_stable_across_runs_and_workers(tmp_path, capsys, monkeypatch):
-    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-    run([*SCAN_ARGS, "--out-path", str(paths[0])], capsys)
-    run([*SCAN_ARGS, "--out-path", str(paths[1])], capsys)
-    monkeypatch.setenv("SPINWITNESS_WORKERS", "3")
-    run([*SCAN_ARGS, "--out-path", str(paths[2])], capsys)
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+@pytest.mark.parametrize("block_rows", [1, 5, 256])
+def test_scan_bytes_are_stable_across_runs_and_block_sizes(tmp_path, capsys, monkeypatch,
+                                                          block_rows):
+    def scan(stem):
+        csv, svg = tmp_path / f"{stem}.csv", tmp_path / f"{stem}.svg"
+        run([*SCAN_ARGS, "--out-path", str(csv), "--svg", str(svg)], capsys)
+        return csv.read_bytes(), svg.read_bytes()
+
+    first, second = scan("a"), scan("b")
+    monkeypatch.setattr(quadrature, "_BLOCK_ROWS", block_rows)
+    assert first == second == scan("c")
 
 
-def test_scan_rejects_bad_worker_counts(tmp_path, capsys, monkeypatch):
-    for bad in ("abc", "0"):
-        monkeypatch.setenv("SPINWITNESS_WORKERS", bad)
-        rc, _, err = run([*SCAN_ARGS, "--out-path", str(tmp_path / "x.csv")], capsys)
-        assert rc == 1 and "SPINWITNESS_WORKERS" in err
+@pytest.mark.parametrize("command", ["scan", "boundary"])
+@pytest.mark.parametrize("flag", ["--b-max", "--kt-max", "--b-min"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_axis_bounds_are_usage_errors(tmp_path, capsys, command, flag, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails the test
+        rc, _, err = run([command, f"{flag}={bad}", "--out-path", str(tmp_path / "x.csv")],
+                         capsys)
+    assert rc == 1 and "error:" in err and "Warning" not in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_scan_json(tmp_path, capsys):

@@ -9,6 +9,7 @@ from scipy import integrate
 from spinwitness.quadrature import (
     QuadratureError,
     adaptive_quadrature,
+    adaptive_quadrature_rows,
     adaptive_quadrature_split,
 )
 
@@ -72,3 +73,50 @@ def test_split_points_outside_interval_are_ignored():
 def test_split_reassembles_the_full_integral():
     value = adaptive_quadrature_split(np.sin, 0.0, math.pi, (1.1, 2.2))
     assert abs(value - 2.0) < 1e-12
+
+
+def _rows_of(funcs):
+    """A parametric integrand whose row i is ``funcs[i]``."""
+    def f(rows, x):
+        out = np.empty_like(x)
+        for r in np.unique(rows):
+            out[rows == r] = funcs[r](x[rows == r])
+        return out
+    return f
+
+
+ROW_FUNCS = [np.cos, lambda x: np.exp(np.sin(3.0 * x)), lambda x: np.abs(np.cos(x))]
+
+
+def test_rows_match_the_scalar_routine():
+    values, failures = adaptive_quadrature_rows(_rows_of(ROW_FUNCS), 3, 0.0, 5.0,
+                                                abs_tol=1e-12)
+    assert failures == {}
+    for value, f in zip(values, ROW_FUNCS):
+        assert abs(value - adaptive_quadrature(f, 0.0, 5.0, abs_tol=1e-12)) < 2e-12
+
+
+def test_rows_fail_alone_and_do_not_see_each_other():
+    singular = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / math.sqrt(2.0)) + 1e-300)
+    funcs = [ROW_FUNCS[1], singular, ROW_FUNCS[2]]
+    values, failures = adaptive_quadrature_rows(_rows_of(funcs), 3, 0.0, 1.0, max_panels=64)
+    assert set(failures) == {1} and "64 panels" in failures[1]
+    assert math.isnan(values[1])
+    for i in (0, 2):
+        solo, _ = adaptive_quadrature_rows(_rows_of([funcs[i]]), 1, 0.0, 1.0, max_panels=64)
+        assert values[i] == solo[0]
+
+
+def test_rows_stop_at_floating_point_resolution():
+    # a jump is never resolved; its panel halves down to one ulp
+    step = lambda x: np.where(x < 0.3, 0.0, 1.0)
+    values, failures = adaptive_quadrature_rows(_rows_of([step]), 1, 0.0, 1.0)
+    assert math.isnan(values[0]) and "floating-point resolution" in failures[0]
+
+
+def test_rows_empty_and_reversed_intervals():
+    f = _rows_of([np.sin, np.cos])
+    assert adaptive_quadrature_rows(f, 2, 1.3, 1.3)[0].tolist() == [0.0, 0.0]
+    forward, _ = adaptive_quadrature_rows(f, 2, 0.0, 2.0)
+    backward, _ = adaptive_quadrature_rows(f, 2, 2.0, 0.0)
+    assert np.max(np.abs(forward + backward)) < 1e-14

@@ -1,15 +1,17 @@
 """Infinite-chain integrals, the (kT, B) region, and the low-T ferromagnet."""
 
+import functools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 from scipy import integrate
 
+from spinwitness import quadrature, thermolimit
 from spinwitness.model import SpecError
-from spinwitness.quadrature import QuadratureError
 from spinwitness.thermolimit import (
     BoundaryCurve,
     RegionGrid,
@@ -17,7 +19,6 @@ from spinwitness.thermolimit import (
     critical_field_low_temperature,
     critical_field_zero_temperature,
     critical_temperature_zero_field,
-    dispersion_f,
     lowtemp_ferro_log_partition,
     lowtemp_ferro_witness,
     region_scan,
@@ -32,13 +33,6 @@ from spinwitness.thermolimit import (
 KTC_ZERO_FIELD = 1.36683616383713
 # closed form 2*sqrt(1 - pi^2/16)
 BC_ZERO_TEMPERATURE = 1.237981784893324
-
-
-def test_dispersion_equals_absolute_value_form():
-    omega = np.linspace(0.0, math.pi, 301)
-    for k, c in ((1.0, 0.5), (-2.0, 1.3), (0.7, 0.0), (0.0, 0.8)):
-        assert np.max(np.abs(dispersion_f(k, c, omega)
-                             - np.abs(2.0 * k * np.cos(omega) - c))) < 1e-12
 
 
 def _quad(f):
@@ -157,6 +151,22 @@ def test_boundary_trace_window_validation():
         boundary_trace([0.0], kt_min=0.0)
     with pytest.raises(SpecError):
         boundary_trace([0.0], kt_min=2.0, kt_max=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(SpecError):
+            boundary_trace([0.0], kt_max=bad)
+        with pytest.raises(SpecError):
+            boundary_trace([0.0, bad])
+
+
+def test_boundary_fields_are_independent_of_the_batch():
+    fields = [0.0, 0.3, 0.9, 1.1, 2.0]
+    curve = boundary_trace(np.array(fields))
+    assert curve.zero_field_ktc == curve.points[0][1]  # the B = 0 root, reused
+    for b, ktc in curve.points:
+        single = boundary_trace(np.array([b]))
+        assert single.points == ((b, ktc),)
+        assert single.zero_field_ktc == curve.zero_field_ktc
+    assert boundary_trace(np.array([2.0])).no_crossing == (2.0,)
 
 
 def test_region_scan_values_and_flags():
@@ -166,17 +176,87 @@ def test_region_scan_values_and_flags():
     assert grid.w.shape == (2, 3)
     for ib in range(2):
         for ik in range(3):
-            assert grid.w[ib, ik] == xx_witness(float(kt[ik]), float(b[ib]), 1.0).value
-            assert grid.entangled[ib, ik] == (grid.w[ib, ik] > 1.0)
+            w = grid.w[ib, ik]
+            assert w == region_scan(kt[ik:ik + 1], b[ib:ib + 1]).w[0, 0]
+            assert abs(w - xx_witness(float(kt[ik]), float(b[ib]), 1.0).value) < 1e-10
+            assert grid.entangled[ib, ik] == (w > 1.0)
     assert grid.cell_errors == ()
 
 
-def test_region_scan_workers_do_not_change_bytes():
-    kt = np.linspace(0.2, 2.0, 5)
-    b = np.linspace(0.0, 1.5, 4)
-    serial = region_scan(kt, b, workers=None).to_csv()
-    threaded = region_scan(kt, b, workers=3).to_csv()
-    assert serial == threaded
+@pytest.mark.parametrize("block_rows", [1, 7, 256, 5000])
+def test_region_scan_bytes_do_not_depend_on_block_size(monkeypatch, block_rows):
+    kt = np.linspace(0.02, 3.0, 23)
+    b = np.linspace(0.0, 3.0, 17)
+    reference = region_scan(kt, b).to_csv()
+    assert region_scan(kt, b).to_csv() == reference
+    monkeypatch.setattr(quadrature, "_BLOCK_ROWS", block_rows)
+    assert region_scan(kt, b).to_csv() == reference
+
+
+@pytest.mark.parametrize("kt", [0.02, 0.3, 3.0])
+@pytest.mark.parametrize("b", [0.0, 1.2, 3.0])
+def test_batched_witness_matches_both_scalar_routes(kt, b):
+    w = region_scan(np.array([kt]), np.array([b])).w[0, 0]
+    assert abs(w - xx_witness_single_integral(kt, b, 1.0)) < 1e-10
+    assert abs(w - xx_witness(kt, b, 1.0).value) < 1e-10
+
+
+def _reference_witness(kt, b):
+    """W by mpmath's tanh-sinh rule, split at the kink w* = arccos(B/2J)."""
+    with mpmath.workdps(30):
+        k, c = 1 / mpmath.mpf(kt), abs(mpmath.mpf(b)) / mpmath.mpf(kt)
+        nodes = [0, mpmath.acos(c / (2 * k)), mpmath.pi] if c <= 2 * k else [0, mpmath.pi]
+        value = mpmath.quad(lambda w: mpmath.cos(w) * mpmath.tanh(2 * k * mpmath.cos(w) - c),
+                            nodes)
+        return float(2 / mpmath.pi * abs(value))
+
+
+@pytest.mark.parametrize("b", [1.2, 3.0])
+def test_batched_witness_is_accurate_at_low_temperature(b):
+    # kT = 1e-3: the tanh step near the kink is ~5e-4 wide. The per-panel
+    # acceptance resolves it; the scalar two-integral route's summed
+    # estimate does not (it is ~1.7e-4 off at B = 1.2).
+    w = region_scan(np.array([1e-3]), np.array([b])).w[0, 0]
+    assert abs(w - _reference_witness(1e-3, b)) < 1e-10
+    assert abs(w - xx_witness_single_integral(1e-3, b, 1.0)) < 1e-10
+
+
+def test_region_scan_at_vanishing_temperature_is_exact_or_flagged():
+    # At kT = 1e-300 the integrand is a step at the kink: each cell either
+    # resolves it (T -> 0 closed form; the 10/20-node difference is no
+    # strict error bound across a jump, hence 1e-9) or fails honestly;
+    # neighbours are unaffected.
+    kt = np.array([1e-300, 0.5, 2.0])
+    b = np.array([0.0, 0.5, 1.0, 1.5, 2.5])
+    grid = region_scan(kt, b)
+    failed = {(ib, ik) for ib, ik, _ in grid.cell_errors}
+    assert all(ik == 0 for _, ik in failed)
+    for ib, bb in enumerate(b):
+        closed = (4.0 / math.pi) * math.sqrt(max(0.0, 1.0 - (bb / 2.0) ** 2))
+        if (ib, 0) in failed:
+            assert math.isnan(grid.w[ib, 0]) and not grid.entangled[ib, 0]
+        else:
+            assert abs(grid.w[ib, 0] - closed) < 1e-9
+        for ik in (1, 2):
+            assert grid.w[ib, ik] == region_scan(kt[ik:ik + 1], b[ib:ib + 1]).w[0, 0]
+
+
+def test_region_scan_isolates_failing_cells(monkeypatch):
+    # A two-panel budget fails the cells that need more panels and only them.
+    monkeypatch.setattr(thermolimit, "adaptive_quadrature_rows",
+                        functools.partial(quadrature.adaptive_quadrature_rows, max_panels=2))
+    kt = np.array([0.05, 0.5, 3.0, 30.0])
+    b = np.array([0.0, 1.0, 3.0])
+    grid = region_scan(kt, b)
+    failed = {(ib, ik) for ib, ik, _ in grid.cell_errors}
+    assert 0 < len(failed) < grid.w.size
+    for ib, ik, message in grid.cell_errors:
+        assert math.isnan(grid.w[ib, ik]) and not grid.entangled[ib, ik]
+        assert "2 panels" in message
+    for ib in range(b.size):
+        for ik in range(kt.size):
+            if (ib, ik) not in failed:
+                assert grid.w[ib, ik] == region_scan(kt[ik:ik + 1], b[ib:ib + 1]).w[0, 0]
 
 
 def test_region_scan_csv_layout():
@@ -211,6 +291,13 @@ def test_region_scan_axis_validation():
         region_scan(np.array([0.0, 1.0]), np.array([0.0]))  # kT must be positive
     with pytest.raises(SpecError):
         region_scan(np.array([[0.5]]), np.array([0.0]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(SpecError):
+            region_scan(np.array([0.5, bad]), np.array([0.0]))
+        with pytest.raises(SpecError):
+            region_scan(np.array([0.5]), np.array([bad]))
+    with pytest.raises(SpecError):  # B/kT overflows
+        region_scan(np.array([1e-300]), np.array([1e10]))
 
 
 def test_witness_report_source_is_the_limit():
