@@ -1,4 +1,4 @@
-"""Exact diagonalization of finite Heisenberg chains, one symmetry sector at a time.
+"""Exact diagonalization of finite Heisenberg chains, one symmetry block at a time.
 
 The Hamiltonian acts on N Pauli spins,
 
@@ -16,13 +16,31 @@ A double flip keeps the parity of the number of down spins, and when
 Jx == Jy it only moves antiparallel pairs, so it keeps that number too. H
 is therefore block diagonal: in the N + 1 total-S^z sectors (basis states
 of fixed popcount) when Jx == Jy, otherwise in the two S^z-parity
-sectors. Each block is assembled from index tables that depend only on
-(N, boundary, conserved quantity) and diagonalized by its own
-`numpy.linalg.eigh` call; no 2^N x 2^N matrix is formed. Every state of a
-total-S^z sector has sum_j sz_j = N - 2k, so there B only shifts the
-block's energies by -B (N - 2k): those eigensystems are cached without B,
-and one diagonalization serves every field. :func:`build_hamiltonian`
-assembles the dense matrix, which serves as an independent oracle.
+sectors. Every state of a total-S^z sector has sum_j sz_j = N - 2k, so
+there B only shifts the energies by -B (N - 2k): those eigensystems are
+cached without B, and one diagonalization serves every field. At B = 0,
+flipping every spin maps sector k onto sector N - k with the same
+energies, so only k <= N/2 is diagonalized.
+
+Open chains diagonalize each sector as one real block built from index
+tables of (N, conserved quantity). Rings also commute with the
+translation T (site j -> j+1), so each sector splits further by lattice
+momentum q. A representative a (the smallest state of its T-orbit, orbit
+size R_a) spans the momentum state
+
+    |a, q> = R_a^(-1/2) sum_{l < R_a} e^(-2 pi i q l / N) T^l |a>,
+
+which exists only when q R_a = 0 mod N. A bond flip taking a to T^l b adds
+c e^(2 pi i q l / N) sqrt(R_a / R_b) to <b, q|H|a, q> (Sandvik,
+arXiv:1101.3281, section 4). Block N - q is the complex conjugate of block
+q, so only q <= N/2 is diagonalized and 0 < q < N/2 counts twice. Blocks
+of equal size are stacked into one `numpy.linalg.eigh` call. Since the
+thermal state commutes with T, every ring bond has the same correlators:
+the ring eigensystem stores, per eigenstate, <M> and the translation sums
+of the antiparallel-flip, parallel-flip and sz.sz bond operators, and any
+thermal or ground-state average is one weighted sum over that table. No
+2^N x 2^N matrix is formed; :func:`build_hamiltonian` assembles the dense
+matrix, which serves as an independent oracle.
 
 Thermal averages never special-case T -> 0: weights are
 exp(-beta (E - E0)) normalized through a log-sum-exp partition function, so
@@ -39,6 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
+    BOUNDARY_OPEN,
     BOUNDARY_PERIODIC,
     SpecError,
     ThermalPoint,
@@ -46,14 +65,16 @@ from .model import (
     validate_spec,
 )
 
-# Exact-diagonalization cap: at N = 14 the widest total-S^z block is 3432
-# and a parity block 8192. Deliberately a plain module attribute so callers
-# can raise it at their own risk.
+# Exact-diagonalization cap: at N = 14 the widest open-chain block is 3432
+# (total S^z) or 8192 (parity), the widest ring momentum block 246 or 596.
+# Deliberately a plain module attribute so callers can raise it at their own
+# risk.
 SITE_CAP = 14
 
-# A cached eigensystem holds sum_k dim_k^2 floats. At N = 14 that is
-# C(28, 14) * 8 B ~ 320 MB in total-S^z sectors and 1.1 GB in the two parity
-# sectors (a dense one would be 2 GB); keep the cache small.
+# A cached eigensystem holds the vectors of its solved blocks. At N = 14 an
+# open chain's are about 210 MB in total-S^z sectors (k <= N/2) and 1.1 GB in
+# the two parity sectors (a dense one would be 2 GB), a ring's 16 MB and
+# 80 MB. Keep the cache small.
 _EIG_CACHE_SIZE = 8
 
 _DEGENERACY_TOL = 1e-9
@@ -155,6 +176,37 @@ def build_hamiltonian(spec) -> np.ndarray:
     return h
 
 
+def _boltzmann(energies: np.ndarray, beta: float, multiplicity):
+    """Weights g exp(-beta (E - E0)) / Z' and ln Z, with E0 the lowest energy.
+
+    ``multiplicity`` g counts the states each energy stands for.
+    """
+    e0 = float(energies.min())
+    w = multiplicity * np.exp(-beta * (energies - e0))
+    z0 = float(w.sum())
+    return w / z0, math.log(z0) - beta * e0
+
+
+def _ground_weights(energies: np.ndarray, multiplicity) -> np.ndarray:
+    """Uniform weights over the ground multiplet (which may span several blocks)."""
+    e0 = energies.min()
+    members = multiplicity * ((energies - e0) < _DEGENERACY_TOL * max(1.0, abs(e0)))
+    return members / members.sum()
+
+
+def _pair_matrix(za: float, zb: float, zab: float, xx: float, yy: float) -> PairState:
+    """The two-site state (1/4) sum over {1, z_a, z_b, z_a z_b, x_a x_b, y_a y_b} of <P> P."""
+    rho = np.diag([1.0 + za + zb + zab, 1.0 + za - zb - zab,
+                   1.0 - za + zb - zab, 1.0 - za - zb + zab])
+    rho[0, 3] = rho[3, 0] = xx - yy
+    rho[1, 2] = rho[2, 1] = xx + yy
+    return PairState(rho / 4.0)
+
+
+# ---------------------------------------------------------------------------
+# Open chains: total-S^z or parity sectors of the site basis
+
+
 class _Sector(NamedTuple):
     """One diagonal block: its basis states and its off-diagonal pattern."""
 
@@ -165,7 +217,7 @@ class _Sector(NamedTuple):
 
 
 class _Basis(NamedTuple):
-    """The blocks of one chain geometry, with per-state tables in block order."""
+    """The blocks of one open chain, with per-state tables in block order."""
 
     sectors: tuple[_Sector, ...]
     states: np.ndarray     # every basis index, block after block
@@ -173,6 +225,57 @@ class _Basis(NamedTuple):
     zz_sum: np.ndarray     # sum_bonds sz_i sz_j of each state
     bond_zz: np.ndarray    # (n_bonds, 2^N): sz_i sz_j of each bond and state
     flip_slot: np.ndarray  # for every flip of every block: its bond, + n_bonds if parallel
+
+
+class _OpenEigensystem(NamedTuple):
+    """An open chain's eigensystem: one state per basis state of each sector."""
+
+    basis: _Basis
+    energies: np.ndarray       # ascending within each block, in block order
+    vectors: tuple             # per block; the spin-flip images are reversed views
+    magnetization: np.ndarray  # sum_j sz_j of each eigenstate (total-S^z sectors)
+    multiplicity: float = 1.0
+
+    def observables(self, n_sites: int, energies: np.ndarray, p: np.ndarray):
+        """(U, M, bond correlators) for the mixture sum_k p[k] |v_k><v_k|.
+
+        A bond's xx sums rho[r ^ mask, r] over its flips; yy weights each term
+        by -z_i z_j, i.e. +1 for an antiparallel pair and -1 for a parallel one.
+        """
+        basis = self.basis
+        q = np.zeros(p.size)  # basis-diagonal of rho
+        flip_values = []
+        for sec, rho in _block_densities(basis, self.vectors, p):
+            if rho is None:
+                flip_values.append(np.zeros(sec.flips.size))
+                continue
+            q[sec.span] = rho.diagonal()
+            flip_values.append(rho.ravel()[sec.flips])
+        n_bonds = basis.bond_zz.shape[0]
+        by_slot = np.bincount(basis.flip_slot, np.concatenate(flip_values),
+                              minlength=2 * n_bonds)
+        antiparallel, parallel = by_slot[:n_bonds], by_slot[n_bonds:]
+        correlators = zip((antiparallel + parallel).tolist(),
+                          (antiparallel - parallel).tolist(), (basis.bond_zz @ q).tolist())
+        return float(p @ energies), float(q @ basis.zsum), tuple(correlators)
+
+    def pair_state(self, n_sites: int, p: np.ndarray, a: int, b: int) -> PairState:
+        """The (a, b) pair state, summed block by block."""
+        n, basis = n_sites, self.basis
+        z_a, z_b = (1.0 - 2.0 * ((basis.states >> (n - 1 - site)) & 1) for site in (a, b))
+        z_ab = z_a * z_b
+        mask = _flip_mask(n, a, b)
+        q = np.zeros(p.size)
+        xx = yy = 0.0
+        for sec, rho in _block_densities(basis, self.vectors, p):
+            if rho is None:
+                continue
+            q[sec.span] = rho.diagonal()
+            to, frm = _partners(sec.states, mask)
+            values = rho[to, frm]
+            xx += float(values.sum())
+            yy -= float(values @ z_ab[sec.span][frm])
+        return _pair_matrix(float(q @ z_a), float(q @ z_b), float(q @ z_ab), xx, yy)
 
 
 def _partners(states: np.ndarray, mask: int):
@@ -184,8 +287,8 @@ def _partners(states: np.ndarray, mask: int):
 
 
 @lru_cache(maxsize=64)
-def _basis(n_sites: int, boundary: str, conserve_sz: bool) -> _Basis:
-    """Block tables of an N-site chain; no coupling or field enters them.
+def _basis(n_sites: int, conserve_sz: bool) -> _Basis:
+    """Block tables of an open N-site chain; no coupling or field enters them.
 
     Blocks are the total-S^z sectors (ordered by the number of down spins
     k) when ``conserve_sz``, otherwise the even and odd parity sectors.
@@ -194,7 +297,7 @@ def _basis(n_sites: int, boundary: str, conserve_sz: bool) -> _Basis:
     downs = np.rint((n_sites - z.sum(axis=0)) / 2.0).astype(np.int64)
     label = downs if conserve_sz else downs % 2
     states = np.argsort(label, kind="stable")  # by block, ascending inside each
-    bonds = bond_list(n_sites, boundary)
+    bonds = bond_list(n_sites, BOUNDARY_OPEN)
     bond_zz = np.empty((len(bonds), states.size))
     for b, (i, j) in enumerate(bonds):
         bond_zz[b] = (z[i] * z[j])[states]
@@ -218,48 +321,38 @@ def _basis(n_sites: int, boundary: str, conserve_sz: bool) -> _Basis:
 
 
 @lru_cache(maxsize=_EIG_CACHE_SIZE)
-def _eigensystem(vspec: ValidatedSpec):
-    """Energies (ascending within each block, in block order) and per-block vectors.
+def _open_eigensystem(vspec: ValidatedSpec) -> _OpenEigensystem:
+    """Energies and per-block vectors of an open chain, cached per spec.
 
-    Cached per spec; ``lru_cache`` serializes insertion, so concurrent
-    readers are safe and at worst two threads diagonalize one spec once each.
+    ``lru_cache`` serializes insertion, so concurrent readers are safe and
+    at worst two threads diagonalize one spec once each. Total-S^z specs
+    arrive here with B = 0 only, where block N - k is block k with every
+    spin flipped: the same energies, and vectors over the block's states in
+    reverse order.
     """
-    basis = _basis(vspec.n_sites, vspec.boundary, vspec.jx == vspec.jy)
+    n = vspec.n_sites
+    conserve_sz = vspec.jx == vspec.jy
+    basis = _basis(n, conserve_sz)
     s = float(vspec.coupling_sign)
     diagonal = s * vspec.jz * basis.zz_sum - vspec.b * basis.zsum
+    solved = n // 2 + 1 if conserve_sz else len(basis.sectors)
     energies = np.empty(diagonal.size)
     vectors = []
-    for sec in basis.sectors:
+    for sec in basis.sectors[:solved]:
         dim = sec.states.size
         h = np.zeros((dim, dim))
         # Distinct bonds flip distinct masks, so no (to, from) entry repeats.
         h.flat[sec.flips[:sec.n_antiparallel]] = s * (vspec.jx + vspec.jy)
         h.flat[sec.flips[sec.n_antiparallel:]] = s * (vspec.jx - vspec.jy)
         h.flat[::dim + 1] = diagonal[sec.span]
-        block_energies, block_vectors = np.linalg.eigh(h)
-        energies[sec.span] = block_energies
+        energies[sec.span], block_vectors = np.linalg.eigh(h)
         block_vectors.setflags(write=False)
         vectors.append(block_vectors)
+    for k in range(solved, len(basis.sectors)):
+        energies[basis.sectors[k].span] = energies[basis.sectors[n - k].span]
+        vectors.append(vectors[n - k][::-1])
     energies.setflags(write=False)
-    return energies, tuple(vectors)
-
-
-def _spectrum(vspec: ValidatedSpec):
-    """(basis, energies at the spec's field, per-block eigenvectors)."""
-    conserve_sz = vspec.jx == vspec.jy
-    basis = _basis(vspec.n_sites, vspec.boundary, conserve_sz)
-    if not conserve_sz:
-        return (basis, *_eigensystem(vspec))
-    energies, vectors = _eigensystem(replace(vspec, b=0.0))
-    return basis, energies - vspec.b * basis.zsum, vectors
-
-
-def _boltzmann(energies: np.ndarray, beta: float):
-    """Weights exp(-beta (E - E0)) / Z' and ln Z, with E0 the lowest energy."""
-    e0 = float(energies.min())
-    w = np.exp(-beta * (energies - e0))
-    z0 = float(w.sum())
-    return w / z0, math.log(z0) - beta * e0
+    return _OpenEigensystem(basis, energies, tuple(vectors), basis.zsum)
 
 
 def _block_densities(basis: _Basis, vectors, p: np.ndarray):
@@ -279,27 +372,240 @@ def _block_densities(basis: _Basis, vectors, p: np.ndarray):
         yield sec, weighted @ weighted.T
 
 
-def _observables_from_weights(basis: _Basis, energies, vectors, p):
-    """(U, M, bond correlators) for the mixture sum_k p[k] |v_k><v_k|.
+# ---------------------------------------------------------------------------
+# Rings: momentum blocks of each total-S^z or parity sector
 
-    A bond's xx sums rho[r ^ mask, r] over its flips; yy weights each term
-    by -z_i z_j, i.e. +1 for an antiparallel pair and -1 for a parallel one.
+
+class _RingGroup(NamedTuple):
+    """Momentum blocks of one size, diagonalized by one stacked eigh."""
+
+    reps: np.ndarray      # (m, d): each block's representatives, ascending
+    periods: np.ndarray   # (m, d): orbit size R of each representative
+    momenta: np.ndarray   # (m,): q of each block
+    dtype: type           # float when every block has q = 0 or q = N/2
+
+
+class _Ring(NamedTuple):
+    """Momentum-block layout of one ring; eigenstates are numbered group by group."""
+
+    conserve_sz: bool
+    groups: tuple[_RingGroup, ...]
+    rep: np.ndarray           # representative of every basis state
+    shift: np.ndarray         # l with state = T^l rep, for every basis state
+    source: np.ndarray        # every eigenstate's solved state: its own, then the
+                              # spin-flip images of k < N/2 (total S^z only)
+    multiplicity: np.ndarray  # per eigenstate: 2 for 0 < q < N/2 (q and N - q), else 1
+
+
+class _RingTerms(NamedTuple):
+    """One ring group's operators, without couplings, as entries of a (4, m, d, d) stack.
+
+    The layers are sum_j sz_j, sum_i sz_i sz_(i+d), and the sums over i of
+    the (i, i+d) flips that move an antiparallel and a parallel pair.
     """
-    q = np.zeros(p.size)  # basis-diagonal of rho
-    flip_values = []
-    for sec, rho in _block_densities(basis, vectors, p):
-        if rho is None:
-            flip_values.append(np.zeros(sec.flips.size))
-            continue
-        q[sec.span] = rho.diagonal()
-        flip_values.append(rho.ravel()[sec.flips])
-    n_bonds = basis.bond_zz.shape[0]
-    by_slot = np.bincount(basis.flip_slot, np.concatenate(flip_values),
-                          minlength=2 * n_bonds)
-    antiparallel, parallel = by_slot[:n_bonds], by_slot[n_bonds:]
-    correlators = zip((antiparallel + parallel).tolist(), (antiparallel - parallel).tolist(),
-                      (basis.bond_zz @ q).tolist())
-    return float(p @ energies), float(q @ basis.zsum), tuple(correlators)
+
+    flat: np.ndarray      # distinct indices into the stack
+    values: np.ndarray    # the summed entries there
+
+
+class _RingEigensystem(NamedTuple):
+    """A ring's eigensystem: what thermal and ground averages need, per eigenstate."""
+
+    ring: _Ring
+    table: np.ndarray         # (5, states): per eigenstate (numbered as in _Ring), its
+                              # energy and its expectation of each layer of _RingTerms (d = 1)
+    vectors: tuple            # per group, the (m, d, d) stacked eigenvectors
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self.table[0]
+
+    @property
+    def magnetization(self) -> np.ndarray:
+        return self.table[1]
+
+    @property
+    def multiplicity(self) -> np.ndarray:
+        return self.ring.multiplicity
+
+    def observables(self, n_sites: int, energies: np.ndarray, p: np.ndarray):
+        """(U, M, bond correlators): every bond gets the translation average."""
+        m, zz, antiparallel, parallel = (self.table[1:] @ p).tolist()
+        bond = ((antiparallel + parallel) / n_sites, (antiparallel - parallel) / n_sites,
+                zz / n_sites)
+        return float(p @ energies), m, (bond,) * n_sites
+
+    def pair_state(self, n_sites: int, p: np.ndarray, a: int, b: int) -> PairState:
+        """The (a, b) pair state from translation sums over pairs (i, i+d).
+
+        The state commutes with T, so it depends on d = b - a only, and the
+        pair operators of d and N - d are the same sums.
+        """
+        n = n_sites
+        distance = min((b - a) % n, (a - b) % n)
+        layers = self.table[1:]
+        if distance != 1:
+            terms = _ring_terms(n, self.ring.conserve_sz, distance)
+            layers = np.concatenate([_expectations(_operator_stack(g, t), v) for g, t, v
+                                     in zip(self.ring.groups, terms, self.vectors)], axis=1)
+            layers = layers[:, self.ring.source]
+        z = float(p @ self.magnetization) / n
+        zz, antiparallel, parallel = (layers[1:] @ p / n).tolist()
+        return _pair_matrix(z, z, zz, antiparallel + parallel, antiparallel - parallel)
+
+
+def _translate(states: np.ndarray, n_sites: int) -> np.ndarray:
+    """T: site j -> j+1, i.e. bit (N-1-j) -> bit (N-2-j), cyclically."""
+    return (states >> 1) | ((states & 1) << (n_sites - 1))
+
+
+@lru_cache(maxsize=32)
+def _ring(n_sites: int, conserve_sz: bool) -> _Ring:
+    """Momentum-block layout of an N-site ring; no coupling or field enters it.
+
+    Solved blocks are q = 0..N/2 of the sectors k = 0..N/2 when
+    ``conserve_sz`` (sector N - k is the spin-flip image of k at B = 0),
+    otherwise of both parity sectors.
+    """
+    n = n_sites
+    states = np.arange(1 << n, dtype=np.int64)
+    images = np.empty((n, states.size), np.int64)  # images[l] = T^l state
+    images[0] = states
+    for l in range(1, n):
+        images[l] = _translate(images[l - 1], n)
+    to_rep = images.argmin(axis=0)
+    rep = images[to_rep, states]
+    back = images[1:] == states
+    period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, n)
+    downs = np.rint((n - _site_z(n).sum(axis=0)) / 2.0).astype(np.int64)
+    label = downs if conserve_sz else downs % 2
+
+    blocks = {}  # size -> [(reps, q, sector)]
+    for sector in range(n // 2 + 1) if conserve_sz else (0, 1):
+        members = np.flatnonzero((rep == states) & (label == sector))
+        for q in range(n // 2 + 1):
+            reps = members[q * period[members] % n == 0]
+            if reps.size:
+                blocks.setdefault(reps.size, []).append((reps, q, sector))
+    groups, sectors, momenta = [], [], []
+    for size in sorted(blocks):
+        reps, q, sector = (np.array(column) for column in zip(*blocks[size]))
+        dtype = complex if (2 * q % n).any() else float
+        groups.append(_RingGroup(reps, period[reps], q, dtype))
+        sectors.append(np.repeat(sector, size))
+        momenta.append(np.repeat(q, size))
+    sectors, momenta = np.concatenate(sectors), np.concatenate(momenta)
+    source = np.arange(sectors.size)
+    if conserve_sz:
+        source = np.concatenate([source, np.flatnonzero(2 * sectors < n)])
+    multiplicity = np.where(2 * momenta[source] % n == 0, 1.0, 2.0)
+    for array in (rep, source, multiplicity):
+        array.setflags(write=False)
+    return _Ring(conserve_sz, tuple(groups), rep, (-to_rep) % n, source, multiplicity)
+
+
+@lru_cache(maxsize=64)
+def _ring_terms(n_sites: int, conserve_sz: bool, distance: int) -> tuple[_RingTerms, ...]:
+    """Per group of :func:`_ring`, the operator stack for pairs (i, i+distance).
+
+    The flip of pair (i, i+d) takes representative a to a state T^l b;
+    summed over i it adds e^(2 pi i q l / N) sqrt(R_a / R_b) to entry (b, a)
+    of block q. Repeats (several pairs reaching one orbit) are summed.
+    """
+    n = n_sites
+    ring = _ring(n, conserve_sz)
+    z = _site_z(n)
+    pairs = [(i, (i + distance) % n) for i in range(n)]
+    masks = np.array([_flip_mask(n, i, j) for i, j in pairs])
+    pair_zz = np.stack([z[i] * z[j] for i, j in pairs], axis=-1)  # (2^N, pairs)
+    zsum = z.sum(axis=0)
+    terms = []
+    for g in ring.groups:
+        m, d = g.reps.shape
+        block, row = np.arange(m)[:, None, None], np.arange(d)[None, :, None]
+        partner = g.reps[:, :, None] ^ masks
+        # Representatives keyed by (block, state) are ascending over the whole group.
+        keys = ((np.arange(m)[:, None] << n) + g.reps).ravel()
+        target = (block << n) + ring.rep[partner]
+        found = np.minimum(np.searchsorted(keys, target), keys.size - 1)
+        inside = keys[found] == target
+        phase = np.exp(2j * np.pi / n * (g.momenta[:, None, None] * ring.shift[partner] % n))
+        flips = phase * np.sqrt(g.periods[:, :, None] / g.periods.ravel()[found])
+        layer = 2 + (pair_zz[g.reps] > 0.0)
+        diagonal = ((np.arange(2)[:, None, None] * m + block[:, :, 0]) * d * d
+                    + row[:, :, 0] * (d + 1))
+        flat = np.concatenate([diagonal.ravel(),
+                               (((layer * m + block) * d + found % d) * d + row)[inside]])
+        values = np.concatenate([zsum[g.reps].ravel(), pair_zz[g.reps].sum(axis=-1).ravel(),
+                                 flips[inside]])
+        flat, where = np.unique(flat, return_inverse=True)
+        summed = np.bincount(where, values.real, minlength=flat.size)
+        if g.dtype is complex:  # phases are +-1 for q = 0 and q = N/2
+            summed = summed + 1j * np.bincount(where, values.imag, minlength=flat.size)
+        terms.append(_RingTerms(flat, summed))
+    return tuple(terms)
+
+
+def _operator_stack(g: _RingGroup, terms: _RingTerms) -> np.ndarray:
+    """The group's (4, m, d, d) operator layers as dense arrays."""
+    m, d = g.reps.shape
+    stack = np.zeros((4, m, d, d), g.dtype)
+    stack.reshape(-1)[terms.flat] = terms.values
+    return stack
+
+
+def _expectations(stack: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """(4, m d): every layer's expectation in every eigenstate (column) of the group."""
+    return (vectors.conj() * (stack @ vectors)).real.sum(axis=-2).reshape(4, -1)
+
+
+@lru_cache(maxsize=_EIG_CACHE_SIZE)
+def _ring_eigensystem(vspec: ValidatedSpec) -> _RingEigensystem:
+    """Energies, observable table and stacked vectors of a ring, cached per spec.
+
+    Total-S^z specs arrive here with B = 0 only, where sector N - k is the
+    spin-flip image of k: the same energies and table, with M negated.
+    """
+    n = vspec.n_sites
+    conserve_sz = vspec.jx == vspec.jy
+    ring = _ring(n, conserve_sz)
+    s = float(vspec.coupling_sign)
+    couplings = np.array([-vspec.b, s * vspec.jz, s * (vspec.jx + vspec.jy),
+                          s * (vspec.jx - vspec.jy)])
+    table = np.empty((5, sum(g.reps.size for g in ring.groups)))
+    vectors, start = [], 0
+    for g, terms in zip(ring.groups, _ring_terms(n, conserve_sz, 1)):
+        m, d = g.reps.shape
+        stack = _operator_stack(g, terms)
+        h = (couplings @ stack.reshape(4, -1)).reshape(m, d, d)
+        rows = table[:, start:start + m * d]
+        start += m * d
+        if d == 1:  # a 1 x 1 block is its own eigensystem
+            rows[0], block_vectors = h.real.ravel(), np.ones_like(h)
+            rows[1:] = stack.real.reshape(4, m)
+        else:
+            block_energies, block_vectors = np.linalg.eigh(h)
+            rows[0], rows[1:] = block_energies.ravel(), _expectations(stack, block_vectors)
+        block_vectors.setflags(write=False)
+        vectors.append(block_vectors)
+    table = table[:, ring.source]
+    table[1, start:] *= -1.0  # M of the spin-flip images
+    table.setflags(write=False)
+    return _RingEigensystem(ring, table, tuple(vectors))
+
+
+# ---------------------------------------------------------------------------
+# Public routines
+
+
+def _spectrum(vspec: ValidatedSpec):
+    """(the cached eigensystem, its energies at the spec's field)."""
+    solve = _ring_eigensystem if vspec.boundary == BOUNDARY_PERIODIC else _open_eigensystem
+    if vspec.jx != vspec.jy:
+        eig = solve(vspec)
+        return eig, eig.energies
+    eig = solve(replace(vspec, b=0.0))
+    return eig, eig.energies - vspec.b * eig.magnetization
 
 
 def thermal_observables(spec, kt: float) -> ThermalObservables:
@@ -311,9 +617,9 @@ def thermal_observables(spec, kt: float) -> ThermalObservables:
     vspec = validate_spec(spec)
     _require_finite(vspec)
     beta = ThermalPoint(float(kt)).beta
-    basis, energies, vectors = _spectrum(vspec)
-    p, log_partition = _boltzmann(energies, beta)
-    u, m, correlators = _observables_from_weights(basis, energies, vectors, p)
+    eig, energies = _spectrum(vspec)
+    p, log_partition = _boltzmann(energies, beta, eig.multiplicity)
+    u, m, correlators = eig.observables(vspec.n_sites, energies, p)
     return ThermalObservables(u=u, m=m, bond_correlators=correlators,
                               log_partition=log_partition)
 
@@ -333,12 +639,9 @@ def ground_state_observables(spec) -> ThermalObservables:
     """
     vspec = validate_spec(spec)
     _require_finite(vspec)
-    basis, energies, vectors = _spectrum(vspec)
-    e0 = energies.min()
-    scale = max(1.0, abs(e0))
-    members = (energies - e0) < _DEGENERACY_TOL * scale
-    p = members / members.sum()
-    u, m, correlators = _observables_from_weights(basis, energies, vectors, p)
+    eig, energies = _spectrum(vspec)
+    p = _ground_weights(energies, eig.multiplicity)
+    u, m, correlators = eig.observables(vspec.n_sites, energies, p)
     return ThermalObservables(u=u, m=m, bond_correlators=correlators,
                               log_partition=float("nan"))
 
@@ -368,6 +671,17 @@ def thermo_consistency(spec, kt: float) -> tuple[float, float]:
     return u_residual, m_residual
 
 
+def _site_indices(site_pair) -> tuple[int, int]:
+    """The two sites of a pair as ints; bools and non-integral values are usage errors."""
+    try:
+        a, b = site_pair
+        if not any(isinstance(site, bool) or int(site) != site for site in (a, b)):
+            return int(a), int(b)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SpecError(f"site pair must be two integer site indices, got {site_pair!r}")
+
+
 def reduced_pair_state(spec, kt: float, site_pair: tuple[int, int]) -> PairState:
     """Partial trace of the thermal state down to two sites.
 
@@ -380,34 +694,16 @@ def reduced_pair_state(spec, kt: float, site_pair: tuple[int, int]) -> PairState
     """
     vspec = validate_spec(spec)
     n = _require_finite(vspec)
-    a, b = (int(site_pair[0]), int(site_pair[1]))
+    a, b = _site_indices(site_pair)
     if not (0 <= a < n and 0 <= b < n):
         raise SpecError(f"site pair {site_pair} out of range for n_sites={n}")
     if a == b:
         raise SpecError("site pair must name two distinct sites")
 
     beta = ThermalPoint(float(kt)).beta
-    basis, energies, vectors = _spectrum(vspec)
-    p, _ = _boltzmann(energies, beta)
-    z_a, z_b = (1.0 - 2.0 * ((basis.states >> (n - 1 - site)) & 1) for site in (a, b))
-    z_ab = z_a * z_b
-    mask = _flip_mask(n, a, b)
-    q = np.zeros(p.size)
-    xx = yy = 0.0
-    for sec, rho in _block_densities(basis, vectors, p):
-        if rho is None:
-            continue
-        q[sec.span] = rho.diagonal()
-        to, frm = _partners(sec.states, mask)
-        values = rho[to, frm]
-        xx += float(values.sum())
-        yy -= float(values @ z_ab[sec.span][frm])
-    za, zb, zab = float(q @ z_a), float(q @ z_b), float(q @ z_ab)
-    rho = np.diag([1.0 + za + zb + zab, 1.0 + za - zb - zab,
-                   1.0 - za + zb - zab, 1.0 - za - zb + zab])
-    rho[0, 3] = rho[3, 0] = xx - yy
-    rho[1, 2] = rho[2, 1] = xx + yy
-    return PairState(rho / 4.0)
+    eig, energies = _spectrum(vspec)
+    p, _ = _boltzmann(energies, beta, eig.multiplicity)
+    return eig.pair_state(n, p, a, b)
 
 
 def concurrence(pair) -> float:

@@ -236,6 +236,22 @@ def test_reduced_pair_state_site_validation():
         reduced_pair_state(spec, 1.0, (2, 2))
 
 
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("site_pair", [(0, 1.7), (0, True), (False, 2), (0.5, 1),
+                                       (0, float("nan")), (0, float("inf")), ("0", 1),
+                                       (0, None), (0, 1, 2), (1,)])
+def test_reduced_pair_state_rejects_non_integer_sites(boundary, site_pair):
+    with pytest.raises(SpecError, match="integer site indices"):
+        reduced_pair_state(ModelSpec.xxx(1.0, n_sites=4, boundary=boundary), 1.0, site_pair)
+
+
+def test_reduced_pair_state_accepts_integral_site_values():
+    spec = ModelSpec.xxx(1.0, b=0.2, n_sites=5, boundary="open")
+    expected = reduced_pair_state(spec, 0.8, (1, 3)).matrix
+    for site_pair in ((1.0, 3.0), (np.int64(1), np.int32(3)), [1, 3]):
+        assert np.array_equal(reduced_pair_state(spec, 0.8, site_pair).matrix, expected)
+
+
 def test_concurrence_extremes():
     singlet = np.zeros(4)
     singlet[1], singlet[2] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
@@ -419,7 +435,7 @@ def count_eigh_calls(monkeypatch):
     eigh = np.linalg.eigh
 
     def counting(a, *args, **kwargs):
-        calls.append(np.shape(a)[-1])
+        calls.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
@@ -428,26 +444,128 @@ def count_eigh_calls(monkeypatch):
 
 def test_field_sweep_costs_one_diagonalization_when_sz_is_conserved(monkeypatch):
     calls = count_eigh_calls(monkeypatch)
-    # Couplings no other test uses, so the eigensystem cache starts cold.
-    for spec in (ModelSpec.xxx(0.8137, n_sites=6), ModelSpec.xx(-0.6113, n_sites=5,
-                                                                 boundary="open"),
-                 ModelSpec.xyz(0.7121, 0.7121, -0.3, n_sites=4)):
-        n = spec.n_sites
+    # Couplings no other test uses, so the eigensystem cache starts cold. Only
+    # the blocks k <= N/2 are solved (k and N - k are spin-flip images at B = 0);
+    # an open chain solves each as one matrix, a ring its momentum blocks
+    # q <= N/2 stacked by size, 1 x 1 blocks without eigh.
+    cases = [
+        # N = 6 ring: k = 2 has orbits of size 6, 6, 3 and k = 3 of 6, 6, 6, 2,
+        # so the blocks (k, q) have sizes k2: 3 2 3 2 and k3: 4 3 3 4.
+        (ModelSpec.xxx(0.8137, n_sites=6), [(2, 2, 2), (4, 3, 3), (2, 4, 4)]),
+        (ModelSpec.xx(-0.6113, n_sites=5, boundary="open"), [(1, 1), (5, 5), (10, 10)]),
+        # N = 4 ring: k = 2 has orbits of size 4 and 2, blocks q = 0, 2 of size 2.
+        (ModelSpec.xyz(0.7121, 0.7121, -0.3, n_sites=4), [(2, 2, 2)]),
+    ]
+    for spec, shapes in cases:
         for b in (0.0, 0.35, -1.7, 40.0):
             thermal_observables(replace(spec, b=b), 0.9)
             ground_state_observables(replace(spec, b=b))
             reduced_pair_state(replace(spec, b=b), 0.4, (0, 1))
+            reduced_pair_state(replace(spec, b=b), 0.4, (3, 1))
+            ground_state_energy(replace(spec, b=b))
         thermo_consistency(replace(spec, b=0.2), 0.7)
-        # One eigh per total-S^z sector k = 0..N, once for every field.
-        assert sorted(calls) == sorted(math.comb(n, k) for k in range(n + 1))
+        assert calls == shapes
         calls.clear()
 
 
 def test_parity_sectors_rediagonalize_per_field(monkeypatch):
     calls = count_eigh_calls(monkeypatch)
-    spec = ModelSpec.xyz(0.6217, -0.4, 0.3, n_sites=5)
     fields = (0.0, 0.35, -1.7)
-    for b in fields:
-        thermal_observables(replace(spec, b=b), 0.9)
-        thermal_observables(replace(spec, b=b), 0.2)
-    assert calls == [16, 16] * len(fields)
+    # N = 5 ring: each parity sector has 4 orbits (one of size 1), so blocks
+    # q = 0 have size 4 and q = 1, 2 size 3.
+    for spec, shapes in ((ModelSpec.xyz(0.6217, -0.4, 0.3, n_sites=5), [(4, 3, 3), (2, 4, 4)]),
+                         (ModelSpec.xyz(0.6217, -0.4, 0.3, n_sites=5, boundary="open"),
+                          [(16, 16), (16, 16)])):
+        for b in fields:
+            thermal_observables(replace(spec, b=b), 0.9)
+            thermal_observables(replace(spec, b=b), 0.2)
+        assert calls == shapes * len(fields)
+        calls.clear()
+
+
+# ---------------------------------------------------------------------------
+# Ring momentum blocks against one dense diagonalization
+
+
+def test_momentum_blocks_count_every_state_once():
+    for n in range(3, 13):
+        for conserve_sz in (True, False):
+            assert exactdiag._ring(n, conserve_sz).multiplicity.sum() == 2 ** n
+
+
+RING_PAIR_CASES = [(family, sign, n, b)
+                   for family in ("xxx", "xx", "xyz")
+                   for sign in ("singlet-ground", "as-printed")
+                   for n in range(3, 10)
+                   for b in (0.0, 0.45)]
+
+
+@pytest.mark.parametrize("family, sign, n, b", RING_PAIR_CASES)
+def test_ring_pair_states_match_dense_at_every_distance(family, sign, n, b):
+    spec = sector_case_spec(family, "periodic", sign, n, b=b)
+    _, ref_pair = dense_reference(spec, 0.7)
+    for d in range(1, n):
+        for a in (0, n - 1):
+            pair = (a, (a + d) % n)
+            rho = reduced_pair_state(spec, 0.7, pair).matrix
+            assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11, (pair, d)
+
+
+def test_ground_multiplet_spread_across_momenta():
+    # The XXX triangle's -3J level holds two S = 1/2 doublets, one at q = 1
+    # and one at q = 2 = N - 1, in the sectors k = 1 and k = 2.
+    spec = ModelSpec.xxx(1.0, n_sites=3)
+    assert np.sum(np.abs(np.linalg.eigvalsh(build_hamiltonian(spec)) + 3.0) < 1e-9) == 4
+    ref, ref_pair = dense_reference(spec, None)
+    assert_observables_close(ground_state_observables(spec), ref, 1e-12)
+    for kt in (1e-3, 0.5):
+        ref, ref_pair = dense_reference(spec, kt)
+        assert_observables_close(thermal_observables(spec, kt), ref, 1e-12)
+        for pair in ((0, 1), (2, 0)):
+            rho = reduced_pair_state(spec, kt, pair).matrix
+            assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("family", ["xxx", "xx", "xyz"])
+def test_rings_with_a_momentum_pi_block(family, n):
+    for b in (0.0, 0.45):
+        spec = sector_case_spec(family, "periodic", "singlet-ground", n, b=b)
+        vspec = validate_spec(spec)
+        ring = exactdiag._ring(n, vspec.jx == vspec.jy)
+        assert any((2 * g.momenta == n).any() for g in ring.groups)
+        for kt in (0.3, None):
+            ref, ref_pair = dense_reference(spec, kt)
+            if kt is None:
+                assert_observables_close(ground_state_observables(spec), ref, 1e-11)
+                continue
+            assert_observables_close(thermal_observables(spec, kt), ref, 1e-11)
+            rho = reduced_pair_state(spec, kt, (1, 1 + n // 2)).matrix
+            assert np.max(np.abs(rho - ref_pair(1, 1 + n // 2))) < 1e-11
+
+
+@pytest.mark.parametrize("family", ["xxx", "xx", "xyz"])
+def test_ring_bond_correlators_are_identical(family):
+    spec = sector_case_spec(family, "periodic", "as-printed", 7)
+    for obs in (thermal_observables(spec, 0.6), ground_state_observables(spec)):
+        assert len(obs.bond_correlators) == 7
+        assert len(set(obs.bond_correlators)) == 1
+    ref, _ = dense_reference(spec, 0.6)
+    assert_observables_close(thermal_observables(spec, 0.6), ref, 1e-11)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec.xyz(0.9, -0.4, 0.6, b=0.45, n_sites=10),
+    ModelSpec.xx(-1.3, b=0.45, n_sites=11, sign_convention="as-printed"),
+], ids=["xyz-n10", "xx-n11"])
+def test_large_rings_match_dense(spec):
+    n = spec.n_sites
+    for kt in (0.3, None):
+        ref, ref_pair = dense_reference(spec, kt)
+        if kt is None:
+            assert_observables_close(ground_state_observables(spec), ref, 1e-11)
+            continue
+        assert_observables_close(thermal_observables(spec, kt), ref, 1e-11)
+        for pair in ((0, 1), (3, 1), (2, 2 + n // 2)):
+            rho = reduced_pair_state(spec, kt, pair).matrix
+            assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11
