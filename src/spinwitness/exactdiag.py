@@ -415,6 +415,8 @@ class _RingEigensystem(NamedTuple):
     table: np.ndarray         # (5, states): per eigenstate (numbered as in _Ring), its
                               # energy and its expectation of each layer of _RingTerms (d = 1)
     vectors: tuple            # per group, the (m, d, d) stacked eigenvectors
+    pair_layers: dict         # distance d > 1 -> rows 2-4 of the table for pairs (i, i+d),
+                              # filled on first use
 
     @property
     def energies(self) -> np.ndarray:
@@ -443,15 +445,26 @@ class _RingEigensystem(NamedTuple):
         """
         n = n_sites
         distance = min((b - a) % n, (a - b) % n)
-        layers = self.table[1:]
-        if distance != 1:
-            terms = _ring_terms(n, self.ring.conserve_sz, distance)
+        layers = self.table[2:] if distance == 1 else self._pair_layers(n, distance)
+        z = float(p @ self.magnetization) / n
+        zz, antiparallel, parallel = (layers @ p / n).tolist()
+        return _pair_matrix(z, z, zz, antiparallel + parallel, antiparallel - parallel)
+
+    def _pair_layers(self, n_sites: int, distance: int) -> np.ndarray:
+        """Every eigenstate's zz, antiparallel and parallel flip sums at ``distance``.
+
+        Spin flip leaves these three unchanged, so the images share their
+        source state's values.
+        """
+        layers = self.pair_layers.get(distance)
+        if layers is None:
+            terms = _ring_terms(n_sites, self.ring.conserve_sz, distance)
             layers = np.concatenate([_expectations(_operator_stack(g, t), v) for g, t, v
                                      in zip(self.ring.groups, terms, self.vectors)], axis=1)
-            layers = layers[:, self.ring.source]
-        z = float(p @ self.magnetization) / n
-        zz, antiparallel, parallel = (layers[1:] @ p / n).tolist()
-        return _pair_matrix(z, z, zz, antiparallel + parallel, antiparallel - parallel)
+            layers = layers[:, self.ring.source][1:]
+            layers.setflags(write=False)
+            layers = self.pair_layers.setdefault(distance, layers)
+        return layers
 
 
 def _translate(states: np.ndarray, n_sites: int) -> np.ndarray:
@@ -591,7 +604,7 @@ def _ring_eigensystem(vspec: ValidatedSpec) -> _RingEigensystem:
     table = table[:, ring.source]
     table[1, start:] *= -1.0  # M of the spin-flip images
     table.setflags(write=False)
-    return _RingEigensystem(ring, table, tuple(vectors))
+    return _RingEigensystem(ring, table, tuple(vectors), {})
 
 
 # ---------------------------------------------------------------------------

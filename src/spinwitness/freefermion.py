@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FAMILY_XX, ModelSpec, SpecError, ThermalPoint, validate_spec
+from .model import FAMILY_XX, ModelSpec, SpecError, ThermalPoint, require_count, validate_spec
 
 __all__ = ["ModeSpectrum", "jw_modes", "jw_observables", "jw_observables_for_spec"]
 
@@ -43,20 +43,13 @@ class ModeSpectrum:
     n_sites: int
 
 
-def _check_sites(n_sites) -> int:
-    n = int(n_sites)
-    if n < 1:
-        raise SpecError(f"n_sites must be >= 1, got {n_sites}")
-    return n
-
-
 def jw_modes(n_sites: int, j: float, b: float = 0.0) -> ModeSpectrum:
     """Free-fermion mode energies of the open XX chain.
 
     Validates the XX spec (so only Jx = Jy, Jz = 0 physics is ever mapped)
     and returns e_k = 4 J cos(pi k/(N+1)) + 2B with offset -B*N.
     """
-    n = _check_sites(n_sites)
+    n = require_count(n_sites, "n_sites")
     validate_spec(ModelSpec.xx(j=float(j), b=float(b), n_sites=n, boundary="open"))
     k = np.arange(1, n + 1)
     energies = 4.0 * float(j) * np.cos(np.pi * k / (n + 1)) + 2.0 * float(b)

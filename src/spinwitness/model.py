@@ -104,6 +104,23 @@ class ValidatedSpec:
         return self.n_sites is not None
 
 
+def require_count(value, name: str) -> int:
+    """``value`` as a positive int.
+
+    A bool, or a value that an int does not equal (2.5, "8"), is a usage
+    error rather than something to truncate.
+    """
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or isinstance(value, bool):
+        raise SpecError(f"{name} must be an integer, got {value!r}")
+    if count < 1:
+        raise SpecError(f"{name} must be >= 1, got {value}")
+    return count
+
+
 def validate_spec(spec) -> ValidatedSpec:
     """Normalize and check a :class:`ModelSpec`; idempotent on valid input.
 
@@ -141,11 +158,7 @@ def validate_spec(spec) -> ValidatedSpec:
 
     n_sites = spec.n_sites
     if n_sites is not None:
-        if isinstance(n_sites, bool) or int(n_sites) != n_sites:
-            raise SpecError(f"n_sites must be an integer or None, got {n_sites!r}")
-        n_sites = int(n_sites)
-        if n_sites < 1:
-            raise SpecError(f"n_sites must be >= 1, got {n_sites}")
+        n_sites = require_count(n_sites, "n_sites")
         if boundary == BOUNDARY_PERIODIC and n_sites < 3:
             raise SpecError(
                 f"periodic boundary requires n_sites >= 3 (got {n_sites}); "

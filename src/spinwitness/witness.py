@@ -26,6 +26,7 @@ from .model import (
     FAMILY_XXX,
     WITNESS_ELIGIBLE_FAMILIES,
     SpecError,
+    require_count,
     validate_spec,
 )
 
@@ -39,6 +40,10 @@ SOURCES = (SOURCE_FINITE_EXACT, SOURCE_THERMODYNAMIC_LIMIT,
            SOURCE_LOWTEMP_APPROX, SOURCE_EXTERNAL)
 
 _CORRELATOR_SLOP = 1e-9
+
+# Site vectors the separable sweep draws and scores at a time (4096 samples
+# at N = 8, at least one sample), so its memory does not grow with the input.
+_SWEEP_BLOCK_SITES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -102,9 +107,7 @@ def witness_value(u, m, b, j, n_sites, source: str = SOURCE_EXTERNAL) -> Witness
     j = float(j)
     if j == 0.0 or not math.isfinite(j):
         raise SpecError("witness undefined for J = 0")
-    n = int(n_sites)
-    if n < 1:
-        raise SpecError(f"n_sites must be >= 1, got {n_sites}")
+    n = require_count(n_sites, "n_sites")
     if source not in SOURCES:
         raise SpecError(f"unknown witness source {source!r}")
     u, m, b = _finite_inputs(u, m, b)
@@ -136,9 +139,7 @@ def witness_from_correlators(bond_correlators, n_sites, family) -> float:
     if family not in WITNESS_ELIGIBLE_FAMILIES:
         raise SpecError(
             f"family {family!r} is not witness-eligible (proofs cover {WITNESS_ELIGIBLE_FAMILIES})")
-    n = int(n_sites)
-    if n < 1:
-        raise SpecError(f"n_sites must be >= 1, got {n_sites}")
+    n = require_count(n_sites, "n_sites")
     total = 0.0
     for triple in bond_correlators:
         xx, yy, zz = (float(c) for c in triple)
@@ -188,11 +189,15 @@ def separable_sweep(n_samples, n_sites, family, seed, include_corners: bool = Tr
     it exactly. Mixed separable states need no sampling: the witness is
     convex, so its maximum over separable states is attained on pure
     products.
+
+    Samples are drawn and scored in blocks of about 2^15 site vectors, so
+    memory is constant in ``n_samples`` and in ``n_sites`` (a few MiB; only
+    a ring of more than 2^15 sites makes a one-sample block larger). Blocks
+    are consecutive draws from one generator, so the result is the same
+    bits as scoring every sample at once.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise SpecError(f"n_samples must be >= 1, got {n_samples}")
-    n = int(n_sites)
+    n_samples = require_count(n_samples, "n_samples")
+    n = require_count(n_sites, "n_sites")
     if n < 3:
         raise SpecError(f"the sweep samples rings, which need n_sites >= 3, got {n}")
     family = str(family).lower()
@@ -200,12 +205,16 @@ def separable_sweep(n_samples, n_sites, family, seed, include_corners: bool = Tr
         raise SpecError(f"family {family!r} is not witness-eligible")
 
     rng = np.random.default_rng(seed)
-    vecs = rng.normal(size=(n_samples, n, 3))
-    vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
     components = 3 if family == FAMILY_XXX else 2
-    dots = np.einsum("sna,sna->sn", vecs[:, :, :components],
-                     np.roll(vecs, -1, axis=1)[:, :, :components])
-    best = float(np.max(np.abs(dots.sum(axis=1))) / n)
+    block = max(1, _SWEEP_BLOCK_SITES // n)
+    largest = 0.0
+    for start in range(0, n_samples, block):
+        vecs = rng.normal(size=(min(block, n_samples - start), n, 3))
+        vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
+        dots = np.einsum("sna,sna->sn", vecs[:, :, :components],
+                         np.roll(vecs, -1, axis=1)[:, :, :components])
+        largest = max(largest, float(np.max(np.abs(dots.sum(axis=1)))))
+    best = largest / n
     if include_corners:
         for corner in _corner_states(n):
             best = max(best, product_state_witness(corner, family))
@@ -222,9 +231,7 @@ def concurrence_from_energy(u, n_sites, j, antiferromagnetic: bool = True) -> fl
     j = float(j)
     if j == 0.0 or not math.isfinite(j):
         raise SpecError("concurrence identity undefined for J = 0")
-    n = int(n_sites)
-    if n < 1:
-        raise SpecError(f"n_sites must be >= 1, got {n_sites}")
+    n = require_count(n_sites, "n_sites")
     if not antiferromagnetic:
         return 0.0
     return 0.5 * max(0.0, abs(float(u)) / (n * abs(j)) - 1.0)

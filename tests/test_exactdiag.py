@@ -569,3 +569,36 @@ def test_large_rings_match_dense(spec):
         for pair in ((0, 1), (3, 1), (2, 2 + n // 2)):
             rho = reduced_pair_state(spec, kt, pair).matrix
             assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11
+
+
+def test_ring_pair_layers_are_built_once_per_distance(monkeypatch):
+    calls = []
+    expectations = exactdiag._expectations
+
+    def counting(stack, vectors):
+        calls.append(stack.shape)
+        return expectations(stack, vectors)
+
+    monkeypatch.setattr(exactdiag, "_expectations", counting)
+    # Couplings no other test uses, so the eigensystem cache starts cold.
+    for spec in (ModelSpec.xyz(0.5531, -0.37, 0.21, b=0.3, n_sites=8),
+                 ModelSpec.xxx(-0.7219, b=0.3, n_sites=8)):
+        vspec = validate_spec(spec)
+        groups = len(exactdiag._ring(8, vspec.jx == vspec.jy).groups)
+        first = reduced_pair_state(spec, 0.6, (1, 4)).matrix
+        assert calls
+        calls.clear()
+        # The same distance (3 or N - 3) at other temperatures, and at other
+        # fields where S^z is conserved, reuses the cached table.
+        repeats = [(spec, 0.6, (1, 4)), (spec, 1.3, (4, 1)), (spec, 0.2, (2, 7))]
+        if vspec.jx == vspec.jy:
+            repeats.append((replace(spec, b=-0.9), 0.6, (0, 3)))
+        for case in repeats:
+            reduced_pair_state(*case)
+        assert calls == []
+        assert np.array_equal(reduced_pair_state(spec, 0.6, (1, 4)).matrix, first)
+        # A new distance builds its layers once, one call per group.
+        reduced_pair_state(spec, 0.6, (0, 2))
+        reduced_pair_state(spec, 0.9, (5, 3))
+        assert len(calls) == groups
+        calls.clear()

@@ -85,3 +85,12 @@ def test_spec_entry_point_rejections():
         jw_observables_for_spec(ModelSpec.xx(1.0), 1.0)
     with pytest.raises(SpecError):
         jw_modes(0, 1.0)
+
+
+@pytest.mark.parametrize("count", [10.5, True, "10", float("inf")])
+def test_non_integral_site_counts_are_rejected(count):
+    with pytest.raises(SpecError, match="n_sites must be an integer"):
+        jw_observables(count, 0.7, 1.0, 0.3)
+    with pytest.raises(SpecError, match="n_sites must be an integer"):
+        jw_modes(count, 1.0)
+    assert jw_observables(10.0, 0.7, 1.0, 0.3) == jw_observables(10, 0.7, 1.0, 0.3)

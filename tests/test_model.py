@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from spinwitness.model import (
@@ -16,6 +17,7 @@ from spinwitness.model import (
     ModelSpec,
     SpecError,
     ThermalPoint,
+    require_count,
     spec_from_config,
     to_dimensionless,
     validate_spec,
@@ -83,6 +85,23 @@ def test_finite_flag_and_limit_marker():
 def test_validate_rejects_bad_specs(bad):
     with pytest.raises(SpecError):
         validate_spec(bad)
+
+
+def test_require_count_accepts_integral_values_of_any_type():
+    for value in (5, 5.0, np.int64(5), np.float64(5.0)):
+        count = require_count(value, "n")
+        assert count == 5 and type(count) is int
+
+
+@pytest.mark.parametrize("value, fragment", [
+    (2.5, "must be an integer"), (True, "must be an integer"), (False, "must be an integer"),
+    ("5", "must be an integer"), (None, "must be an integer"),
+    (float("nan"), "must be an integer"), (float("inf"), "must be an integer"),
+    (0, "must be >= 1"), (-3, "must be >= 1"),
+])
+def test_require_count_rejections(value, fragment):
+    with pytest.raises(SpecError, match=f"n_widgets {fragment}"):
+        require_count(value, "n_widgets")
 
 
 def test_validate_rejects_non_specs():

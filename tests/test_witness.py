@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spinwitness import witness
 from spinwitness.exactdiag import concurrence, reduced_pair_state, thermal_observables
 from spinwitness.model import ModelSpec, SpecError
 from spinwitness.witness import (
@@ -156,6 +158,85 @@ def test_separable_sweep_rejections():
         separable_sweep(10, 2, "xxx", seed=1)
     with pytest.raises(SpecError):
         separable_sweep(10, 6, "xyz", seed=1)
+
+
+def unblocked_sweep(n_samples, n, family, seed, include_corners):
+    """The sweep scored as one (n_samples, N, 3) array."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(n_samples, n, 3))
+    vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
+    components = 3 if family == "xxx" else 2
+    dots = np.einsum("sna,sna->sn", vecs[:, :, :components],
+                     np.roll(vecs, -1, axis=1)[:, :, :components])
+    best = float(np.max(np.abs(dots.sum(axis=1))) / n)
+    if include_corners:
+        best = max(best, 1.0)  # the x-aligned corner scores exactly 1, the others at most 1
+    return best
+
+
+# Each size spans several blocks of the default budget, the last one partial.
+SWEEP_SIZES = {3: 12_001, 8: 9_001, 17: 4_001, 2000: 50}
+
+
+@pytest.mark.parametrize("n", sorted(SWEEP_SIZES))
+@pytest.mark.parametrize("per_block", [None, 1, 7, "all"])
+def test_blocked_sweep_is_bit_identical_to_the_unblocked_reference(monkeypatch, n, per_block):
+    n_samples = SWEEP_SIZES[n]
+    if per_block is not None:
+        n_samples = min(n_samples, 300)  # 300 and 50 are not multiples of 7
+        samples = n_samples + 1 if per_block == "all" else per_block
+        monkeypatch.setattr(witness, "_SWEEP_BLOCK_SITES", samples * n)
+    for family in ("xxx", "xx"):
+        for corners in (True, False):
+            expected = unblocked_sweep(n_samples, n, family, n, corners)
+            assert separable_sweep(n_samples, n, family, n, corners) == expected
+
+
+@pytest.mark.parametrize("n_samples, n", [(20_000, 8), (200_000, 8), (64, 2000)])
+def test_separable_sweep_memory_is_bounded(n_samples, n):
+    # The whole-array sweep peaked at 10, 98 and 8 MiB on these inputs.
+    tracemalloc.start()
+    try:
+        separable_sweep(n_samples, n, "xxx", seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+NON_INTEGRAL_COUNTS = [2.5, 10.9, True, "4", float("nan"), None]
+
+
+@pytest.mark.parametrize("count", NON_INTEGRAL_COUNTS)
+def test_witness_value_rejects_non_integral_site_counts(count):
+    with pytest.raises(SpecError, match="n_sites must be an integer"):
+        witness_value(3.0, 1.0, 0.5, 1.0, count)
+
+
+@pytest.mark.parametrize("count", NON_INTEGRAL_COUNTS)
+def test_witness_from_correlators_rejects_non_integral_site_counts(count):
+    with pytest.raises(SpecError, match="n_sites must be an integer"):
+        witness_from_correlators([(-0.5, -0.4, -0.3)] * 2, count, "xxx")
+
+
+@pytest.mark.parametrize("count", NON_INTEGRAL_COUNTS)
+def test_concurrence_from_energy_rejects_non_integral_site_counts(count):
+    with pytest.raises(SpecError, match="n_sites must be an integer"):
+        concurrence_from_energy(-3.0, count, 1.0)
+
+
+@pytest.mark.parametrize("count", NON_INTEGRAL_COUNTS)
+def test_separable_sweep_rejects_non_integral_counts(count):
+    with pytest.raises(SpecError, match="n_samples must be an integer"):
+        separable_sweep(count, 8, "xxx", seed=1)
+    with pytest.raises(SpecError, match="n_sites must be an integer"):
+        separable_sweep(10, count, "xxx", seed=1)
+
+
+def test_integral_counts_of_any_type_are_accepted():
+    for count in (4, 4.0, np.int64(4), np.float64(4.0)):
+        assert witness_value(-3.0, 0.0, 0.0, 1.0, count).inputs.n_sites == 4
+        assert separable_sweep(count, count, "xx", seed=3) == separable_sweep(4, 4, "xx", seed=3)
 
 
 def test_concurrence_from_energy_values():
