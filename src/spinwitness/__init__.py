@@ -39,7 +39,7 @@ from .model import (
     to_dimensionless,
     validate_spec,
 )
-from .quadrature import QuadratureError, adaptive_quadrature, adaptive_quadrature_split
+from .quadrature import QuadratureError, adaptive_quadrature
 from .thermolimit import (
     BoundaryCurve,
     RegionGrid,
@@ -79,7 +79,7 @@ __all__ = [
     "QuadratureError", "RegionGrid", "SIGN_AS_PRINTED", "SIGN_SINGLET_GROUND",
     "SpecError", "THERMODYNAMIC_LIMIT", "THRESHOLD", "ThermalObservables",
     "ThermalPoint", "ValidatedSpec", "WitnessInputs", "WitnessReport",
-    "adaptive_quadrature", "adaptive_quadrature_split", "bond_list",
+    "adaptive_quadrature", "bond_list",
     "boundary_trace", "build_hamiltonian", "concurrence",
     "concurrence_from_energy", "critical_field_low_temperature",
     "critical_field_zero_temperature", "critical_temperature_zero_field",

@@ -27,12 +27,16 @@ whose T -> 0 limit is (4/pi) sqrt(1 - (B/2J)^2) for |B| < 2|J| and 0
 beyond. Hence the entangled region touches kT = 0 out to the critical
 field B_c = 2 sqrt(1 - pi^2/16) |J| and B = 0 up to kT_c of order |J|.
 
-Routes: ``region_scan`` and ``boundary_trace`` evaluate W by this one
-integral, batched over all cells or fields in one vectorized quadrature.
-Single points use the scalar routes: ``xx_witness`` (U + B*M from two
-integrals; it also serves ``region_scan(as_printed=True)`` and the
-endpoint root finders) and ``xx_witness_single_integral``; the two are
-each other's cross-check in ``validate``.
+Routes: ``region_scan``, ``boundary_trace`` and the two endpoint root
+finders evaluate W by this one integral, batched over all cells or fields
+in one vectorized quadrature, and share one lockstep bisection. Single
+points use the scalar routes: ``xx_witness`` (U + B*M from two integrals;
+it also serves ``region_scan(as_printed=True)``) and
+``xx_witness_single_integral``, which returns the batched route's bits;
+the two are each other's cross-check in ``validate``.
+
+Every integral is pre-split around the step of tanh(2K cos w - C) at
+w* = arccos(C/2K) (``_step_seeds``), so low-T steps are resolved.
 
 U is exactly even in both K and C, and M even in K and odd in C; all
 integrals are evaluated at (|K|, |C|) with M's sign restored afterwards,
@@ -52,13 +56,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .model import SpecError, ThermalPoint, to_dimensionless
+from .model import SpecError, ThermalPoint, require_count, to_dimensionless
 from .quadrature import (
     DEFAULT_ABS_TOL,
     QuadratureError,
     adaptive_quadrature,
     adaptive_quadrature_rows,
-    adaptive_quadrature_split,
 )
 from .witness import (
     SOURCE_LOWTEMP_APPROX,
@@ -86,11 +89,33 @@ def _tanh_over(f):
     return np.where(f > 1e-8, np.tanh(safe) / safe, 1.0)
 
 
-def _kink_splits(k: float, c: float):
-    """Interior zeros of 2K cos w - C on (0, pi), where f has its kink."""
-    if k != 0.0 and abs(c) <= 2.0 * abs(k):
-        return (math.acos(c / (2.0 * k)),)
-    return ()
+_SEED_OFFSETS = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0])
+
+
+def _step_seeds(k, c):
+    """Quadrature seeds around the zero w* = arccos(C/2K) of 2K cos w - C.
+
+    One row per (K, C): w* and w* +- {1, 4, 16} s, s = 1/max(2|K| sin w*,
+    sqrt|K|) the width of the tanh step there; NaN if there is no zero.
+    The quadrature drops seeds outside (0, pi) and repeats. A seed on w*
+    alone would let the step hide between a panel's edge and the first
+    nodes of both rules, which then agree and accept the panel.
+    """
+    k, c = np.atleast_1d(np.asarray(k, dtype=float)), np.atleast_1d(np.asarray(c, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = c / (2.0 * k)
+    has_zero = np.abs(ratio) <= 1.0  # False for K = 0
+    star = np.arccos(np.where(has_zero, ratio, 0.0))
+    ak = np.where(has_zero, np.abs(k), 1.0)
+    width = 1.0 / np.maximum(2.0 * ak * np.sin(star), np.sqrt(ak))
+    seeds = star[:, None] + width[:, None] * _SEED_OFFSETS
+    return np.where(has_zero[:, None], seeds, np.nan)
+
+
+def _integrate(integrand, k, c, abs_tol):
+    """Integral of ``integrand`` over [0, pi], seeded at the step of (K, C)."""
+    return adaptive_quadrature(integrand, 0.0, math.pi, abs_tol=abs_tol,
+                               seeds=tuple(_step_seeds(k, c)[0]))
 
 
 def xx_log_partition_density(coupling_over_kt, field_over_kt,
@@ -98,23 +123,22 @@ def xx_log_partition_density(coupling_over_kt, field_over_kt,
     """lnZ per site: (1/pi) int_0^pi ln(2 cosh f) dw.
 
     lnZ is exactly even in both K and C (substitute w -> pi - w), so the
-    integral is taken at (|K|, |C|).
+    integral is taken at (|K|, |C|), to ``abs_tol * max(1, |K|, |C|)``.
     """
     k, c = abs(float(coupling_over_kt)), abs(float(field_over_kt))
 
     def integrand(omega):
         return _ln_2cosh(2.0 * k * np.cos(omega) - c)
 
-    value = adaptive_quadrature_split(integrand, 0.0, math.pi, _kink_splits(k, c),
-                                      abs_tol=abs_tol)
-    return value / math.pi
+    return _integrate(integrand, k, c, abs_tol * max(1.0, k, c)) / math.pi
 
 
 def xx_internal_energy(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL) -> float:
     """U per site: -(kT/pi) int_0^pi f tanh(f) dw.
 
     The integrand x tanh(x) with x = 2K cos w - C is even in x, hence
-    smooth through the f-kink, and U is even in both J and B.
+    smooth through the f-kink, and U is even in both J and B. Like lnZ,
+    its integral grows like K and C and is taken to ``abs_tol * max(1, K, C)``.
     """
     point = to_dimensionless(j, b, kt)
     k, c = abs(point.coupling_over_kt), abs(point.field_over_kt)
@@ -123,16 +147,15 @@ def xx_internal_energy(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL) -> float:
         x = 2.0 * k * np.cos(omega) - c
         return x * np.tanh(x)
 
-    value = adaptive_quadrature(integrand, 0.0, math.pi, abs_tol=abs_tol)
-    return -float(kt) * value / math.pi
+    return -float(kt) * _integrate(integrand, k, c, abs_tol * max(1.0, k, c)) / math.pi
 
 
 def xx_magnetization(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL,
                      as_printed: bool = False) -> float:
     """M per site in [-1, 1], from the lnZ field-derivative.
 
-    The integrand tanh(f) (C - 2K cos w)/f is split at the f-kink
-    w* = arccos(C/2K) for robustness. M is even in J and odd in B; the
+    The integrand tanh(f) (C - 2K cos w)/f steps at the f-kink
+    w* = arccos(C/2K). M is even in J and odd in B; the
     integral runs at (|K|, |C|) and the sign of B is restored, so B = 0
     returns exactly 0.
 
@@ -150,9 +173,7 @@ def xx_magnetization(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL,
             cos2 = np.cos(omega) ** 2
             return -4.0 * k * k * cos2 * _tanh_over(f)
 
-        value = adaptive_quadrature_split(printed_integrand, 0.0, math.pi,
-                                          _kink_splits(k, c), abs_tol=abs_tol)
-        return value / math.pi
+        return _integrate(printed_integrand, k, c, abs_tol) / math.pi
 
     k, c = abs(point.coupling_over_kt), abs(point.field_over_kt)
 
@@ -161,8 +182,7 @@ def xx_magnetization(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL,
         f = np.abs(x)
         return _tanh_over(f) * (-x)
 
-    value = adaptive_quadrature_split(integrand, 0.0, math.pi, _kink_splits(k, c),
-                                      abs_tol=abs_tol)
+    value = _integrate(integrand, k, c, abs_tol)
     sign = math.copysign(1.0, point.field_over_kt) if point.field_over_kt != 0.0 else 0.0
     return sign * value / math.pi
 
@@ -180,16 +200,17 @@ def xx_witness_single_integral(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL) -> fl
 
     Must agree with the two-integral route to well below 1e-8; both are
     exposed so that agreement is a checkable property rather than an
-    assumption.
+    assumption. Same integrand, seeds and rule as the batched route, so at
+    J = 1 it returns a 1x1 :func:`region_scan`'s bits.
     """
     point = to_dimensionless(j, b, kt)
     k, c = abs(point.coupling_over_kt), abs(point.field_over_kt)
 
     def integrand(omega):
-        return np.cos(omega) * np.tanh(2.0 * k * np.cos(omega) - c)
+        cos = np.cos(omega)
+        return cos * np.tanh(2.0 * k * cos - c)
 
-    value = adaptive_quadrature(integrand, 0.0, math.pi, abs_tol=abs_tol)
-    return abs(2.0 * value / math.pi)
+    return abs(2.0 * _integrate(integrand, k, c, abs_tol) / math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +305,6 @@ class BoundaryCurve:
         }, indent=2) + "\n"
 
 
-def _witness_w(kt_over_j, b_over_j, abs_tol, as_printed=False) -> float:
-    """W at reduced coordinates (the witness only depends on them)."""
-    return xx_witness(kt_over_j, b_over_j, 1.0, abs_tol=abs_tol,
-                      as_printed=as_printed).value
-
-
 def _witness_rows(kt_over_j, b_over_j, abs_tol):
     """W at many (kT/|J|, B/|J|) points by the one-integral route, batched.
 
@@ -307,7 +322,7 @@ def _witness_rows(kt_over_j, b_over_j, abs_tol):
         return cos * np.tanh(2.0 * k[rows, None] * cos - c[rows, None])
 
     values, failures = adaptive_quadrature_rows(integrand, k.size, 0.0, math.pi,
-                                                abs_tol=abs_tol)
+                                                abs_tol=abs_tol, seeds=_step_seeds(k, c))
     return np.abs(2.0 * values / math.pi), failures
 
 
@@ -338,7 +353,8 @@ def region_scan(kt_over_j_values, b_over_j_values, abs_tol: float = DEFAULT_ABS_
         for ib, b in enumerate(b_values):
             for ik, kt in enumerate(kt_values):
                 try:
-                    w[ib, ik] = _witness_w(float(kt), float(b), abs_tol, as_printed=True)
+                    w[ib, ik] = xx_witness(float(kt), float(b), 1.0, abs_tol=abs_tol,
+                                           as_printed=True).value
                 except QuadratureError as exc:
                     w[ib, ik] = float("nan")
                     errors.append((ib, ik, str(exc)))
@@ -353,30 +369,44 @@ def region_scan(kt_over_j_values, b_over_j_values, abs_tol: float = DEFAULT_ABS_
                       cell_errors=tuple(errors), abs_tol=abs_tol, magnetization_form=form)
 
 
-def _bisect_to_residual(g, lo: float, hi: float, residual_tol: float,
-                        max_iter: int = 200) -> float | None:
-    """Root of g by bisection, stopping at |g(mid)| < residual_tol.
+def _bisect(g, n: int, lo: float, hi: float, residual_tol: float,
+            max_iter: int = 200) -> np.ndarray:
+    """Roots of g(x, row) = 0 on [lo, hi] for rows 0 .. n-1, in lockstep.
 
-    Returns None when [lo, hi] does not bracket a sign change.
+    ``g(x, rows)`` returns row ``rows[i]``'s residual at ``x[i]``; each step
+    is one call on the open rows. A row stops at |g(mid)| < residual_tol,
+    or gets NaN if its ends do not bracket a sign change.
     """
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
-        return None
+    rows = np.arange(n)
+    lo_x, hi_x = np.full(n, float(lo)), np.full(n, float(hi))
+    g_ends = g(np.concatenate((lo_x, hi_x)), np.concatenate((rows, rows)))
+    g_lo, g_hi = g_ends[:n], g_ends[n:]
+    roots = np.where(g_lo == 0.0, lo_x, np.where(g_hi == 0.0, hi_x, np.nan))
+    active = np.flatnonzero((g_lo != 0.0) & (g_hi != 0.0)
+                            & (np.signbit(g_lo) != np.signbit(g_hi)))
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if abs(g_mid) < residual_tol:
-            return mid
-        if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    raise QuadratureError(
-        f"bisection did not reach residual {residual_tol:g} in {max_iter} steps")
+        if active.size == 0:
+            return roots
+        mid = 0.5 * (lo_x[active] + hi_x[active])
+        g_mid = g(mid, active)
+        done = np.abs(g_mid) < residual_tol
+        roots[active[done]] = mid[done]
+        up = np.signbit(g_mid) == np.signbit(g_lo[active])
+        lo_x[active[up]], g_lo[active[up]] = mid[up], g_mid[up]
+        hi_x[active[~up]] = mid[~up]
+        active = active[~done]
+    if active.size:
+        raise QuadratureError(
+            f"bisection did not reach residual {residual_tol:g} in {max_iter} steps")
+    return roots
+
+
+def _w_minus_one(kt_over_j, b_over_j, abs_tol):
+    """Batched one-integral W - 1; any failed point raises its message."""
+    w, failures = _witness_rows(kt_over_j, b_over_j, abs_tol)
+    if failures:
+        raise QuadratureError(failures[min(failures)])
+    return w - 1.0
 
 
 def critical_field_zero_temperature(j: float = 1.0) -> float:
@@ -393,9 +423,9 @@ def critical_temperature_zero_field(j: float = 1.0,
                                     residual_tol: float = DEFAULT_BISECTION_RESIDUAL,
                                     abs_tol: float = DEFAULT_ABS_TOL) -> float:
     """kT_c at B = 0: the root of W(kT, 0) = 1, of order |J| (~1.367 |J|)."""
-    root = _bisect_to_residual(lambda t: _witness_w(t, 0.0, abs_tol) - 1.0,
-                               1e-3, 5.0, residual_tol)
-    if root is None:
+    root = _bisect(lambda kt, rows: _w_minus_one(kt, np.zeros_like(kt), abs_tol),
+                   1, 1e-3, 5.0, residual_tol)[0]
+    if math.isnan(root):
         raise QuadratureError("W(kT, 0) = 1 not bracketed in kT/|J| within [1e-3, 5]")
     return root * abs(float(j))
 
@@ -407,48 +437,12 @@ def critical_field_low_temperature(kt_over_j: float = 1e-3, j: float = 1.0,
 
     Converges to :func:`critical_field_zero_temperature` as kt_over_j -> 0.
     """
-    root = _bisect_to_residual(lambda b: _witness_w(float(kt_over_j), b, abs_tol) - 1.0,
-                               0.0, 2.0, residual_tol)
-    if root is None:
+    kt = ThermalPoint(float(kt_over_j)).kt
+    root = _bisect(lambda b, rows: _w_minus_one(np.full_like(b, kt), b, abs_tol),
+                   1, 0.0, 2.0, residual_tol)[0]
+    if math.isnan(root):
         raise QuadratureError(f"W = 1 not bracketed in B/|J| at kT/|J| = {kt_over_j}")
     return root * abs(float(j))
-
-
-def _bisect_fields(b_over_j, lo: float, hi: float, residual_tol: float, abs_tol: float,
-                   max_iter: int = 200) -> np.ndarray:
-    """kT roots of W(kT, B) = 1 for every field at once; NaN where unbracketed.
-
-    Each field takes the steps of :func:`_bisect_to_residual` with its stop
-    rule; every step is one batched W evaluation of the fields still open.
-    """
-    def g(kt, b):
-        w, failures = _witness_rows(kt, b, abs_tol)
-        if failures:
-            raise QuadratureError(failures[min(failures)])
-        return w - 1.0
-
-    n = b_over_j.size
-    lo_t, hi_t = np.full(n, float(lo)), np.full(n, float(hi))
-    g_ends = g(np.concatenate((lo_t, hi_t)), np.concatenate((b_over_j, b_over_j)))
-    g_lo, g_hi = g_ends[:n], g_ends[n:]
-    roots = np.where(g_lo == 0.0, lo_t, np.where(g_hi == 0.0, hi_t, np.nan))
-    active = np.flatnonzero((g_lo != 0.0) & (g_hi != 0.0)
-                            & (np.signbit(g_lo) != np.signbit(g_hi)))
-    for _ in range(max_iter):
-        if active.size == 0:
-            return roots
-        mid = 0.5 * (lo_t[active] + hi_t[active])
-        g_mid = g(mid, b_over_j[active])
-        done = np.abs(g_mid) < residual_tol
-        roots[active[done]] = mid[done]
-        up = np.signbit(g_mid) == np.signbit(g_lo[active])
-        lo_t[active[up]], g_lo[active[up]] = mid[up], g_mid[up]
-        hi_t[active[~up]] = mid[~up]
-        active = active[~done]
-    if active.size:
-        raise QuadratureError(
-            f"bisection did not reach residual {residual_tol:g} in {max_iter} steps")
-    return roots
 
 
 def boundary_trace(b_over_j_values, kt_min: float = 1e-3, kt_max: float = 5.0,
@@ -468,8 +462,9 @@ def boundary_trace(b_over_j_values, kt_min: float = 1e-3, kt_max: float = 5.0,
     if not all(math.isfinite(b) for b in fields):
         raise SpecError("fields must be finite")
     zero_at = next((i for i, b in enumerate(fields) if b == 0.0), len(fields))
-    solve = fields if zero_at < len(fields) else [*fields, 0.0]
-    roots = _bisect_fields(np.array(solve), kt_min, kt_max, residual_tol, abs_tol)
+    solve = np.array(fields if zero_at < len(fields) else [*fields, 0.0])
+    roots = _bisect(lambda kt, rows: _w_minus_one(kt, solve[rows], abs_tol),
+                    solve.size, kt_min, kt_max, residual_tol)
     points = [(b, float(t)) for b, t in zip(fields, roots) if not math.isnan(t)]
     no_crossing = [b for b, t in zip(fields, roots) if math.isnan(t)]
     return BoundaryCurve(points=tuple(points), no_crossing=tuple(no_crossing),
@@ -492,9 +487,7 @@ def _expit(x: float) -> float:
 
 def _lowtemp_args(n_sites, kt, b, j):
     """Validated (N, beta, B, J, ln h), h = N exp(-2 beta B)/sqrt(8 pi beta J)."""
-    n = int(n_sites)
-    if n < 1:
-        raise SpecError(f"n_sites must be >= 1, got {n_sites}")
+    n = require_count(n_sites, "n_sites")
     beta = ThermalPoint(float(kt)).beta
     b, j = float(b), float(j)
     if j <= 0.0:

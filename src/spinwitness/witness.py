@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactdiag import bond_list, thermal_observables
+from .exactdiag import thermal_observables
 from .model import (
     BOUNDARY_PERIODIC,
     FAMILY_XXX,
@@ -165,11 +165,10 @@ def product_state_witness(bloch_vectors, family, boundary=BOUNDARY_PERIODIC) -> 
     family = str(family).lower()
     if family not in WITNESS_ELIGIBLE_FAMILIES:
         raise SpecError(f"family {family!r} is not witness-eligible")
-    components = 3 if family == FAMILY_XXX else 2
-    n = u.shape[0]
-    total = sum(float(u[i, :components] @ u[j, :components])
-                for i, j in bond_list(n, boundary))
-    return abs(total) / n
+    v = u[:, :3 if family == FAMILY_XXX else 2]
+    partner = np.roll(v, -1, axis=0) if boundary == BOUNDARY_PERIODIC else v[1:]
+    total = float(np.einsum("na,na->", v[:partner.shape[0]], partner))
+    return abs(total) / u.shape[0]
 
 
 def _corner_states(n_sites: int):

@@ -10,7 +10,6 @@ from spinwitness.quadrature import (
     QuadratureError,
     adaptive_quadrature,
     adaptive_quadrature_rows,
-    adaptive_quadrature_split,
 )
 
 
@@ -29,8 +28,8 @@ def test_matches_scipy_on_smooth_integrand():
 
 
 def test_kink_with_presplit():
-    value = adaptive_quadrature_split(lambda x: np.abs(np.cos(x)), 0.0, math.pi,
-                                      (math.pi / 2,))
+    value = adaptive_quadrature(lambda x: np.abs(np.cos(x)), 0.0, math.pi,
+                                seeds=(math.pi / 2,))
     assert abs(value - 2.0) < 1e-12
 
 
@@ -66,12 +65,12 @@ def test_wild_oscillation_raises_rather_than_lying():
 
 def test_split_points_outside_interval_are_ignored():
     plain = adaptive_quadrature(np.cos, 0.0, 1.0)
-    split = adaptive_quadrature_split(np.cos, 0.0, 1.0, (-5.0, 0.0, 1.0, 7.0))
+    split = adaptive_quadrature(np.cos, 0.0, 1.0, seeds=(-5.0, 0.0, 1.0, 7.0))
     assert split == plain
 
 
 def test_split_reassembles_the_full_integral():
-    value = adaptive_quadrature_split(np.sin, 0.0, math.pi, (1.1, 2.2))
+    value = adaptive_quadrature(np.sin, 0.0, math.pi, seeds=(1.1, 2.2))
     assert abs(value - 2.0) < 1e-12
 
 
@@ -120,3 +119,37 @@ def test_rows_empty_and_reversed_intervals():
     forward, _ = adaptive_quadrature_rows(f, 2, 0.0, 2.0)
     backward, _ = adaptive_quadrature_rows(f, 2, 2.0, 0.0)
     assert np.max(np.abs(forward + backward)) < 1e-14
+
+
+@pytest.mark.parametrize("seeds", [(), (0.7,), (2.5, 0.7, 0.7, 9.0, -1.0), (1.0, 1.0 + 1e-17)])
+@pytest.mark.parametrize("a,b", [(0.0, 5.0), (5.0, 0.0)])
+def test_scalar_driver_is_a_one_row_rows_call(seeds, a, b):
+    # one acceptance rule, two drivers: the same bits, seeded or not, either direction
+    for f in ROW_FUNCS:
+        row = np.array([seeds], dtype=float).reshape(1, -1)
+        values, failures = adaptive_quadrature_rows(_rows_of([f]), 1, a, b, abs_tol=1e-12,
+                                                    seeds=row)
+        assert failures == {}
+        assert adaptive_quadrature(f, a, b, abs_tol=1e-12, seeds=seeds) == values[0]
+
+
+def test_rows_take_their_own_nan_padded_seeds():
+    seeds = np.array([[0.7, np.nan, np.nan], [np.nan, 4.0, 1.5], [1.5, 1.5, np.nan]])
+    values, failures = adaptive_quadrature_rows(_rows_of(ROW_FUNCS), 3, 0.0, 5.0,
+                                                abs_tol=1e-12, seeds=seeds)
+    assert failures == {}
+    for i, f in enumerate(ROW_FUNCS):
+        own = tuple(x for x in seeds[i] if not math.isnan(x))
+        assert values[i] == adaptive_quadrature(f, 0.0, 5.0, abs_tol=1e-12, seeds=own)
+    with pytest.raises(ValueError, match="shape"):
+        adaptive_quadrature_rows(_rows_of(ROW_FUNCS), 3, 0.0, 5.0, seeds=np.zeros(3))
+
+
+def test_seeds_find_a_step_hidden_at_a_panel_edge():
+    # The step sits at x = 1, the edge of [1, 3]: both rules' nodes lie on
+    # the flat part, agree, and accept a value that misses ln(2)/1e4.
+    f = lambda x: np.tanh((x - 1.0) * 1e4)
+    exact = 2.0 - math.log(2.0) * 1e-4  # (1/s) ln cosh(2s), s = 1e4
+    assert abs(adaptive_quadrature(f, 1.0, 3.0) - exact) > 6e-5
+    seeded = adaptive_quadrature(f, 1.0, 3.0, seeds=(1.0 + 1e-4, 1.0 + 4e-4, 1.0 + 16e-4))
+    assert abs(seeded - exact) < 1e-10

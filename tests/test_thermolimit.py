@@ -102,6 +102,53 @@ def test_witness_approaches_the_zero_temperature_form():
     assert abs(xx_witness(1e-3, 0.0, 1.0).value - 4.0 / math.pi) < 1e-5
 
 
+# kT = 1e-8 down to kT = 10, and B from 0 through the kink region to beyond 2|J|
+LIMIT_GRID = [(kt, b) for kt in (1e-8, 1e-6, 1e-4, 1e-3, 0.05, 1.0, 10.0)
+              for b in (0.0, kt, 10.0 * kt, 0.6, 1.2, 1.6, 1.99, 2.5)]
+
+
+@pytest.mark.parametrize("kt,b", LIMIT_GRID)
+def test_every_witness_route_matches_the_reference(kt, b):
+    # Each route is within 1e-10 of mpmath or fails honestly. At kT = 1e-8
+    # with B >= 0.6, 2K cos w - C cancels badly near the step and a cell
+    # may fail; from kT = 1e-6 up nothing fails.
+    reference = _reference_witness(kt, b)
+    failed = set()
+    for name, route in (("two-integral", lambda: xx_witness(kt, b, 1.0).value),
+                        ("one-integral", lambda: xx_witness_single_integral(kt, b, 1.0))):
+        try:
+            assert abs(route() - reference) < 1e-10, name
+        except quadrature.QuadratureError:
+            failed.add(name)
+    grid = region_scan(np.array([kt]), np.array([b]))
+    if grid.cell_errors:
+        assert math.isnan(grid.w[0, 0]) and not grid.entangled[0, 0]
+        assert "one-integral" in failed  # the same rule fails the same way
+    else:
+        assert abs(grid.w[0, 0] - reference) < 1e-10
+        assert grid.w[0, 0] == xx_witness_single_integral(kt, b, 1.0)  # the same bits
+    if kt >= 1e-6:
+        assert not failed and not grid.cell_errors
+
+
+@pytest.mark.parametrize("kt", [1e-300, 1e-100, 1e-20])
+def test_witness_at_vanishing_temperature_is_the_closed_form(kt):
+    for b in (0.0, 0.3, 1.2, 1.9):
+        closed = (4.0 / math.pi) * math.sqrt(1.0 - (b / 2.0) ** 2)
+        assert abs(xx_witness(kt, b, 1.0).value - closed) < 1e-12
+
+
+def test_endpoint_roots_are_roots_of_the_reference():
+    # both endpoints bisect the batched one-integral W; at kT = 1e-3 its
+    # root must be a root of the mpmath W too, not just of the route's own
+    bc = critical_field_low_temperature(kt_over_j=1e-3, residual_tol=1e-9)
+    assert abs(_reference_witness(1e-3, bc) - 1.0) < 2e-9
+    ktc = critical_temperature_zero_field(residual_tol=1e-9)
+    assert abs(_reference_witness(ktc, 0.0) - 1.0) < 2e-9
+    with pytest.raises(SpecError):
+        critical_field_low_temperature(kt_over_j=-1e-3)
+
+
 def test_critical_field_closed_form():
     assert critical_field_zero_temperature(1.0) == BC_ZERO_TEMPERATURE
     assert critical_field_zero_temperature(-2.0) == 2.0 * BC_ZERO_TEMPERATURE
@@ -352,6 +399,14 @@ def test_lowtemp_rejections():
         lowtemp_ferro_witness(0, 0.2, 0.4, 1.0)
     with pytest.raises(SpecError):
         lowtemp_ferro_log_partition(100, -0.2, 0.4, 1.0)
+
+
+@pytest.mark.parametrize("n", [10.5, True, False, "8"])
+def test_lowtemp_rejects_counts_that_are_not_integers(n):
+    with pytest.raises(SpecError):
+        lowtemp_ferro_witness(n, 0.1, 0.5, 1.0)
+    with pytest.raises(SpecError):
+        lowtemp_ferro_log_partition(n, 0.1, 0.5, 1.0)
 
 
 def test_huge_chains_do_not_overflow():

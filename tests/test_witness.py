@@ -117,6 +117,29 @@ def test_open_chain_product_witness_counts_bonds_over_sites():
     assert product_state_witness(aligned, "xxx", boundary="open") == 0.75
 
 
+def _product_witness_by_bond_loop(u, family, boundary):
+    """Reference: one Python dot product per bond."""
+    components = 3 if family == "xxx" else 2
+    n = len(u)
+    bonds = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if boundary == "periodic" else [])
+    return abs(sum(float(u[i, :components] @ u[j, :components]) for i, j in bonds)) / n
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 2000])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("family", ["xxx", "xx"])
+def test_product_state_witness_matches_a_bond_loop(n, boundary, family):
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=(n, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    assert abs(product_state_witness(u, family, boundary=boundary)
+               - _product_witness_by_bond_loop(u, family, boundary)) < 1e-12
+    aligned = np.tile([1.0, 0.0, 0.0], (n, 1))
+    value = product_state_witness(aligned, family, boundary=boundary)
+    assert value == _product_witness_by_bond_loop(aligned, family, boundary)
+    assert value == (1.0 if boundary == "periodic" else (n - 1) / n)
+
+
 def test_product_state_validation():
     with pytest.raises(SpecError):
         product_state_witness(np.ones((4, 3)), "xxx")  # not unit length
