@@ -10,11 +10,10 @@ points pre-split [a, b] where the integrand is steep. Needing more than
 resolution, is a failure, never a silent partial answer. Integrands must
 accept and return numpy arrays.
 
-Two drivers apply this one rule and return the same bits:
-:func:`adaptive_quadrature` integrates one ``f(x)`` and raises
-:class:`QuadratureError`; :func:`adaptive_quadrature_rows` integrates many
-rows of a parametric integrand at once, each round as one array, and
-fails rows alone.
+:func:`adaptive_quadrature_rows` integrates many rows of a parametric
+integrand at once, each round as one array, and fails rows alone;
+:func:`adaptive_quadrature` is its one-row form for a plain ``f(x)`` and
+raises :class:`QuadratureError` instead.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ DEFAULT_MAX_PANELS = 4096
 _LO_NODES, _LO_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _HI_NODES, _HI_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _NODES = np.concatenate((_LO_NODES, _HI_NODES))
+_WEIGHTS = np.concatenate((_LO_WEIGHTS, _HI_WEIGHTS))
 _N_LO = _LO_NODES.size
 
 # Rows integrated together by adaptive_quadrature_rows. Bounds the working
@@ -41,53 +41,20 @@ class QuadratureError(RuntimeError):
     """Tolerance not met within the subdivision budget."""
 
 
-def _budget_message(abs_tol, max_panels):
-    return f"quadrature did not reach abs_tol={abs_tol:g} within {max_panels} panels"
-
-
-def _resolution_message(abs_tol, x):
-    return (f"quadrature did not reach abs_tol={abs_tol:g}: a panel at "
-            f"x={float(x)!r} reached floating-point resolution")
-
-
 def adaptive_quadrature(f, a, b, abs_tol=DEFAULT_ABS_TOL, max_panels=DEFAULT_MAX_PANELS,
                         seeds=()):
     """Integrate ``f`` over [a, b] to absolute tolerance ``abs_tol``.
 
     ``seeds`` pre-split the interval; those outside (a, b) are ignored.
-    Bit-identical to a one-row :func:`adaptive_quadrature_rows` call;
-    raises :class:`QuadratureError` where that call would fail the row.
+    This is a one-row :func:`adaptive_quadrature_rows` call; it raises
+    :class:`QuadratureError` where that call would fail the row.
     """
-    a, b = float(a), float(b)
-    if a == b:
-        return 0.0
-    tol_per_width = abs_tol / (b - a)
-    inner = sorted({float(s) for s in seeds if (s - a) * (b - s) > 0.0}, reverse=b < a)
-    edges = [a, *inner, b]
-    pa, pb = edges[:-1], edges[1:]
-    total, n_panels = 0.0, len(pa)
-    while pa:
-        accepted = 0.0
-        left, mids, right = [], [], []
-        for lo, hi in zip(pa, pb):
-            half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                raise QuadratureError(_resolution_message(abs_tol, lo))
-            fx = f(mid + half * _NODES)
-            value = half * float((fx[_N_LO:] * _HI_WEIGHTS).sum())
-            err = abs(value - half * float((fx[:_N_LO] * _LO_WEIGHTS).sum()))
-            if err <= tol_per_width * (hi - lo):
-                accepted += value
-            else:
-                left.append(lo)
-                mids.append(mid)
-                right.append(hi)
-        total += accepted
-        n_panels += len(mids)
-        if n_panels > max_panels:
-            raise QuadratureError(_budget_message(abs_tol, max_panels))
-        pa, pb = left + mids, mids + right
-    return total
+    row = np.array([seeds], dtype=float).reshape(1, -1)
+    values, failures = adaptive_quadrature_rows(lambda rows, x: f(x), 1, a, b, abs_tol,
+                                                max_panels, seeds=row)
+    if failures:
+        raise QuadratureError(failures[0])
+    return float(values[0])
 
 
 def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL,
@@ -115,71 +82,75 @@ def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL,
         raise ValueError(f"seeds must have shape (n_rows, s), got {seeds.shape}")
     if a != b:
         for start in range(0, values.size, _BLOCK_ROWS):
-            rows = np.arange(start, min(start + _BLOCK_ROWS, values.size))
-            values[rows] = _integrate_block(f, rows, a, b, seeds[rows], abs_tol, max_panels,
-                                            failures)
+            block = slice(start, start + _BLOCK_ROWS)
+            values[block] = _integrate_block(f, start, a, b, seeds[block], abs_tol, max_panels,
+                                             failures)
     return values, failures
 
 
 def _first_panels(a, b, seeds):
     """Initial panels of each row: [a, b] cut at its distinct seeds inside (a, b)."""
-    order = 1.0 if b > a else -1.0  # sort along the direction from a to b
-
-    def sort_rows(x):
-        return order * np.sort(order * x, axis=1)  # NaN last
-
-    inner = sort_rows(np.where((seeds - a) * (b - seeds) > 0.0, seeds, np.nan))
-    inner[:, 1:][inner[:, 1:] == inner[:, :-1]] = np.nan
-    n = seeds.shape[0]
-    edges = sort_rows(np.column_stack((np.full(n, a), inner, np.full(n, b))))
-    keep = ~np.isnan(edges[:, 1:])
+    edges = np.full((seeds.shape[0], seeds.shape[1] + 2), a)
+    edges[:, 1:-1] = np.minimum(np.maximum(seeds, min(a, b)), max(a, b))  # NaN stays
+    edges[:, -1] = b
+    edges.sort(axis=1)  # NaN last
+    if b < a:
+        edges = edges[:, ::-1]  # from a to b, NaN first
+    # a NaN end or a repeated point (seeds outside repeat an end) makes no panel
+    keep = (edges[:, 1:] - edges[:, :-1]) * (b - a) > 0.0
     return edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
 
 
 def _panel_estimates(f, rows, pa, pb):
     """20-node value and 10/20-node difference of each panel [pa, pb] of ``rows``."""
+    if pa.size > _CHUNK_PANELS:  # caps the (panels x 30) temporaries of deep refinements
+        chunks = [slice(i, i + _CHUNK_PANELS) for i in range(0, pa.size, _CHUNK_PANELS)]
+        parts = [_panel_estimates(f, rows[c], pa[c], pb[c]) for c in chunks]
+        return tuple(np.concatenate(column) for column in zip(*parts))
     half, mid = 0.5 * (pb - pa), 0.5 * (pa + pb)
-    value, err = np.empty(pa.size), np.empty(pa.size)
-    # Chunks cap the (panels x 30) temporaries when many rows refine deeply.
-    for start in range(0, pa.size, _CHUNK_PANELS):
-        c = slice(start, start + _CHUNK_PANELS)
-        fx = f(rows[c], mid[c, None] + half[c, None] * _NODES)
-        lo = half[c] * (fx[:, :_N_LO] * _LO_WEIGHTS).sum(axis=1)
-        value[c] = half[c] * (fx[:, _N_LO:] * _HI_WEIGHTS).sum(axis=1)
-        err[c] = np.abs(value[c] - lo)
-    return value, err, mid
+    fw = f(rows, mid[:, None] + half[:, None] * _NODES) * _WEIGHTS
+    value = half * np.add.reduce(fw[:, _N_LO:], axis=1)
+    return value, np.abs(value - half * np.add.reduce(fw[:, :_N_LO], axis=1)), mid
 
 
-def _integrate_block(f, rows, a, b, seeds, abs_tol, max_panels, failures):
-    """Adaptive rounds for one block of rows; records failed rows in ``failures``."""
+def _integrate_block(f, first, a, b, seeds, abs_tol, max_panels, failures):
+    """Adaptive rounds for rows ``first`` onward, one per row of ``seeds``.
+
+    Records failed rows in ``failures``.
+    """
     tol_per_width = abs_tol / (b - a)
-    first, n = rows[0], rows.size
+    n = seeds.shape[0]
     total = np.zeros(n)
-    failed = np.zeros(n, dtype=bool)
+    failed = np.zeros(n, dtype=bool)  # a failed row's total is overwritten with NaN
     pa, pb, prow = _first_panels(a, b, seeds)  # prow: index in block
     panels = np.bincount(prow, minlength=n)  # accepted + open
     while prow.size:
+        n_failed = len(failures)
         value, err, mid = _panel_estimates(f, first + prow, pa, pb)
         # A panel whose midpoint rounds to one of its ends has no interior
         # left to sample: its row is unresolved at floating-point resolution.
-        for i in np.flatnonzero((mid == pa) | (mid == pb)):
+        for i in ((mid == pa) | (mid == pb)).nonzero()[0]:
             if not failed[prow[i]]:
                 failed[prow[i]] = True
-                failures[int(first + prow[i])] = _resolution_message(abs_tol, pa[i])
-        live = ~failed[prow]
-        accept = live & (err <= tol_per_width * (pb - pa))
-        total += np.bincount(prow[accept], weights=value[accept], minlength=n)
-        split = live & ~accept
+                failures[int(first + prow[i])] = (
+                    f"quadrature did not reach abs_tol={abs_tol:g}: a panel at "
+                    f"x={float(pa[i])!r} reached floating-point resolution")
+        accept = err <= tol_per_width * (pb - pa)
+        total += np.bincount(prow, weights=np.where(accept, value, 0.0), minlength=n)
+        split = ~accept
         pa, pb, mid, prow = pa[split], pb[split], mid[split], prow[split]
         panels += np.bincount(prow, minlength=n)
-        for i in np.flatnonzero(~failed & (panels > max_panels)):
-            failed[i] = True
-            failures[int(first + i)] = _budget_message(abs_tol, max_panels)
-        keep = ~failed[prow]
-        pa, pb, mid, prow = pa[keep], pb[keep], mid[keep], prow[keep]
+        for i in (panels > max_panels).nonzero()[0]:
+            if not failed[i]:
+                failed[i] = True
+                failures[int(first + i)] = (
+                    f"quadrature did not reach abs_tol={abs_tol:g} within {max_panels} panels")
+        if len(failures) > n_failed:  # failed rows refine no further
+            keep = ~failed[prow]
+            pa, pb, mid, prow = pa[keep], pb[keep], mid[keep], prow[keep]
         # children in a fixed order, all left halves then all right halves,
         # so each row's panels keep an order set by that row alone
-        pa, pb = np.concatenate((pa, mid)), np.concatenate((mid, pb))
+        pa, pb = np.concatenate((pa, mid, mid, pb)).reshape(2, -1)
         prow = np.concatenate((prow, prow))
     total[failed] = np.nan
     return total

@@ -101,15 +101,12 @@ def _step_seeds(k, c):
     alone would let the step hide between a panel's edge and the first
     nodes of both rules, which then agree and accept the panel.
     """
-    k, c = np.atleast_1d(np.asarray(k, dtype=float)), np.atleast_1d(np.asarray(c, dtype=float))
+    k, c = np.array(k, dtype=float, ndmin=1), np.array(c, dtype=float, ndmin=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = c / (2.0 * k)
-    has_zero = np.abs(ratio) <= 1.0  # False for K = 0
-    star = np.arccos(np.where(has_zero, ratio, 0.0))
-    ak = np.where(has_zero, np.abs(k), 1.0)
-    width = 1.0 / np.maximum(2.0 * ak * np.sin(star), np.sqrt(ak))
-    seeds = star[:, None] + width[:, None] * _SEED_OFFSETS
-    return np.where(has_zero[:, None], seeds, np.nan)
+        star = np.arccos(c / (2.0 * k))  # NaN for |C/2K| > 1 and for K = 0
+        ak = np.abs(k)
+        width = 1.0 / np.maximum(2.0 * ak * np.sin(star), np.sqrt(ak))
+    return star[:, None] + width[:, None] * _SEED_OFFSETS
 
 
 def _integrate(integrand, k, c, abs_tol):
@@ -123,7 +120,12 @@ def xx_log_partition_density(coupling_over_kt, field_over_kt,
     """lnZ per site: (1/pi) int_0^pi ln(2 cosh f) dw.
 
     lnZ is exactly even in both K and C (substitute w -> pi - w), so the
-    integral is taken at (|K|, |C|), to ``abs_tol * max(1, |K|, |C|)``.
+    integral is taken at (|K|, |C|).
+
+    ``abs_tol`` is a tolerance per unit of max(1, |K|, |C|), the size of
+    the integral: the integral may be off by up to
+    ``abs_tol * max(1, |K|, |C|)``, so lnZ's relative error is of order
+    ``abs_tol`` at every temperature.
     """
     k, c = abs(float(coupling_over_kt)), abs(float(field_over_kt))
 
@@ -137,8 +139,12 @@ def xx_internal_energy(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL) -> float:
     """U per site: -(kT/pi) int_0^pi f tanh(f) dw.
 
     The integrand x tanh(x) with x = 2K cos w - C is even in x, hence
-    smooth through the f-kink, and U is even in both J and B. Like lnZ,
-    its integral grows like K and C and is taken to ``abs_tol * max(1, K, C)``.
+    smooth through the f-kink, and U is even in both J and B.
+
+    As for lnZ, ``abs_tol`` is a tolerance per unit of max(1, |K|, |C|):
+    the integral may be off by up to ``abs_tol * max(1, |K|, |C|)``, so U
+    is off by at most ``abs_tol * max(kT, |J|, |B|) / pi``, a fixed share
+    of the largest energy scale.
     """
     point = to_dimensionless(j, b, kt)
     k, c = abs(point.coupling_over_kt), abs(point.field_over_kt)

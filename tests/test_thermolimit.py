@@ -240,6 +240,15 @@ def test_region_scan_bytes_do_not_depend_on_block_size(monkeypatch, block_rows):
     assert region_scan(kt, b).to_csv() == reference
 
 
+@pytest.mark.parametrize("chunk_panels", [1, 7, 100])
+def test_region_scan_bytes_do_not_depend_on_chunk_size(monkeypatch, chunk_panels):
+    kt = np.linspace(0.02, 3.0, 23)
+    b = np.linspace(0.0, 3.0, 17)
+    reference = region_scan(kt, b).to_csv()
+    monkeypatch.setattr(quadrature, "_CHUNK_PANELS", chunk_panels)
+    assert region_scan(kt, b).to_csv() == reference
+
+
 @pytest.mark.parametrize("kt", [0.02, 0.3, 3.0])
 @pytest.mark.parametrize("b", [0.0, 1.2, 3.0])
 def test_batched_witness_matches_both_scalar_routes(kt, b):
