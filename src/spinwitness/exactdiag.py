@@ -20,10 +20,16 @@ sectors. Every state of a total-S^z sector has sum_j sz_j = N - 2k, so
 there B only shifts the energies by -B (N - 2k): those eigensystems are
 cached without B, and one diagonalization serves every field. At B = 0,
 flipping every spin maps sector k onto sector N - k with the same
-energies, so only k <= N/2 is diagonalized.
+energies, so only k <= N/2 is diagonalized. For even N that spin
+inversion Z also maps sector k = N/2, where B does not act, onto itself,
+so that sector is solved as its two Z-parity halves, each half the size
+(Sandvik, arXiv:1101.3281, section 4.2; H. Q. Lin, PRB 42, 6561 (1990)).
+Energies then ascend inside each half only, not across the sector.
 
 Open chains diagonalize each sector as one real block built from index
-tables of (N, conserved quantity). Rings also commute with the
+tables of (N, conserved quantity); the halves of k = N/2 are folded from
+it, solved by one stacked eigh, and their vectors mapped back to the
+sector's states. Rings also commute with the
 translation T (site j -> j+1), so each sector splits further by lattice
 momentum q. A representative a (the smallest state of its T-orbit, orbit
 size R_a) spans the momentum state
@@ -33,14 +39,19 @@ size R_a) spans the momentum state
 which exists only when q R_a = 0 mod N. A bond flip taking a to T^l b adds
 c e^(2 pi i q l / N) sqrt(R_a / R_b) to <b, q|H|a, q> (Sandvik,
 arXiv:1101.3281, section 4). Block N - q is the complex conjugate of block
-q, so only q <= N/2 is diagonalized and 0 < q < N/2 counts twice. Blocks
-of equal size are stacked into one `numpy.linalg.eigh` call. Since the
-thermal state commutes with T, every ring bond has the same correlators:
-the ring eigensystem stores, per eigenstate, <M> and the translation sums
-of the antiparallel-flip, parallel-flip and sz.sz bond operators, and any
-thermal or ground-state average is one weighted sum over that table. No
-2^N x 2^N matrix is formed; :func:`build_hamiltonian` assembles the dense
-matrix, which serves as an independent oracle.
+q, so only q <= N/2 is diagonalized and 0 < q < N/2 counts twice. The
+momentum blocks of k = N/2 are laid out directly in their Z-parity
+halves. Blocks of equal size, halves or not, are stacked into one
+`numpy.linalg.eigh` call. Since the thermal state commutes with T, every
+ring bond has the same correlators: the ring eigensystem stores, per
+eigenstate, <M> and the translation sums of the antiparallel-flip,
+parallel-flip and sz.sz bond operators, and any thermal or ground-state
+average is one weighted sum over that table. Each block's H is assembled
+from a sparse table of those four operators; the diagonal ones are read
+off as sum_i |v_i|^2 diag_i, and only flip operators with entries in a
+block are multiplied into its vectors. No 2^N x 2^N matrix is formed;
+:func:`build_hamiltonian` assembles the dense matrix, which serves as an
+independent oracle.
 
 Thermal averages never special-case T -> 0: weights are
 exp(-beta (E - E0)) normalized through a log-sum-exp partition function, so
@@ -65,19 +76,22 @@ from .model import (
     validate_spec,
 )
 
-# Exact-diagonalization cap: at N = 14 the widest open-chain block is 3432
-# (total S^z) or 8192 (parity), the widest ring momentum block 246 or 596.
-# Deliberately a plain module attribute so callers can raise it at their own
-# risk.
+# Exact-diagonalization cap: at N = 14 the widest open-chain block is 3003
+# (total S^z, k = 6; k = 7 is solved as two halves of 1716) or 8192 (parity),
+# the widest ring momentum block 217 or 596. Deliberately a plain module
+# attribute so callers can raise it at their own risk.
 SITE_CAP = 14
 
 # A cached eigensystem holds the vectors of its solved blocks. At N = 14 an
-# open chain's are about 210 MB in total-S^z sectors (k <= N/2) and 1.1 GB in
-# the two parity sectors (a dense one would be 2 GB), a ring's 16 MB and
+# open chain's are about 160 MB in total-S^z sectors (k <= N/2) and 1.1 GB in
+# the two parity sectors (a dense one would be 2 GB), a ring's 13 MB and
 # 80 MB. Keep the cache small.
 _EIG_CACHE_SIZE = 8
 
 _DEGENERACY_TOL = 1e-9
+
+# The spin-inversion parities of the two halves of sector k = N/2, for broadcasting.
+_PARITY = np.array([1.0, -1.0])[:, None, None]
 
 _SIGMA_YY = np.array([[0.0, 0.0, 0.0, -1.0],
                       [0.0, 0.0, 1.0, 0.0],
@@ -231,7 +245,8 @@ class _OpenEigensystem(NamedTuple):
     """An open chain's eigensystem: one state per basis state of each sector."""
 
     basis: _Basis
-    energies: np.ndarray       # ascending within each block, in block order
+    energies: np.ndarray       # in block order; ascending within each block, or
+                               # within each Z-parity half of k = N/2
     vectors: tuple             # per block; the spin-flip images are reversed views
     magnetization: np.ndarray  # sum_j sz_j of each eigenstate (total-S^z sectors)
     multiplicity: float = 1.0
@@ -338,14 +353,15 @@ def _open_eigensystem(vspec: ValidatedSpec) -> _OpenEigensystem:
     solved = n // 2 + 1 if conserve_sz else len(basis.sectors)
     energies = np.empty(diagonal.size)
     vectors = []
-    for sec in basis.sectors[:solved]:
+    for k, sec in enumerate(basis.sectors[:solved]):
         dim = sec.states.size
         h = np.zeros((dim, dim))
         # Distinct bonds flip distinct masks, so no (to, from) entry repeats.
         h.flat[sec.flips[:sec.n_antiparallel]] = s * (vspec.jx + vspec.jy)
         h.flat[sec.flips[sec.n_antiparallel:]] = s * (vspec.jx - vspec.jy)
         h.flat[::dim + 1] = diagonal[sec.span]
-        energies[sec.span], block_vectors = np.linalg.eigh(h)
+        solve = _eigh_by_inversion if conserve_sz and 2 * k == n else np.linalg.eigh
+        energies[sec.span], block_vectors = solve(h)
         block_vectors.setflags(write=False)
         vectors.append(block_vectors)
     for k in range(solved, len(basis.sectors)):
@@ -353,6 +369,24 @@ def _open_eigensystem(vspec: ValidatedSpec) -> _OpenEigensystem:
         vectors.append(vectors[n - k][::-1])
     energies.setflags(write=False)
     return _OpenEigensystem(basis, energies, tuple(vectors), basis.zsum)
+
+
+def _eigh_by_inversion(h: np.ndarray):
+    """Eigensystem of the k = N/2 block of an open chain, as two halves.
+
+    Spin inversion maps the block's i-th state (ascending) to its
+    (d-1-i)-th, so (e_i +- e_(d-1-i))/sqrt 2, i < d/2, span the two
+    inversion halves, where H is H[:h, :h] +- H[:h, ::-1][:, :h]. Both are
+    solved by one stacked eigh; the vectors are mapped back to the block's
+    states, the even half's columns first. Energies ascend in each half only.
+    """
+    half = h.shape[0] // 2
+    energies, halves = np.linalg.eigh(h[:half, :half] + _PARITY * h[:half, ::-1][:, :half])
+    halves *= math.sqrt(0.5)
+    vectors = np.empty_like(h)
+    vectors[:half] = np.concatenate(halves, axis=1)
+    vectors[half:] = np.concatenate(_PARITY * halves, axis=1)[::-1]
+    return energies.ravel(), vectors
 
 
 def _block_densities(basis: _Basis, vectors, p: np.ndarray):
@@ -380,8 +414,10 @@ class _RingGroup(NamedTuple):
     """Momentum blocks of one size, diagonalized by one stacked eigh."""
 
     reps: np.ndarray      # (m, d): each block's representatives, ascending
-    periods: np.ndarray   # (m, d): orbit size R of each representative
+    orbits: np.ndarray    # (m, d): site states each basis state spans: the orbit size R
+                          # of its representative, 2R for a spin-inversion pair
     momenta: np.ndarray   # (m,): q of each block
+    parity: np.ndarray    # (m,): +1 or -1 for the spin-inversion halves of k = N/2, else 0
     dtype: type           # float when every block has q = 0 or q = N/2
 
 
@@ -398,14 +434,18 @@ class _Ring(NamedTuple):
 
 
 class _RingTerms(NamedTuple):
-    """One ring group's operators, without couplings, as entries of a (4, m, d, d) stack.
+    """One ring group's operators for pairs (i, i+d), summed over i, without couplings.
 
-    The layers are sum_j sz_j, sum_i sz_i sz_(i+d), and the sums over i of
-    the (i, i+d) flips that move an antiparallel and a parallel pair.
+    The four layers are sum_j sz_j, sum_i sz_i sz_(i+d), and the sums of
+    the flips that move an antiparallel and a parallel pair. ``values``
+    holds them row by row at the cells ``flat`` of the group's (m, d, d)
+    stack of blocks that any of them fills; the first two are diagonal.
     """
 
-    flat: np.ndarray      # distinct indices into the stack
-    values: np.ndarray    # the summed entries there
+    flat: np.ndarray      # distinct indices into the (m, d, d) stack
+    values: np.ndarray    # (4, cells): every layer's entry at each cell
+    diagonal: np.ndarray  # (2, m, 1, d): the diagonal layers, block by block
+    flips: slice          # the rows of ``values`` whose flip layers have entries here
 
 
 class _RingEigensystem(NamedTuple):
@@ -459,8 +499,8 @@ class _RingEigensystem(NamedTuple):
         layers = self.pair_layers.get(distance)
         if layers is None:
             terms = _ring_terms(n_sites, self.ring.conserve_sz, distance)
-            layers = np.concatenate([_expectations(_operator_stack(g, t), v) for g, t, v
-                                     in zip(self.ring.groups, terms, self.vectors)], axis=1)
+            layers = np.concatenate([_expectations(t, v) for t, v in zip(terms, self.vectors)],
+                                    axis=1)
             layers = layers[:, self.ring.source][1:]
             layers.setflags(write=False)
             layers = self.pair_layers.setdefault(distance, layers)
@@ -478,7 +518,8 @@ def _ring(n_sites: int, conserve_sz: bool) -> _Ring:
 
     Solved blocks are q = 0..N/2 of the sectors k = 0..N/2 when
     ``conserve_sz`` (sector N - k is the spin-flip image of k at B = 0),
-    otherwise of both parity sectors.
+    otherwise of both parity sectors. The blocks of k = N/2 are solved as
+    their two spin-inversion halves (see :func:`_inversion_halves`).
     """
     n = n_sites
     states = np.arange(1 << n, dtype=np.int64)
@@ -488,23 +529,29 @@ def _ring(n_sites: int, conserve_sz: bool) -> _Ring:
         images[l] = _translate(images[l - 1], n)
     to_rep = images.argmin(axis=0)
     rep = images[to_rep, states]
+    shift = (-to_rep) % n
     back = images[1:] == states
     period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, n)
     downs = np.rint((n - _site_z(n).sum(axis=0)) / 2.0).astype(np.int64)
     label = downs if conserve_sz else downs % 2
 
-    blocks = {}  # size -> [(reps, q, sector)]
+    blocks = {}  # size -> [(reps, orbits, q, parity, sector)]
     for sector in range(n // 2 + 1) if conserve_sz else (0, 1):
         members = np.flatnonzero((rep == states) & (label == sector))
         for q in range(n // 2 + 1):
             reps = members[q * period[members] % n == 0]
-            if reps.size:
-                blocks.setdefault(reps.size, []).append((reps, q, sector))
+            if conserve_sz and 2 * sector == n:
+                halves = _inversion_halves(reps, q, rep, shift, period, n)
+            else:
+                halves = [(reps, period[reps], 0)]
+            for half, orbits, parity in halves:
+                if half.size:
+                    blocks.setdefault(half.size, []).append((half, orbits, q, parity, sector))
     groups, sectors, momenta = [], [], []
     for size in sorted(blocks):
-        reps, q, sector = (np.array(column) for column in zip(*blocks[size]))
+        reps, orbits, q, parity, sector = (np.array(column) for column in zip(*blocks[size]))
         dtype = complex if (2 * q % n).any() else float
-        groups.append(_RingGroup(reps, period[reps], q, dtype))
+        groups.append(_RingGroup(reps, orbits, q, parity, dtype))
         sectors.append(np.repeat(sector, size))
         momenta.append(np.repeat(q, size))
     sectors, momenta = np.concatenate(sectors), np.concatenate(momenta)
@@ -512,18 +559,44 @@ def _ring(n_sites: int, conserve_sz: bool) -> _Ring:
     if conserve_sz:
         source = np.concatenate([source, np.flatnonzero(2 * sectors < n)])
     multiplicity = np.where(2 * momenta[source] % n == 0, 1.0, 2.0)
-    for array in (rep, source, multiplicity):
+    for array in (rep, shift, source, multiplicity):
         array.setflags(write=False)
-    return _Ring(conserve_sz, tuple(groups), rep, (-to_rep) % n, source, multiplicity)
+    return _Ring(conserve_sz, tuple(groups), rep, shift, source, multiplicity)
+
+
+def _inversion_halves(reps, q, rep, shift, period, n_sites):
+    """The two spin-inversion halves of momentum block q of sector k = N/2.
+
+    Inverting every spin (Z) takes |a, q> to e^(2 pi i q m / N) |b, q>,
+    where the inverted a is T^m b (Sandvik, arXiv:1101.3281, section 4.2).
+    Each pair a < b spans one state (|a, q> +- Z|a, q>)/sqrt 2 of each
+    half, listed under a; it spans the 2 R_a site states of both orbits.
+    A state with b = a is its own image times +-1 and lies in one half.
+    Returns (representatives, orbit sizes, parity) of the + and - halves.
+    """
+    n = n_sites
+    inverted = ((1 << n) - 1) ^ reps
+    image = rep[inverted]
+    sign = np.where(q * shift[inverted] % n == 0, 1, -1)
+    orbits = np.where(image == reps, 1, 2) * period[reps]
+    halves = []
+    for parity in (1, -1):
+        keep = (image > reps) | ((image == reps) & (sign == parity))
+        halves.append((reps[keep], orbits[keep], parity))
+    return halves
 
 
 @lru_cache(maxsize=64)
 def _ring_terms(n_sites: int, conserve_sz: bool, distance: int) -> tuple[_RingTerms, ...]:
-    """Per group of :func:`_ring`, the operator stack for pairs (i, i+distance).
+    """Per group of :func:`_ring`, the operators for pairs (i, i+distance).
 
     The flip of pair (i, i+d) takes representative a to a state T^l b;
     summed over i it adds e^(2 pi i q l / N) sqrt(R_a / R_b) to entry (b, a)
-    of block q. Repeats (several pairs reaching one orbit) are summed.
+    of block q, with R the orbit sizes of :class:`_RingGroup`. In a
+    spin-inversion half of parity p, a b whose image b' (inverted b =
+    T^m b') is smaller stands for the state listed under b', with the extra
+    factor p e^(2 pi i q m / N). Repeats (several pairs reaching one state)
+    are summed. Phases and roots are taken only for entries inside a block.
     """
     n = n_sites
     ring = _ring(n, conserve_sz)
@@ -531,45 +604,72 @@ def _ring_terms(n_sites: int, conserve_sz: bool, distance: int) -> tuple[_RingTe
     pairs = [(i, (i + distance) % n) for i in range(n)]
     masks = np.array([_flip_mask(n, i, j) for i, j in pairs])
     pair_zz = np.stack([z[i] * z[j] for i, j in pairs], axis=-1)  # (2^N, pairs)
-    zsum = z.sum(axis=0)
+    parallel = pair_zz > 0.0
+    diagonal = np.stack((z.sum(axis=0), pair_zz.sum(axis=-1)))
+    roots = np.exp(2j * np.pi / n * np.arange(n))
     terms = []
     for g in ring.groups:
         m, d = g.reps.shape
-        block, row = np.arange(m)[:, None, None], np.arange(d)[None, :, None]
+        block = np.arange(m)[:, None, None]
+        q = g.momenta[:, None, None]
         partner = g.reps[:, :, None] ^ masks
+        target = ring.rep[partner]
+        turns = q * ring.shift[partner]  # the phase is e^(2 pi i turns / N)
+        if g.parity.any():
+            inverted = ((1 << n) - 1) ^ target
+            image = ring.rep[inverted]
+            listed = (g.parity[:, None, None] != 0) & (image < target)
+            target = np.where(listed, image, target)
+            turns = turns + listed * (q * ring.shift[inverted]
+                                      + (g.parity[:, None, None] < 0) * (n // 2))
         # Representatives keyed by (block, state) are ascending over the whole group.
         keys = ((np.arange(m)[:, None] << n) + g.reps).ravel()
-        target = (block << n) + ring.rep[partner]
+        target = (block << n) + target
         found = np.minimum(np.searchsorted(keys, target), keys.size - 1)
         inside = keys[found] == target
-        phase = np.exp(2j * np.pi / n * (g.momenta[:, None, None] * ring.shift[partner] % n))
-        flips = phase * np.sqrt(g.periods[:, :, None] / g.periods.ravel()[found])
-        layer = 2 + (pair_zz[g.reps] > 0.0)
-        diagonal = ((np.arange(2)[:, None, None] * m + block[:, :, 0]) * d * d
-                    + row[:, :, 0] * (d + 1))
-        flat = np.concatenate([diagonal.ravel(),
-                               (((layer * m + block) * d + found % d) * d + row)[inside]])
-        values = np.concatenate([zsum[g.reps].ravel(), pair_zz[g.reps].sum(axis=-1).ravel(),
-                                 flips[inside]])
-        flat, where = np.unique(flat, return_inverse=True)
-        summed = np.bincount(where, values.real, minlength=flat.size)
+        block, row, _ = np.nonzero(inside)
+        found = found[inside]
+        values = roots[turns[inside] % n] * np.sqrt(g.orbits[block, row]
+                                                     / g.orbits.ravel()[found])
+        on_diagonal = (np.arange(m)[:, None] * (d * d) + np.arange(d) * (d + 1)).ravel()
+        cells = np.concatenate((on_diagonal, on_diagonal, (block * d + found % d) * d + row))
+        layer = np.concatenate((np.zeros(m * d, np.int64), np.ones(m * d, np.int64),
+                                2 + parallel[g.reps][inside]))
+        values = np.concatenate((diagonal[:, g.reps].reshape(-1), values))
+        flat, column = np.unique(cells, return_inverse=True)
+        where = layer * flat.size + column
+        summed = np.bincount(where, values.real, minlength=4 * flat.size)
         if g.dtype is complex:  # phases are +-1 for q = 0 and q = N/2
-            summed = summed + 1j * np.bincount(where, values.imag, minlength=flat.size)
-        terms.append(_RingTerms(flat, summed))
+            summed = summed + 1j * np.bincount(where, values.imag, minlength=4 * flat.size)
+        filled = 2 + np.flatnonzero(np.bincount(layer, minlength=4)[2:])  # 2, 3 or both
+        flips = slice(filled.min(), filled.max() + 1) if filled.size else slice(2, 2)
+        terms.append(_RingTerms(flat, summed.reshape(4, -1),
+                                diagonal[:, g.reps][:, :, None, :], flips))
     return tuple(terms)
 
 
-def _operator_stack(g: _RingGroup, terms: _RingTerms) -> np.ndarray:
-    """The group's (4, m, d, d) operator layers as dense arrays."""
-    m, d = g.reps.shape
-    stack = np.zeros((4, m, d, d), g.dtype)
-    stack.reshape(-1)[terms.flat] = terms.values
-    return stack
+def _expectations(terms: _RingTerms, vectors: np.ndarray) -> np.ndarray:
+    """(4, m d): every layer's expectation in every eigenstate (column) of the group.
 
-
-def _expectations(stack: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """(4, m d): every layer's expectation in every eigenstate (column) of the group."""
-    return (vectors.conj() * (stack @ vectors)).real.sum(axis=-2).reshape(4, -1)
+    A diagonal layer's is sum_i |v_i|^2 diag_i. A flip layer is multiplied
+    into the vectors only if it has entries in the group; otherwise its
+    expectations are exactly 0, as for the parallel flips in total-S^z
+    blocks.
+    """
+    m, d, _ = vectors.shape
+    rows = np.zeros((4, m * d))
+    if d == 1:  # every eigenvector is 1, and every cell is on the diagonal
+        rows[:, terms.flat] = terms.values.real
+        return rows
+    bra = vectors.conj()
+    rows[:2] = (terms.diagonal @ (bra * vectors).real).reshape(2, -1)
+    flips = terms.values[terms.flips]
+    if flips.size:
+        layers = np.zeros((flips.shape[0], m * d * d), vectors.dtype)
+        layers[:, terms.flat] = flips
+        products = bra * (layers.reshape(-1, m, d, d) @ vectors)
+        rows[terms.flips] = products.real.sum(axis=-2).reshape(flips.shape[0], -1)
+    return rows
 
 
 @lru_cache(maxsize=_EIG_CACHE_SIZE)
@@ -577,7 +677,8 @@ def _ring_eigensystem(vspec: ValidatedSpec) -> _RingEigensystem:
     """Energies, observable table and stacked vectors of a ring, cached per spec.
 
     Total-S^z specs arrive here with B = 0 only, where sector N - k is the
-    spin-flip image of k: the same energies and table, with M negated.
+    spin-flip image of k: the same energies and table, with M negated. Each
+    group's H is assembled straight from its :class:`_RingTerms`.
     """
     n = vspec.n_sites
     conserve_sz = vspec.jx == vspec.jy
@@ -589,16 +690,15 @@ def _ring_eigensystem(vspec: ValidatedSpec) -> _RingEigensystem:
     vectors, start = [], 0
     for g, terms in zip(ring.groups, _ring_terms(n, conserve_sz, 1)):
         m, d = g.reps.shape
-        stack = _operator_stack(g, terms)
-        h = (couplings @ stack.reshape(4, -1)).reshape(m, d, d)
-        rows = table[:, start:start + m * d]
-        start += m * d
+        h = np.zeros((m, d, d), g.dtype)
+        h.reshape(-1)[terms.flat] = couplings @ terms.values
         if d == 1:  # a 1 x 1 block is its own eigensystem
-            rows[0], block_vectors = h.real.ravel(), np.ones_like(h)
-            rows[1:] = stack.real.reshape(4, m)
+            block_energies, block_vectors = h.real, np.ones_like(h)
         else:
             block_energies, block_vectors = np.linalg.eigh(h)
-            rows[0], rows[1:] = block_energies.ravel(), _expectations(stack, block_vectors)
+        rows = table[:, start:start + m * d]
+        start += m * d
+        rows[0], rows[1:] = block_energies.ravel(), _expectations(terms, block_vectors)
         block_vectors.setflags(write=False)
         vectors.append(block_vectors)
     table = table[:, ring.source]

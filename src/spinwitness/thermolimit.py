@@ -91,6 +91,19 @@ def _tanh_over(f):
 
 _SEED_OFFSETS = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0])
 
+# Largest |K| and |C| integrated. Up to here 2K cos w - C, its integrands
+# and their panel sums stay well inside the float range; beyond it a point
+# is a numerical failure, raised before any arithmetic can overflow.
+_MAX_ARGUMENT = float(np.finfo(float).max) / 64.0
+
+
+def _out_of_range(k, c, limit=_MAX_ARGUMENT) -> str | None:
+    """Why (K, C) cannot be integrated without overflow, or None."""
+    if abs(k) <= limit and abs(c) <= limit:
+        return None
+    return (f"J/kT = {float(k):g}, B/kT = {float(c):g}: beyond |{limit:g}| "
+            "the integrand overflows")
+
 
 def _step_seeds(k, c):
     """Quadrature seeds around the zero w* = arccos(C/2K) of 2K cos w - C.
@@ -109,8 +122,14 @@ def _step_seeds(k, c):
     return star[:, None] + width[:, None] * _SEED_OFFSETS
 
 
-def _integrate(integrand, k, c, abs_tol):
-    """Integral of ``integrand`` over [0, pi], seeded at the step of (K, C)."""
+def _integrate(integrand, k, c, abs_tol, limit=_MAX_ARGUMENT):
+    """Integral of ``integrand`` over [0, pi], seeded at the step of (K, C).
+
+    Raises :class:`QuadratureError` if |K| or |C| exceeds ``limit``.
+    """
+    reason = _out_of_range(k, c, limit)
+    if reason is not None:
+        raise QuadratureError(reason)
     return adaptive_quadrature(integrand, 0.0, math.pi, abs_tol=abs_tol,
                                seeds=tuple(_step_seeds(k, c)[0]))
 
@@ -179,7 +198,9 @@ def xx_magnetization(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL,
             cos2 = np.cos(omega) ** 2
             return -4.0 * k * k * cos2 * _tanh_over(f)
 
-        return _integrate(printed_integrand, k, c, abs_tol) / math.pi
+        # 4K^2 must stay in range too
+        return _integrate(printed_integrand, k, c, abs_tol,
+                          limit=math.sqrt(_MAX_ARGUMENT) / 2.0) / math.pi
 
     k, c = abs(point.coupling_over_kt), abs(point.field_over_kt)
 
@@ -315,21 +336,29 @@ def _witness_rows(kt_over_j, b_over_j, abs_tol):
     """W at many (kT/|J|, B/|J|) points by the one-integral route, batched.
 
     Returns ``(w, failures)`` as :func:`adaptive_quadrature_rows` does:
-    failed points carry W = NaN and a message under their index.
+    failed points carry W = NaN and a message under their index. Points
+    whose K or C would overflow fail so without being integrated.
     """
     with np.errstate(over="ignore"):
         k = 1.0 / kt_over_j
         c = np.abs(b_over_j) / kt_over_j
     if not (np.all(np.isfinite(k)) and np.all(np.isfinite(c))):
         raise SpecError("dimensionless couplings must be finite")
+    in_range = (k <= _MAX_ARGUMENT) & (c <= _MAX_ARGUMENT)
+    failures = {int(i): _out_of_range(k[i], c[i]) for i in np.flatnonzero(~in_range)}
+    rows = np.flatnonzero(in_range)
+    k, c = k[rows], c[rows]
 
-    def integrand(rows, omega):
+    def integrand(block_rows, omega):
         cos = np.cos(omega)
-        return cos * np.tanh(2.0 * k[rows, None] * cos - c[rows, None])
+        return cos * np.tanh(2.0 * k[block_rows, None] * cos - c[block_rows, None])
 
-    values, failures = adaptive_quadrature_rows(integrand, k.size, 0.0, math.pi,
-                                                abs_tol=abs_tol, seeds=_step_seeds(k, c))
-    return np.abs(2.0 * values / math.pi), failures
+    values, failed = adaptive_quadrature_rows(integrand, k.size, 0.0, math.pi,
+                                              abs_tol=abs_tol, seeds=_step_seeds(k, c))
+    w = np.full(kt_over_j.size, np.nan)
+    w[rows] = np.abs(2.0 * values / math.pi)
+    failures.update((int(rows[i]), message) for i, message in failed.items())
+    return w, failures
 
 
 def region_scan(kt_over_j_values, b_over_j_values, abs_tol: float = DEFAULT_ABS_TOL,

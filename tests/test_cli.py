@@ -79,6 +79,15 @@ def test_limit_witness_matches_the_library(capsys):
     assert payload["inputs"]["n_sites"] is None
 
 
+def test_limit_witness_fails_numerically_where_the_integrand_overflows(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails the test
+        rc, out, err = run(["witness", "--model", "xx", "--n", "thermodynamic-limit",
+                            "--j", "1e8", "--b", "0.5", "--kt", "1e-300"], capsys)
+    assert rc == 2 and out == ""
+    assert "numerical failure" in err and "overflows" in err
+
+
 def test_limit_witness_is_xx_only(capsys):
     rc, _, err = run(["witness", "--model", "xxx", "--n", "thermodynamic-limit",
                       "--kt", "1.0"], capsys)
@@ -190,6 +199,24 @@ def test_scan_bytes_are_stable_across_runs_and_block_sizes(tmp_path, capsys, mon
     first, second = scan("a"), scan("b")
     monkeypatch.setattr(quadrature, "_BLOCK_ROWS", block_rows)
     assert first == second == scan("c")
+
+
+def test_scan_and_boundary_where_the_integrand_overflows(tmp_path, capsys):
+    # kT/|J| = 1e-308 makes K = 1e308: the scan's cells there are NaN with an
+    # error each, and the boundary's bisection fails with exit code 2.
+    csv = tmp_path / "region.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails the test
+        rc, out, _ = run(["scan", "--kt-min", "1e-308", "--kt-max", "0.5", "--kt-steps", "2",
+                          "--b-min", "0", "--b-max", "0.5", "--b-steps", "2",
+                          "--out-path", str(csv)], capsys)
+        assert rc == 0 and "2 cell errors" in out
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        assert [row[2] for row in rows if float(row[0]) == 1e-308] == ["nan", "nan"]
+        assert all(math.isfinite(float(row[2])) for row in rows if float(row[0]) == 0.5)
+        rc, _, err = run(["boundary", "--kt-min", "1e-308", "--b-steps", "2",
+                          "--out-path", str(tmp_path / "boundary.csv")], capsys)
+    assert rc == 2 and "overflows" in err
 
 
 @pytest.mark.parametrize("command", ["scan", "boundary"])

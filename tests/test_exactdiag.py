@@ -445,16 +445,23 @@ def count_eigh_calls(monkeypatch):
 def test_field_sweep_costs_one_diagonalization_when_sz_is_conserved(monkeypatch):
     calls = count_eigh_calls(monkeypatch)
     # Couplings no other test uses, so the eigensystem cache starts cold. Only
-    # the blocks k <= N/2 are solved (k and N - k are spin-flip images at B = 0);
-    # an open chain solves each as one matrix, a ring its momentum blocks
-    # q <= N/2 stacked by size, 1 x 1 blocks without eigh.
+    # the blocks k <= N/2 are solved (k and N - k are spin-flip images at B = 0),
+    # and k = N/2 as its two spin-inversion halves; an open chain solves each
+    # sector as one matrix, a ring its momentum blocks q <= N/2 stacked by size,
+    # 1 x 1 blocks without eigh.
     cases = [
-        # N = 6 ring: k = 2 has orbits of size 6, 6, 3 and k = 3 of 6, 6, 6, 2,
-        # so the blocks (k, q) have sizes k2: 3 2 3 2 and k3: 4 3 3 4.
-        (ModelSpec.xxx(0.8137, n_sites=6), [(2, 2, 2), (4, 3, 3), (2, 4, 4)]),
+        # N = 6 ring: k = 2 has orbits of size 6, 6, 3, so the blocks q = 0..3
+        # have sizes 3 2 3 2. k = 3 has orbits 000111, 001011, 001101 of size 6
+        # and 010101 of size 2; spin inversion swaps the orbits of 001011 and
+        # 001101 and maps the other two onto themselves. Its halves (+, -)
+        # have sizes q0: 3 1, q1: 1 2, q2: 2 1, q3: 1 3.
+        (ModelSpec.xxx(0.8137, n_sites=6), [(4, 2, 2), (4, 3, 3)]),
         (ModelSpec.xx(-0.6113, n_sites=5, boundary="open"), [(1, 1), (5, 5), (10, 10)]),
-        # N = 4 ring: k = 2 has orbits of size 4 and 2, blocks q = 0, 2 of size 2.
-        (ModelSpec.xyz(0.7121, 0.7121, -0.3, n_sites=4), [(2, 2, 2)]),
+        # N = 4 open chain: k = 2 (6 states) is solved as two halves of 3.
+        (ModelSpec.xx(-0.6113, n_sites=4, boundary="open"), [(1, 1), (4, 4), (2, 3, 3)]),
+        # N = 4 ring: k = 2 has orbits 0011 (size 4) and 0101 (size 2), each its
+        # own inversion image; only the + half of q = 0 holds both.
+        (ModelSpec.xyz(0.7121, 0.7121, -0.3, n_sites=4), [(1, 2, 2)]),
     ]
     for spec, shapes in cases:
         for b in (0.0, 0.35, -1.7, 40.0):
@@ -575,18 +582,25 @@ def test_ring_pair_layers_are_built_once_per_distance(monkeypatch):
     calls = []
     expectations = exactdiag._expectations
 
-    def counting(stack, vectors):
-        calls.append(stack.shape)
-        return expectations(stack, vectors)
+    def counting(terms, vectors):
+        calls.append(vectors.shape)
+        return expectations(terms, vectors)
 
     monkeypatch.setattr(exactdiag, "_expectations", counting)
-    # Couplings no other test uses, so the eigensystem cache starts cold.
-    for spec in (ModelSpec.xyz(0.5531, -0.37, 0.21, b=0.3, n_sites=8),
-                 ModelSpec.xxx(-0.7219, b=0.3, n_sites=8)):
+    # Couplings no other test uses, so the eigensystem cache starts cold. The
+    # N = 8 parity sectors have blocks of 14 (two), 16 (five), 17, 18 and 20
+    # states; the total-S^z blocks, with k = 4 in spin-inversion halves, come
+    # in groups of six 1 x 1, five 3 x 3, five 4 x 4, three 5 x 5, one 6 x 6
+    # and six 7 x 7.
+    for spec, shapes in (
+            (ModelSpec.xyz(0.5531, -0.37, 0.21, b=0.3, n_sites=8),
+             [(2, 14, 14), (5, 16, 16), (1, 17, 17), (1, 18, 18), (1, 20, 20)]),
+            (ModelSpec.xxx(-0.7219, b=0.3, n_sites=8),
+             [(6, 1, 1), (5, 3, 3), (5, 4, 4), (3, 5, 5), (1, 6, 6), (6, 7, 7)])):
         vspec = validate_spec(spec)
-        groups = len(exactdiag._ring(8, vspec.jx == vspec.jy).groups)
         first = reduced_pair_state(spec, 0.6, (1, 4)).matrix
-        assert calls
+        # One call per group for the eigensystem's table, then one for distance 3.
+        assert calls == shapes * 2
         calls.clear()
         # The same distance (3 or N - 3) at other temperatures, and at other
         # fields where S^z is conserved, reuses the cached table.
@@ -600,5 +614,111 @@ def test_ring_pair_layers_are_built_once_per_distance(monkeypatch):
         # A new distance builds its layers once, one call per group.
         reduced_pair_state(spec, 0.6, (0, 2))
         reduced_pair_state(spec, 0.9, (5, 3))
-        assert len(calls) == groups
+        assert calls == shapes
         calls.clear()
+
+
+# ---------------------------------------------------------------------------
+# The k = N/2 sector in spin-inversion halves
+
+
+def split_case_spec(family, boundary, sign, n, b):
+    if family == "xxz":
+        return ModelSpec.xyz(0.9, 0.9, -0.4, b=b, n_sites=n, boundary=boundary,
+                             sign_convention=sign)
+    make = ModelSpec.xxx if family == "xxx" else ModelSpec.xx
+    return make(1.3, b=b, n_sites=n, boundary=boundary, sign_convention=sign)
+
+
+SPLIT_CASES = [(family, boundary, sign, n, b)
+               for family in ("xxx", "xx", "xxz")
+               for boundary in ("open", "periodic")
+               for sign in ("singlet-ground", "as-printed")
+               for n in (2, 4, 6, 8)
+               for b in (0.0, 0.45)
+               if boundary == "open" or n >= 4]
+SPLIT_CASES += [("xxx", "periodic", "singlet-ground", 10, 0.0),
+                ("xx", "open", "as-printed", 10, 0.45)]
+
+
+@pytest.mark.parametrize("family, boundary, sign, n, b", SPLIT_CASES)
+def test_spin_inversion_halves_match_dense(family, boundary, sign, n, b):
+    spec = split_case_spec(family, boundary, sign, n, b)
+    if boundary == "periodic":
+        assert any(g.parity.any() for g in exactdiag._ring(n, True).groups)
+    ref, _ = dense_reference(spec, None)
+    assert_observables_close(ground_state_observables(spec), ref, 1e-11)
+    assert abs(ground_state_energy(spec) - ref.u) < 1e-11 * max(1.0, abs(ref.u))
+    for kt in (1e-3, 0.3, 2.0) if n < 10 else (0.3,):
+        ref, ref_pair = dense_reference(spec, kt)
+        assert_observables_close(thermal_observables(spec, kt), ref, 1e-11)
+        for d in range(1, n):
+            for a in (0, n - 1) if boundary == "periodic" else (0,):
+                pair = (a, (a + d) % n)
+                rho = reduced_pair_state(spec, kt, pair).matrix
+                assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11, (pair, kt)
+
+
+@pytest.mark.parametrize("n, e0_over_j", [(12, -5.387390917), (14, -6.263549533)])
+def test_xxx_ring_ground_energies_above_dense_sizes(n, e0_over_j):
+    # Published ground energies of the spin-1/2 Heisenberg ring in S.S units;
+    # in Pauli units they are four times larger. The singlet lies in k = N/2.
+    spec = ModelSpec.xxx(1.0, n_sites=n)
+    e0 = 4.0 * e0_over_j
+    assert abs(ground_state_energy(spec) - e0) < 1e-9 * abs(e0)
+    # The bond correlators come from the eigenvectors, so they check U independently.
+    obs = ground_state_observables(spec)
+    assert abs(obs.u - e0) < 1e-9 * abs(e0)
+    assert abs(sum(map(sum, obs.bond_correlators)) - obs.u) < 1e-10 * abs(e0)
+    assert abs(obs.m) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Symmetries of the thermal state
+
+
+def symmetry_tolerance(spec, kt):
+    """As for the random-spec test: a few ulps of the energy scale, times beta."""
+    scale = spec.n_sites * (abs(spec.jx) + abs(spec.jy) + abs(spec.jz) + abs(spec.b))
+    return 1e-12 * (1.0 + scale / kt) * max(1.0, scale)
+
+
+KTS = st.floats(1e-3, 1e3)
+FIELDS = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["xxx", "xx", "xxz"]),
+       boundary=st.sampled_from(["open", "periodic"]),
+       sign=st.sampled_from(["singlet-ground", "as-printed"]),
+       n=st.integers(1, 8), j=st.floats(-3.0, 3.0), b=FIELDS, kt=KTS)
+def test_field_reversal_negates_m_only(family, boundary, sign, n, j, b, kt):
+    # Inverting every spin maps H(B) onto H(-B) when Jx = Jy.
+    assume(boundary == "open" or n >= 3)
+    if family == "xxz":
+        spec = ModelSpec.xyz(j, j, 0.7, b=b, n_sites=n, boundary=boundary, sign_convention=sign)
+    else:
+        make = ModelSpec.xxx if family == "xxx" else ModelSpec.xx
+        spec = make(j, b=b, n_sites=n, boundary=boundary, sign_convention=sign)
+    tol = symmetry_tolerance(spec, kt)
+    obs, flipped = thermal_observables(spec, kt), thermal_observables(replace(spec, b=-b), kt)
+    assert abs(obs.u - flipped.u) < tol
+    assert abs(obs.m + flipped.m) < tol
+    for mine, theirs in zip(obs.bond_correlators, flipped.bond_correlators):
+        assert np.max(np.abs(np.subtract(mine, theirs))) < tol
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(boundary=st.sampled_from(["open", "periodic"]),
+       sign=st.sampled_from(["singlet-ground", "as-printed"]),
+       n=st.integers(1, 8), j=st.floats(-3.0, 3.0), b=FIELDS, kt=KTS)
+def test_xx_coupling_reversal_keeps_u_and_m(boundary, sign, n, j, b, kt):
+    # Rotating every other spin by pi about z maps H(J) onto H(-J) on a
+    # bipartite chain: open chains and even rings (odd rings are frustrated).
+    assume(boundary == "open" or (n >= 4 and n % 2 == 0))
+    spec, reverse = (ModelSpec.xx(coupling, b=b, n_sites=n, boundary=boundary,
+                                  sign_convention=sign) for coupling in (j, -j))
+    tol = symmetry_tolerance(spec, kt)
+    obs, reversed_obs = thermal_observables(spec, kt), thermal_observables(reverse, kt)
+    assert abs(obs.u - reversed_obs.u) < tol
+    assert abs(obs.m - reversed_obs.m) < tol

@@ -423,3 +423,41 @@ def test_huge_chains_do_not_overflow():
     report = lowtemp_ferro_witness(10 ** 12, 1e-3, 0.4, 1.0)
     assert math.isfinite(report.value)
     assert report.value <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Couplings at the edge of the float range
+
+
+def test_overflowing_couplings_are_numerical_failures():
+    # |J|/kT = 1e308: 2K cos w - C would overflow, so every route raises
+    # before any arithmetic can (a leaked RuntimeWarning fails the test).
+    routes = [lambda: xx_witness(1e-300, 0.5, 1e8),
+              lambda: xx_witness_single_integral(1e-300, 0.5, 1e8),
+              lambda: xx_log_partition_density(1e308, 0.0),
+              lambda: xx_magnetization(1e-300, 0.5, 1e8),
+              # the printed magnetization squares K
+              lambda: xx_magnetization(1e-160, 0.5, 1.0, as_printed=True)]
+    for route in routes:
+        with pytest.raises(quadrature.QuadratureError, match="overflows"):
+            route()
+    with pytest.raises(quadrature.QuadratureError, match="overflows"):
+        boundary_trace([0.5], kt_min=1e-308)
+
+
+@pytest.mark.parametrize("as_printed", [False, True])
+def test_overflowing_scan_cells_fail_alone(as_printed):
+    grid = region_scan(np.array([1e-308, 0.5]), np.array([0.0, 0.5]), as_printed=as_printed)
+    assert np.isnan(grid.w[:, 0]).all() and not grid.entangled[:, 0].any()
+    assert [error[:2] for error in grid.cell_errors] == [(0, 0), (1, 0)]
+    assert all("overflows" in error[2] for error in grid.cell_errors)
+    alone = region_scan(np.array([0.5]), np.array([0.0, 0.5]), as_printed=as_printed)
+    assert np.array_equal(grid.w[:, 1], alone.w[:, 0])
+
+
+def test_couplings_just_inside_the_float_range():
+    # kT/|J| = 1e-306 still integrates, to the T -> 0 form (4/pi) sqrt(1 - (B/2J)^2)
+    expected = 4.0 / math.pi * math.sqrt(1.0 - 0.125 ** 2)
+    assert abs(xx_witness(1e-306, 0.5, 2.0).value - expected) < 1e-12
+    assert abs(xx_witness_single_integral(1e-306, 0.5, 2.0) - expected) < 1e-12
+    assert abs(region_scan(np.array([1e-306]), np.array([0.25])).w[0, 0] - expected) < 1e-12
