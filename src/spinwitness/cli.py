@@ -21,6 +21,7 @@ pass an explicit --j for absolute energy units.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -79,7 +80,9 @@ def _add_out_flags(p, default_stem):
     p.add_argument("--out-path", help=f"output file (default {default_stem}.<format>)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing does not change it."""
     parser = _Parser(prog="spinwitness",
                      description="Thermodynamic entanglement witnesses for Heisenberg chains")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -123,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kt-min", type=float, default=1e-3)
     p.add_argument("--kt-max", type=float, default=5.0)
     _add_out_flags(p, "boundary")
-    p.add_argument("--tol", type=float, help="bisection residual |W - 1| target")
+    p.add_argument("--tol", type=float, help="root-finder residual |W - 1| target (default 1e-6)")
     p.set_defaults(handler=cmd_boundary)
 
     p = sub.add_parser("validate", help="run the cross-check suite")

@@ -18,6 +18,8 @@ raises :class:`QuadratureError` instead.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DEFAULT_ABS_TOL = 1e-10
@@ -102,15 +104,16 @@ def _first_panels(a, b, seeds):
 
 
 def _panel_estimates(f, rows, pa, pb):
-    """20-node value and 10/20-node difference of each panel [pa, pb] of ``rows``."""
+    """20-node value, 10/20-node difference, midpoint and width of each panel [pa, pb]."""
     if pa.size > _CHUNK_PANELS:  # caps the (panels x 30) temporaries of deep refinements
         chunks = [slice(i, i + _CHUNK_PANELS) for i in range(0, pa.size, _CHUNK_PANELS)]
         parts = [_panel_estimates(f, rows[c], pa[c], pb[c]) for c in chunks]
         return tuple(np.concatenate(column) for column in zip(*parts))
-    half, mid = 0.5 * (pb - pa), 0.5 * (pa + pb)
+    width = pb - pa
+    half, mid = 0.5 * width, 0.5 * (pa + pb)
     fw = f(rows, mid[:, None] + half[:, None] * _NODES) * _WEIGHTS
     value = half * np.add.reduce(fw[:, _N_LO:], axis=1)
-    return value, np.abs(value - half * np.add.reduce(fw[:, :_N_LO], axis=1)), mid
+    return value, np.abs(value - half * np.add.reduce(fw[:, :_N_LO], axis=1)), mid, width
 
 
 def _integrate_block(f, first, a, b, seeds, abs_tol, max_panels, failures):
@@ -123,28 +126,41 @@ def _integrate_block(f, first, a, b, seeds, abs_tol, max_panels, failures):
     total = np.zeros(n)
     failed = np.zeros(n, dtype=bool)  # a failed row's total is overwritten with NaN
     pa, pb, prow = _first_panels(a, b, seeds)  # prow: index in block
-    panels = np.bincount(prow, minlength=n)  # accepted + open
+    # Panels per row (accepted + open) are ``panels`` plus the row's entries
+    # in ``uncounted``. No row can be over budget before the whole block is,
+    # so the per-row count waits until then.
+    panels, uncounted, block_panels = np.zeros(n, dtype=np.intp), [prow], prow.size
+    # Round k evaluates the first panels halved k times; each halving loses
+    # at most one ulp of max(|a|, |b|) to rounding. Until this lower bound on
+    # the panel widths falls to a few ulps no midpoint can round to an end.
+    ulp = math.ulp(max(abs(a), abs(b)))
+    narrowest = float(np.min(np.abs(pb - pa))) - ulp if prow.size else 0.0
     while prow.size:
         n_failed = len(failures)
-        value, err, mid = _panel_estimates(f, first + prow, pa, pb)
+        value, err, mid, width = _panel_estimates(f, first + prow if first else prow, pa, pb)
         # A panel whose midpoint rounds to one of its ends has no interior
         # left to sample: its row is unresolved at floating-point resolution.
-        for i in ((mid == pa) | (mid == pb)).nonzero()[0]:
+        for i in ((mid == pa) | (mid == pb)).nonzero()[0] if narrowest <= 4.0 * ulp else ():
             if not failed[prow[i]]:
                 failed[prow[i]] = True
                 failures[int(first + prow[i])] = (
                     f"quadrature did not reach abs_tol={abs_tol:g}: a panel at "
                     f"x={float(pa[i])!r} reached floating-point resolution")
-        accept = err <= tol_per_width * (pb - pa)
-        total += np.bincount(prow, weights=np.where(accept, value, 0.0), minlength=n)
-        split = ~accept
+        narrowest = 0.5 * narrowest - ulp
+        split = ~(err <= tol_per_width * width)  # a NaN estimate is split too
+        value[split] = 0.0  # only accepted panels add to their row's total
+        total += np.bincount(prow, weights=value, minlength=n)
         pa, pb, mid, prow = pa[split], pb[split], mid[split], prow[split]
-        panels += np.bincount(prow, minlength=n)
-        for i in (panels > max_panels).nonzero()[0]:
-            if not failed[i]:
-                failed[i] = True
-                failures[int(first + i)] = (
-                    f"quadrature did not reach abs_tol={abs_tol:g} within {max_panels} panels")
+        uncounted.append(prow)
+        block_panels += prow.size
+        if block_panels > max_panels:
+            panels += np.bincount(np.concatenate(uncounted), minlength=n)
+            uncounted = []
+            for i in (panels > max_panels).nonzero()[0]:
+                if not failed[i]:
+                    failed[i] = True
+                    failures[int(first + i)] = (
+                        f"quadrature did not reach abs_tol={abs_tol:g} within {max_panels} panels")
         if len(failures) > n_failed:  # failed rows refine no further
             keep = ~failed[prow]
             pa, pb, mid, prow = pa[keep], pb[keep], mid[keep], prow[keep]

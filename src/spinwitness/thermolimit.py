@@ -29,11 +29,12 @@ field B_c = 2 sqrt(1 - pi^2/16) |J| and B = 0 up to kT_c of order |J|.
 
 Routes: ``region_scan``, ``boundary_trace`` and the two endpoint root
 finders evaluate W by this one integral, batched over all cells or fields
-in one vectorized quadrature, and share one lockstep bisection. Single
-points use the scalar routes: ``xx_witness`` (U + B*M from two integrals;
-it also serves ``region_scan(as_printed=True)``) and
-``xx_witness_single_integral``, which returns the batched route's bits;
-the two are each other's cross-check in ``validate``.
+in one vectorized quadrature, and share one lockstep Illinois (modified
+regula falsi) root finder. Single points use the scalar routes:
+``xx_witness`` (U + B*M from two integrals; it also serves
+``region_scan(as_printed=True)``) and ``xx_witness_single_integral``,
+which returns the batched route's bits; the two are each other's
+cross-check in ``validate``.
 
 Every integral is pre-split around the step of tanh(2K cos w - C) at
 w* = arccos(C/2K) (``_step_seeds``), so low-T steps are resolved.
@@ -73,7 +74,7 @@ from .witness import (
 MAGNETIZATION_LNZ_DERIVATIVE = "lnz-derivative"
 MAGNETIZATION_AS_PRINTED = "as-printed"
 
-DEFAULT_BISECTION_RESIDUAL = 1e-6
+DEFAULT_ROOT_RESIDUAL = 1e-6
 
 
 def _ln_2cosh(x):
@@ -289,7 +290,7 @@ class RegionGrid:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryCurve:
-    """The W = 1 contour kT_c(B), traced by bisection at fixed B.
+    """The W = 1 contour kT_c(B), traced by a root finder in kT at fixed B.
 
     ``points`` holds (B/|J|, kT_c/|J|) pairs sorted by B; B values whose
     kT window never brackets W = 1 land in ``no_crossing``. The two
@@ -404,13 +405,17 @@ def region_scan(kt_over_j_values, b_over_j_values, abs_tol: float = DEFAULT_ABS_
                       cell_errors=tuple(errors), abs_tol=abs_tol, magnetization_form=form)
 
 
-def _bisect(g, n: int, lo: float, hi: float, residual_tol: float,
-            max_iter: int = 200) -> np.ndarray:
+def _illinois(g, n: int, lo: float, hi: float, residual_tol: float,
+              max_iter: int = 200) -> np.ndarray:
     """Roots of g(x, row) = 0 on [lo, hi] for rows 0 .. n-1, in lockstep.
 
     ``g(x, rows)`` returns row ``rows[i]``'s residual at ``x[i]``; each step
-    is one call on the open rows. A row stops at |g(mid)| < residual_tol,
-    or gets NaN if its ends do not bracket a sign change.
+    is one call on the open rows. Each open row moves to the secant point
+    of its own bracket, or to the midpoint where that point is not strictly
+    inside; an end kept twice in a row has its stored residual halved
+    (Illinois, Dowell & Jarratt, BIT 11, 168 (1971)), so a row whose one
+    end is flat still closes in on the root. A row stops at |g(x)| <
+    residual_tol, or gets NaN if its ends do not bracket a sign change.
     """
     rows = np.arange(n)
     lo_x, hi_x = np.full(n, float(lo)), np.full(n, float(hi))
@@ -419,20 +424,29 @@ def _bisect(g, n: int, lo: float, hi: float, residual_tol: float,
     roots = np.where(g_lo == 0.0, lo_x, np.where(g_hi == 0.0, hi_x, np.nan))
     active = np.flatnonzero((g_lo != 0.0) & (g_hi != 0.0)
                             & (np.signbit(g_lo) != np.signbit(g_hi)))
+    kept_lo = np.zeros(n, dtype=bool)  # which end the last step kept
+    kept_hi = np.zeros(n, dtype=bool)
     for _ in range(max_iter):
         if active.size == 0:
             return roots
-        mid = 0.5 * (lo_x[active] + hi_x[active])
-        g_mid = g(mid, active)
-        done = np.abs(g_mid) < residual_tol
-        roots[active[done]] = mid[done]
-        up = np.signbit(g_mid) == np.signbit(g_lo[active])
-        lo_x[active[up]], g_lo[active[up]] = mid[up], g_mid[up]
-        hi_x[active[~up]] = mid[~up]
+        a, b, ga, gb = lo_x[active], hi_x[active], g_lo[active], g_hi[active]
+        with np.errstate(all="ignore"):
+            x = (a * gb - b * ga) / (gb - ga)
+        outside = ~((a < x) & (x < b))  # also where x is NaN
+        x[outside] = 0.5 * (a[outside] + b[outside])
+        g_x = g(x, active)
+        done = np.abs(g_x) < residual_tol
+        roots[active[done]] = x[done]
+        up = np.signbit(g_x) == np.signbit(ga)  # x replaces lo, hi is kept
+        lo_x[active[up]], g_lo[active[up]] = x[up], g_x[up]
+        hi_x[active[~up]], g_hi[active[~up]] = x[~up], g_x[~up]
+        g_hi[active[up & kept_hi[active]]] *= 0.5
+        g_lo[active[~up & kept_lo[active]]] *= 0.5
+        kept_hi[active], kept_lo[active] = up, ~up
         active = active[~done]
     if active.size:
         raise QuadratureError(
-            f"bisection did not reach residual {residual_tol:g} in {max_iter} steps")
+            f"Illinois root finder did not reach residual {residual_tol:g} in {max_iter} steps")
     return roots
 
 
@@ -455,38 +469,39 @@ def critical_field_zero_temperature(j: float = 1.0) -> float:
 
 
 def critical_temperature_zero_field(j: float = 1.0,
-                                    residual_tol: float = DEFAULT_BISECTION_RESIDUAL,
+                                    residual_tol: float = DEFAULT_ROOT_RESIDUAL,
                                     abs_tol: float = DEFAULT_ABS_TOL) -> float:
     """kT_c at B = 0: the root of W(kT, 0) = 1, of order |J| (~1.367 |J|)."""
-    root = _bisect(lambda kt, rows: _w_minus_one(kt, np.zeros_like(kt), abs_tol),
-                   1, 1e-3, 5.0, residual_tol)[0]
+    root = _illinois(lambda kt, rows: _w_minus_one(kt, np.zeros_like(kt), abs_tol),
+                     1, 1e-3, 5.0, residual_tol)[0]
     if math.isnan(root):
         raise QuadratureError("W(kT, 0) = 1 not bracketed in kT/|J| within [1e-3, 5]")
     return root * abs(float(j))
 
 
 def critical_field_low_temperature(kt_over_j: float = 1e-3, j: float = 1.0,
-                                   residual_tol: float = DEFAULT_BISECTION_RESIDUAL,
+                                   residual_tol: float = DEFAULT_ROOT_RESIDUAL,
                                    abs_tol: float = DEFAULT_ABS_TOL) -> float:
     """Field where W crosses 1 at a small fixed kT (T -> 0 is approached).
 
     Converges to :func:`critical_field_zero_temperature` as kt_over_j -> 0.
     """
     kt = ThermalPoint(float(kt_over_j)).kt
-    root = _bisect(lambda b, rows: _w_minus_one(np.full_like(b, kt), b, abs_tol),
-                   1, 0.0, 2.0, residual_tol)[0]
+    root = _illinois(lambda b, rows: _w_minus_one(np.full_like(b, kt), b, abs_tol),
+                     1, 0.0, 2.0, residual_tol)[0]
     if math.isnan(root):
         raise QuadratureError(f"W = 1 not bracketed in B/|J| at kT/|J| = {kt_over_j}")
     return root * abs(float(j))
 
 
 def boundary_trace(b_over_j_values, kt_min: float = 1e-3, kt_max: float = 5.0,
-                   residual_tol: float = DEFAULT_BISECTION_RESIDUAL,
+                   residual_tol: float = DEFAULT_ROOT_RESIDUAL,
                    abs_tol: float = DEFAULT_ABS_TOL) -> BoundaryCurve:
-    """Trace kT_c(B) by bisection at each requested field.
+    """Trace kT_c(B) by an Illinois root search in kT at each requested field.
 
     All fields, plus B = 0 for the zero-field endpoint unless it is among
-    them, are bisected in lockstep with batched one-integral W evaluations.
+    them, are solved in lockstep with batched one-integral W evaluations;
+    a field's root does not depend on the other fields.
     Fields where [kt_min, kt_max] does not bracket W = 1 (above the
     critical field, or kT_c below kt_min) are reported as no-crossing
     entries rather than errors.
@@ -498,8 +513,8 @@ def boundary_trace(b_over_j_values, kt_min: float = 1e-3, kt_max: float = 5.0,
         raise SpecError("fields must be finite")
     zero_at = next((i for i, b in enumerate(fields) if b == 0.0), len(fields))
     solve = np.array(fields if zero_at < len(fields) else [*fields, 0.0])
-    roots = _bisect(lambda kt, rows: _w_minus_one(kt, solve[rows], abs_tol),
-                    solve.size, kt_min, kt_max, residual_tol)
+    roots = _illinois(lambda kt, rows: _w_minus_one(kt, solve[rows], abs_tol),
+                      solve.size, kt_min, kt_max, residual_tol)
     points = [(b, float(t)) for b, t in zip(fields, roots) if not math.isnan(t)]
     no_crossing = [b for b, t in zip(fields, roots) if math.isnan(t)]
     return BoundaryCurve(points=tuple(points), no_crossing=tuple(no_crossing),

@@ -209,7 +209,9 @@ def separable_sweep(n_samples, n_sites, family, seed, include_corners: bool = Tr
     largest = 0.0
     for start in range(0, n_samples, block):
         vecs = rng.normal(size=(min(block, n_samples - start), n, 3))
-        vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
+        sq = vecs * vecs  # the sum linalg.norm takes, in its order, without its overhead
+        vecs /= np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])[..., None]
+        del sq  # a block-sized buffer; held through the roll below it raises the peak
         dots = np.einsum("sna,sna->sn", vecs[:, :, :components],
                          np.roll(vecs, -1, axis=1)[:, :, :components])
         largest = max(largest, float(np.max(np.abs(dots.sum(axis=1)))))

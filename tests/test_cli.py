@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: routes, precedence, exit codes, artifacts."""
 
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -8,7 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from spinwitness import quadrature
+from spinwitness import cli, quadrature
 from spinwitness.cli import main
 from spinwitness.quadrature import QuadratureError
 from spinwitness.svgfig import region_geometry
@@ -113,6 +115,35 @@ def test_usage_errors_exit_one():
     assert exc.value.code == 1
 
 
+def test_reused_parser_gives_what_a_fresh_parser_gives(tmp_path, monkeypatch):
+    # main parses with one cached parser per process; a run of mixed calls
+    # must print and exit exactly as with a new parser for every call
+    calls = [["scan", "--kt-steps", "3", "--b-steps", "3",
+              "--out-path", str(tmp_path / "r.csv")],
+             ["scan", "--kt-steps", "x"],
+             ["witness", "--measured", "--u", "-6", "--m", "0", "--n", "2"],
+             ["--help"]]
+
+    def session():
+        results = []
+        for argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+            results.append((rc, out.getvalue(), err.getvalue()))
+        return results
+
+    cached = session()
+    assert [rc for rc, _, _ in cached] == [0, 1, 0, 0]
+    assert "invalid int value" in cached[1][2] and cached[1][1] == ""
+    assert cached[3][1].startswith("usage: spinwitness")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert session() == cached
+
+
 def test_exact_json(capsys):
     rc, out, _ = run(["exact", "--model", "xxx", "--n", "2", "--boundary", "open",
                       "--kt", "0.01", "--out", "json"], capsys)
@@ -203,7 +234,7 @@ def test_scan_bytes_are_stable_across_runs_and_block_sizes(tmp_path, capsys, mon
 
 def test_scan_and_boundary_where_the_integrand_overflows(tmp_path, capsys):
     # kT/|J| = 1e-308 makes K = 1e308: the scan's cells there are NaN with an
-    # error each, and the boundary's bisection fails with exit code 2.
+    # error each, and the boundary's root finder fails with exit code 2.
     csv = tmp_path / "region.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails the test

@@ -139,7 +139,7 @@ def test_witness_at_vanishing_temperature_is_the_closed_form(kt):
 
 
 def test_endpoint_roots_are_roots_of_the_reference():
-    # both endpoints bisect the batched one-integral W; at kT = 1e-3 its
+    # both endpoints solve the batched one-integral W; at kT = 1e-3 its
     # root must be a root of the mpmath W too, not just of the route's own
     bc = critical_field_low_temperature(kt_over_j=1e-3, residual_tol=1e-9)
     assert abs(_reference_witness(1e-3, bc) - 1.0) < 2e-9
@@ -214,6 +214,102 @@ def test_boundary_fields_are_independent_of_the_batch():
         assert single.points == ((b, ktc),)
         assert single.zero_field_ktc == curve.zero_field_ktc
     assert boundary_trace(np.array([2.0])).no_crossing == (2.0,)
+
+
+def _counting_witness_rows(monkeypatch):
+    """Patch the batched W so that each call records its point count."""
+    calls = []
+    original = thermolimit._witness_rows
+
+    def counted(kt_over_j, b_over_j, abs_tol):
+        calls.append(np.size(kt_over_j))
+        return original(kt_over_j, b_over_j, abs_tol)
+
+    monkeypatch.setattr(thermolimit, "_witness_rows", counted)
+    return calls
+
+
+def test_root_searches_take_few_batched_witness_calls(monkeypatch):
+    calls = _counting_witness_rows(monkeypatch)
+    fields = np.linspace(0.0, 1.2, 13)
+    curve = boundary_trace(fields)
+    assert len(curve.points) == 13
+    assert len(calls) <= 10 and sum(calls) / fields.size <= 8.0
+    for b, ktc in curve.points:
+        assert abs(xx_witness_single_integral(ktc, b, 1.0) - 1.0) < 1e-6
+    for endpoint in (critical_temperature_zero_field,
+                     lambda: critical_field_low_temperature(kt_over_j=1e-3)):
+        calls.clear()
+        endpoint()
+        assert len(calls) <= 10
+
+
+def _plain_regula_falsi_steps(f, a, b, tol, max_steps):
+    """Steps unmodified regula falsi takes to |f| < tol, or None."""
+    fa, fb = f(a), f(b)
+    for step in range(1, max_steps + 1):
+        x = (a * fb - b * fa) / (fb - fa)
+        fx = f(x)
+        if abs(fx) < tol:
+            return step
+        if math.copysign(1.0, fx) == math.copysign(1.0, fa):
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+    return None
+
+
+def _rows_of(*functions, calls=None):
+    """g(x, rows) for the root finder: row r is ``functions[r]``."""
+    def g(x, rows):
+        if calls is not None:
+            calls.append(rows.copy())
+        return np.array([functions[r](v) for v, r in zip(x, rows)])
+    return g
+
+
+def test_root_finder_closes_in_where_one_end_is_flat():
+    # x^3 - 1e-3 is flat near 0: regula falsi keeps the far end for
+    # hundreds of steps; halving the kept residual breaks the stall
+    def flat(x):
+        return x ** 3 - 1e-3
+
+    assert _plain_regula_falsi_steps(flat, 0.0, 1.0, 1e-9, 200) is None
+    calls = []
+    root = thermolimit._illinois(_rows_of(flat, calls=calls), 1, 0.0, 1.0, 1e-9)[0]
+    assert abs(flat(root)) < 1e-9
+    assert len(calls) <= 20
+
+
+def test_root_finder_rows_are_independent_and_step_only_open_rows():
+    functions = (lambda x: x ** 3 - 1e-3, lambda x: math.tanh(20.0 * (x - 0.3)),
+                 lambda x: x - 0.75)
+    calls = []
+    together = thermolimit._illinois(_rows_of(*functions, calls=calls), 3, 0.0, 1.0, 1e-12)
+    for r, f in enumerate(functions):
+        alone = thermolimit._illinois(_rows_of(f), 1, 0.0, 1.0, 1e-12)[0]
+        assert together[r] == alone and abs(f(alone)) < 1e-12
+    assert calls[0].tolist() == [0, 1, 2, 0, 1, 2]  # both ends, once
+    assert all(len(set(rows.tolist())) == rows.size for rows in calls[1:])
+
+
+def test_root_finder_returns_a_root_at_a_bracket_end():
+    calls = []
+    g = _rows_of(lambda x: x - 1.0, lambda x: 2.0 - x, calls=calls)
+    assert thermolimit._illinois(g, 2, 1.0, 2.0, 1e-12).tolist() == [1.0, 2.0]
+    assert len(calls) == 1
+
+
+def test_root_finder_gives_nan_without_a_sign_change():
+    g = _rows_of(lambda x: x * x + 1.0, lambda x: x - 0.5)
+    roots = thermolimit._illinois(g, 2, 0.0, 1.0, 1e-12)
+    assert math.isnan(roots[0]) and abs(roots[1] - 0.5) < 1e-12
+
+
+def test_root_finder_raises_when_steps_run_out():
+    g = _rows_of(lambda x: x ** 3 - 1e-3)
+    with pytest.raises(quadrature.QuadratureError, match="residual 1e-09 in 3 steps"):
+        thermolimit._illinois(g, 1, 0.0, 1.0, 1e-9, max_iter=3)
 
 
 def test_region_scan_values_and_flags():
