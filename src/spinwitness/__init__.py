@@ -12,7 +12,6 @@ from .exactdiag import (
     PairState,
     ThermalObservables,
     bond_list,
-    build_hamiltonian,
     concurrence,
     ground_state_energy,
     ground_state_observables,
@@ -39,7 +38,7 @@ from .model import (
     to_dimensionless,
     validate_spec,
 )
-from .quadrature import QuadratureError, adaptive_quadrature
+from .quadrature import QuadratureError
 from .thermolimit import (
     BoundaryCurve,
     RegionGrid,
@@ -79,8 +78,7 @@ __all__ = [
     "QuadratureError", "RegionGrid", "SIGN_AS_PRINTED", "SIGN_SINGLET_GROUND",
     "SpecError", "THERMODYNAMIC_LIMIT", "THRESHOLD", "ThermalObservables",
     "ThermalPoint", "ValidatedSpec", "WitnessInputs", "WitnessReport",
-    "adaptive_quadrature", "bond_list",
-    "boundary_trace", "build_hamiltonian", "concurrence",
+    "bond_list", "boundary_trace", "concurrence",
     "concurrence_from_energy", "critical_field_low_temperature",
     "critical_field_zero_temperature", "critical_temperature_zero_field",
     "ground_state_energy", "ground_state_observables",

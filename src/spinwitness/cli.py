@@ -44,7 +44,7 @@ from .model import (
 )
 from .quadrature import DEFAULT_ABS_TOL, QuadratureError
 from .svgfig import render_region_svg
-from .thermolimit import boundary_trace, region_scan, xx_witness
+from .thermolimit import DEFAULT_ROOT_RESIDUAL, boundary_trace, region_scan, xx_witness
 from .validation import run_validation_suite
 from .witness import SOURCE_EXTERNAL, witness_from_model, witness_value
 
@@ -60,6 +60,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of every --tol: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _add_model_flags(p):
@@ -96,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, help="measured magnetization (total)")
     p.add_argument("--out", choices=("csv", "json"), default="csv",
                    help="json prints the full report as JSON")
-    p.add_argument("--tol", type=float, help="quadrature tolerance (limit route)")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_ABS_TOL,
+                   help="quadrature tolerance (limit route)")
     p.set_defaults(handler=cmd_witness)
 
     p = sub.add_parser("exact", help="thermal observables of a finite chain")
@@ -114,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-steps", type=int, default=60)
     _add_out_flags(p, "region")
     p.add_argument("--svg", help="also render the region figure to this path")
-    p.add_argument("--tol", type=float, help="quadrature absolute tolerance")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_ABS_TOL,
+                   help="quadrature absolute tolerance")
     p.add_argument("--eq9-as-printed", action="store_true",
                    help="use the literal printed magnetization integrand (discrepancy reporting)")
     p.set_defaults(handler=cmd_scan)
@@ -126,11 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kt-min", type=float, default=1e-3)
     p.add_argument("--kt-max", type=float, default=5.0)
     _add_out_flags(p, "boundary")
-    p.add_argument("--tol", type=float, help="root-finder residual |W - 1| target (default 1e-6)")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_ROOT_RESIDUAL,
+                   help=f"root-finder residual |W - 1| target (default {DEFAULT_ROOT_RESIDUAL:g})")
     p.set_defaults(handler=cmd_boundary)
 
     p = sub.add_parser("validate", help="run the cross-check suite")
-    p.add_argument("--tol", type=float,
+    p.add_argument("--tol", type=_tolerance,
                    help="override tolerance of the quadrature identity checks")
     p.add_argument("--eq9-as-printed", action="store_true",
                    help="run the magnetization check on the literal printed integrand")
@@ -228,7 +242,7 @@ def cmd_witness(args) -> int:
         if vspec.family != FAMILY_XX:
             raise SpecError("the thermodynamic-limit witness is available for the XX family only")
         report = xx_witness(args.kt, vspec.b, vspec.jx,
-                            abs_tol=args.tol if args.tol else DEFAULT_ABS_TOL)
+                            abs_tol=args.tol)
     else:
         report = witness_from_model(vspec, args.kt)
     _render_report(report, args.out)
@@ -277,7 +291,7 @@ def _axis(lo, hi, steps, name):
 def cmd_scan(args) -> int:
     grid = region_scan(_axis(args.kt_min, args.kt_max, args.kt_steps, "kT"),
                        _axis(args.b_min, args.b_max, args.b_steps, "B"),
-                       abs_tol=args.tol if args.tol else DEFAULT_ABS_TOL,
+                       abs_tol=args.tol,
                        as_printed=args.eq9_as_printed)
     out_path = Path(args.out_path or f"region.{args.out}")
     out_path.write_text(grid.to_csv() if args.out == "csv" else grid.to_json())
@@ -293,7 +307,7 @@ def cmd_scan(args) -> int:
 def cmd_boundary(args) -> int:
     curve = boundary_trace(_axis(args.b_min, args.b_max, args.b_steps, "B"),
                            kt_min=args.kt_min, kt_max=args.kt_max,
-                           residual_tol=args.tol if args.tol else 1e-6)
+                           residual_tol=args.tol)
     out_path = Path(args.out_path or f"boundary.{args.out}")
     out_path.write_text(curve.to_csv() if args.out == "csv" else curve.to_json())
     print(f"wrote {out_path} ({len(curve.points)} points, "

@@ -26,30 +26,33 @@ so that sector is solved as its two Z-parity halves, each half the size
 (Sandvik, arXiv:1101.3281, section 4.2; H. Q. Lin, PRB 42, 6561 (1990)).
 Energies then ascend inside each half only, not across the sector.
 
-Open chains diagonalize each sector as one real block built from index
-tables of (N, conserved quantity); the halves of k = N/2 are folded from
-it, solved by one stacked eigh, and their vectors mapped back to the
-sector's states. Rings also commute with the
-translation T (site j -> j+1), so each sector splits further by lattice
-momentum q. A representative a (the smallest state of its T-orbit, orbit
-size R_a) spans the momentum state
+A ring also commutes with the translation T (site j -> j+1), so each
+sector splits further by lattice momentum q. A representative a (the
+smallest state of its T-orbit, orbit size R_a) spans the momentum state
 
     |a, q> = R_a^(-1/2) sum_{l < R_a} e^(-2 pi i q l / N) T^l |a>,
 
 which exists only when q R_a = 0 mod N. A bond flip taking a to T^l b adds
 c e^(2 pi i q l / N) sqrt(R_a / R_b) to <b, q|H|a, q> (Sandvik,
 arXiv:1101.3281, section 4). Block N - q is the complex conjugate of block
-q, so only q <= N/2 is diagonalized and 0 < q < N/2 counts twice. The
-momentum blocks of k = N/2 are laid out directly in their Z-parity
-halves. Blocks of equal size, halves or not, are stacked into one
-`numpy.linalg.eigh` call. Since the thermal state commutes with T, every
-ring bond has the same correlators: the ring eigensystem stores, per
-eigenstate, <M> and the translation sums of the antiparallel-flip,
-parallel-flip and sz.sz bond operators, and any thermal or ground-state
-average is one weighted sum over that table. Each block's H is assembled
-from a sparse table of those four operators; the diagonal ones are read
-off as sum_i |v_i|^2 diag_i, and only flip operators with entries in a
-block are multiplied into its vectors. No 2^N x 2^N matrix is formed;
+q, so only q <= N/2 is diagonalized and 0 < q < N/2 counts twice. An open
+chain is the same construction with a translation group of order 1: every
+state is its own representative and only q = 0 exists. Both boundaries
+share one layout and build each block's H from one sparse table of four
+coupling-free operators: sum_j sz_j and, summed over a tuple of site
+pairs, sz.sz and the flips that move an antiparallel or a parallel pair.
+The blocks of k = N/2 are laid out in their Z-parity halves, and blocks
+of equal size are stacked into one `numpy.linalg.eigh` call; 1 x 1 blocks
+need none.
+
+Only the readers differ. A ring's thermal state commutes with T, so every
+ring bond has the same correlators: its eigensystem stores, per
+eigenstate, <M> and the translation sums of the bond operators (diagonal
+ones read as sum_i |v_i|^2 diag_i, flip ones multiplied into the vectors
+only where they have entries), and any average is one weighted sum over
+that table. An open chain stores only energies and <M>; each call forms
+the density (V sqrt p)(V sqrt p)^T of every stack of equal-size blocks and
+reads it pair by pair. No 2^N x 2^N matrix is formed;
 :func:`build_hamiltonian` assembles the dense matrix, which serves as an
 independent oracle.
 
@@ -89,9 +92,6 @@ SITE_CAP = 14
 _EIG_CACHE_SIZE = 8
 
 _DEGENERACY_TOL = 1e-9
-
-# The spin-inversion parities of the two halves of sector k = N/2, for broadcasting.
-_PARITY = np.array([1.0, -1.0])[:, None, None]
 
 _SIGMA_YY = np.array([[0.0, 0.0, 0.0, -1.0],
                       [0.0, 0.0, 1.0, 0.0],
@@ -152,17 +152,15 @@ def _require_finite(vspec: ValidatedSpec) -> int:
     return vspec.n_sites
 
 
+@lru_cache(maxsize=16)
 def _site_z(n_sites: int) -> np.ndarray:
-    """Table z[j, r] = sz value (+1/-1) of site j in basis state r."""
+    """Table z[j, r] = sz value (+1/-1) of site j in basis state r (read-only)."""
     r = np.arange(1 << n_sites, dtype=np.int64)
     z = np.empty((n_sites, r.size))
     for j in range(n_sites):
         z[j] = 1.0 - 2.0 * ((r >> (n_sites - 1 - j)) & 1)
+    z.setflags(write=False)
     return z
-
-
-def _flip_mask(n_sites: int, i: int, j: int) -> int:
-    return (1 << (n_sites - 1 - i)) | (1 << (n_sites - 1 - j))
 
 
 def build_hamiltonian(spec) -> np.ndarray:
@@ -177,15 +175,13 @@ def build_hamiltonian(spec) -> np.ndarray:
     n = _require_finite(vspec)
     s = float(vspec.coupling_sign)
     dim = 1 << n
-    z = _site_z(n)
     r = np.arange(dim, dtype=np.int64)
 
     h = np.zeros((dim, dim))
-    diag = -vspec.b * z.sum(axis=0)
-    for i, j in bond_list(n, vspec.boundary):
-        zij = z[i] * z[j]
+    diag = -vspec.b * _site_z(n).sum(axis=0)
+    for mask, zij in zip(*_pair_operators(n, bond_list(n, vspec.boundary))):
         diag += s * vspec.jz * zij
-        h[r ^ _flip_mask(n, i, j), r] += s * (vspec.jx - vspec.jy * zij)
+        h[r ^ mask, r] += s * (vspec.jx - vspec.jy * zij)
     h[r, r] += diag
     return h
 
@@ -218,200 +214,12 @@ def _pair_matrix(za: float, zb: float, zab: float, xx: float, yy: float) -> Pair
 
 
 # ---------------------------------------------------------------------------
-# Open chains: total-S^z or parity sectors of the site basis
+# Symmetry blocks: momentum blocks of each total-S^z or parity sector. An open
+# chain is a ring whose translation group has order 1.
 
 
-class _Sector(NamedTuple):
-    """One diagonal block: its basis states and its off-diagonal pattern."""
-
-    states: np.ndarray   # basis indices in the block, ascending
-    span: slice          # the block's rows in the per-state tables of _Basis
-    flips: np.ndarray    # flat indices (to * dim + from) of the bond flips in the block
-    n_antiparallel: int  # flips[:n_antiparallel] move antiparallel pairs, the rest parallel
-
-
-class _Basis(NamedTuple):
-    """The blocks of one open chain, with per-state tables in block order."""
-
-    sectors: tuple[_Sector, ...]
-    states: np.ndarray     # every basis index, block after block
-    zsum: np.ndarray       # sum_j sz_j of each state
-    zz_sum: np.ndarray     # sum_bonds sz_i sz_j of each state
-    bond_zz: np.ndarray    # (n_bonds, 2^N): sz_i sz_j of each bond and state
-    flip_slot: np.ndarray  # for every flip of every block: its bond, + n_bonds if parallel
-
-
-class _OpenEigensystem(NamedTuple):
-    """An open chain's eigensystem: one state per basis state of each sector."""
-
-    basis: _Basis
-    energies: np.ndarray       # in block order; ascending within each block, or
-                               # within each Z-parity half of k = N/2
-    vectors: tuple             # per block; the spin-flip images are reversed views
-    magnetization: np.ndarray  # sum_j sz_j of each eigenstate (total-S^z sectors)
-    multiplicity: float = 1.0
-
-    def observables(self, n_sites: int, energies: np.ndarray, p: np.ndarray):
-        """(U, M, bond correlators) for the mixture sum_k p[k] |v_k><v_k|.
-
-        A bond's xx sums rho[r ^ mask, r] over its flips; yy weights each term
-        by -z_i z_j, i.e. +1 for an antiparallel pair and -1 for a parallel one.
-        """
-        basis = self.basis
-        q = np.zeros(p.size)  # basis-diagonal of rho
-        flip_values = []
-        for sec, rho in _block_densities(basis, self.vectors, p):
-            if rho is None:
-                flip_values.append(np.zeros(sec.flips.size))
-                continue
-            q[sec.span] = rho.diagonal()
-            flip_values.append(rho.ravel()[sec.flips])
-        n_bonds = basis.bond_zz.shape[0]
-        by_slot = np.bincount(basis.flip_slot, np.concatenate(flip_values),
-                              minlength=2 * n_bonds)
-        antiparallel, parallel = by_slot[:n_bonds], by_slot[n_bonds:]
-        correlators = zip((antiparallel + parallel).tolist(),
-                          (antiparallel - parallel).tolist(), (basis.bond_zz @ q).tolist())
-        return float(p @ energies), float(q @ basis.zsum), tuple(correlators)
-
-    def pair_state(self, n_sites: int, p: np.ndarray, a: int, b: int) -> PairState:
-        """The (a, b) pair state, summed block by block."""
-        n, basis = n_sites, self.basis
-        z_a, z_b = (1.0 - 2.0 * ((basis.states >> (n - 1 - site)) & 1) for site in (a, b))
-        z_ab = z_a * z_b
-        mask = _flip_mask(n, a, b)
-        q = np.zeros(p.size)
-        xx = yy = 0.0
-        for sec, rho in _block_densities(basis, self.vectors, p):
-            if rho is None:
-                continue
-            q[sec.span] = rho.diagonal()
-            to, frm = _partners(sec.states, mask)
-            values = rho[to, frm]
-            xx += float(values.sum())
-            yy -= float(values @ z_ab[sec.span][frm])
-        return _pair_matrix(float(q @ z_a), float(q @ z_b), float(q @ z_ab), xx, yy)
-
-
-def _partners(states: np.ndarray, mask: int):
-    """Positions (to, from) of the pairs (state ^ mask, state) inside ``states``."""
-    partner = states ^ mask
-    to = np.minimum(np.searchsorted(states, partner), states.size - 1)
-    inside = states[to] == partner
-    return to[inside], np.flatnonzero(inside)
-
-
-@lru_cache(maxsize=64)
-def _basis(n_sites: int, conserve_sz: bool) -> _Basis:
-    """Block tables of an open N-site chain; no coupling or field enters them.
-
-    Blocks are the total-S^z sectors (ordered by the number of down spins
-    k) when ``conserve_sz``, otherwise the even and odd parity sectors.
-    """
-    z = _site_z(n_sites)
-    downs = np.rint((n_sites - z.sum(axis=0)) / 2.0).astype(np.int64)
-    label = downs if conserve_sz else downs % 2
-    states = np.argsort(label, kind="stable")  # by block, ascending inside each
-    bonds = bond_list(n_sites, BOUNDARY_OPEN)
-    bond_zz = np.empty((len(bonds), states.size))
-    for b, (i, j) in enumerate(bonds):
-        bond_zz[b] = (z[i] * z[j])[states]
-
-    sectors, slots, start = [], [np.empty(0, np.int64)], 0
-    for dim in np.bincount(label).tolist():
-        span = slice(start, start + dim)
-        start += dim
-        flat, slot = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        for b, (i, j) in enumerate(bonds):
-            to, frm = _partners(states[span], _flip_mask(n_sites, i, j))
-            flat.append(to * dim + frm)
-            slot.append(np.where(bond_zz[b, span][frm] < 0.0, b, b + len(bonds)))
-        flat, slot = np.concatenate(flat), np.concatenate(slot)
-        order = np.argsort(slot >= len(bonds), kind="stable")  # antiparallel flips first
-        sectors.append(_Sector(states[span], span, flat[order],
-                               int(np.count_nonzero(slot < len(bonds)))))
-        slots.append(slot[order])
-    return _Basis(tuple(sectors), states, z.sum(axis=0)[states], bond_zz.sum(axis=0),
-                  bond_zz, np.concatenate(slots))
-
-
-@lru_cache(maxsize=_EIG_CACHE_SIZE)
-def _open_eigensystem(vspec: ValidatedSpec) -> _OpenEigensystem:
-    """Energies and per-block vectors of an open chain, cached per spec.
-
-    ``lru_cache`` serializes insertion, so concurrent readers are safe and
-    at worst two threads diagonalize one spec once each. Total-S^z specs
-    arrive here with B = 0 only, where block N - k is block k with every
-    spin flipped: the same energies, and vectors over the block's states in
-    reverse order.
-    """
-    n = vspec.n_sites
-    conserve_sz = vspec.jx == vspec.jy
-    basis = _basis(n, conserve_sz)
-    s = float(vspec.coupling_sign)
-    diagonal = s * vspec.jz * basis.zz_sum - vspec.b * basis.zsum
-    solved = n // 2 + 1 if conserve_sz else len(basis.sectors)
-    energies = np.empty(diagonal.size)
-    vectors = []
-    for k, sec in enumerate(basis.sectors[:solved]):
-        dim = sec.states.size
-        h = np.zeros((dim, dim))
-        # Distinct bonds flip distinct masks, so no (to, from) entry repeats.
-        h.flat[sec.flips[:sec.n_antiparallel]] = s * (vspec.jx + vspec.jy)
-        h.flat[sec.flips[sec.n_antiparallel:]] = s * (vspec.jx - vspec.jy)
-        h.flat[::dim + 1] = diagonal[sec.span]
-        solve = _eigh_by_inversion if conserve_sz and 2 * k == n else np.linalg.eigh
-        energies[sec.span], block_vectors = solve(h)
-        block_vectors.setflags(write=False)
-        vectors.append(block_vectors)
-    for k in range(solved, len(basis.sectors)):
-        energies[basis.sectors[k].span] = energies[basis.sectors[n - k].span]
-        vectors.append(vectors[n - k][::-1])
-    energies.setflags(write=False)
-    return _OpenEigensystem(basis, energies, tuple(vectors), basis.zsum)
-
-
-def _eigh_by_inversion(h: np.ndarray):
-    """Eigensystem of the k = N/2 block of an open chain, as two halves.
-
-    Spin inversion maps the block's i-th state (ascending) to its
-    (d-1-i)-th, so (e_i +- e_(d-1-i))/sqrt 2, i < d/2, span the two
-    inversion halves, where H is H[:h, :h] +- H[:h, ::-1][:, :h]. Both are
-    solved by one stacked eigh; the vectors are mapped back to the block's
-    states, the even half's columns first. Energies ascend in each half only.
-    """
-    half = h.shape[0] // 2
-    energies, halves = np.linalg.eigh(h[:half, :half] + _PARITY * h[:half, ::-1][:, :half])
-    halves *= math.sqrt(0.5)
-    vectors = np.empty_like(h)
-    vectors[:half] = np.concatenate(halves, axis=1)
-    vectors[half:] = np.concatenate(_PARITY * halves, axis=1)[::-1]
-    return energies.ravel(), vectors
-
-
-def _block_densities(basis: _Basis, vectors, p: np.ndarray):
-    """Yield (sector, rho) with rho = V diag(p) V^T of the block's weighted vectors.
-
-    Vectors of weight exactly 0 (outside the ground multiplet, or with an
-    underflowed Boltzmann factor) add nothing and are skipped; a block with
-    no weight at all yields rho = None.
-    """
-    for sec, v in zip(basis.sectors, vectors):
-        p_block = p[sec.span]
-        keep = p_block > 0.0
-        if not keep.any():
-            yield sec, None
-            continue
-        weighted = v[:, keep] * np.sqrt(p_block[keep])
-        yield sec, weighted @ weighted.T
-
-
-# ---------------------------------------------------------------------------
-# Rings: momentum blocks of each total-S^z or parity sector
-
-
-class _RingGroup(NamedTuple):
-    """Momentum blocks of one size, diagonalized by one stacked eigh."""
+class _Group(NamedTuple):
+    """Blocks of one size, diagonalized by one stacked eigh."""
 
     reps: np.ndarray      # (m, d): each block's representatives, ascending
     orbits: np.ndarray    # (m, d): site states each basis state spans: the orbit size R
@@ -421,42 +229,49 @@ class _RingGroup(NamedTuple):
     dtype: type           # float when every block has q = 0 or q = N/2
 
 
-class _Ring(NamedTuple):
-    """Momentum-block layout of one ring; eigenstates are numbered group by group."""
+class _Layout(NamedTuple):
+    """Block layout of one chain; eigenstates are numbered group by group."""
 
+    order: int                # of the translation group: N for a ring, 1 for an open chain
     conserve_sz: bool
-    groups: tuple[_RingGroup, ...]
+    groups: tuple[_Group, ...]
     rep: np.ndarray           # representative of every basis state
     shift: np.ndarray         # l with state = T^l rep, for every basis state
+    solved: int               # eigenstates solved by the groups; the rest are images
     source: np.ndarray        # every eigenstate's solved state: its own, then the
                               # spin-flip images of k < N/2 (total S^z only)
     multiplicity: np.ndarray  # per eigenstate: 2 for 0 < q < N/2 (q and N - q), else 1
 
 
-class _RingTerms(NamedTuple):
-    """One ring group's operators for pairs (i, i+d), summed over i, without couplings.
+class _Terms(NamedTuple):
+    """One group's operators for a tuple of site pairs (i, j), summed, without couplings.
 
-    The four layers are sum_j sz_j, sum_i sz_i sz_(i+d), and the sums of
-    the flips that move an antiparallel and a parallel pair. ``values``
-    holds them row by row at the cells ``flat`` of the group's (m, d, d)
-    stack of blocks that any of them fills; the first two are diagonal.
+    The four layers are sum_j sz_j over every site, the sum of sz_i sz_j
+    over the pairs, and the sums of the pair flips that move an
+    antiparallel and a parallel pair. ``values`` holds them row by row at
+    the cells ``flat`` of the group's (m, d, d) stack of blocks that any of
+    them fills; the first two are diagonal.
     """
 
     flat: np.ndarray      # distinct indices into the (m, d, d) stack
     values: np.ndarray    # (4, cells): every layer's entry at each cell
     diagonal: np.ndarray  # (2, m, 1, d): the diagonal layers, block by block
     flips: slice          # the rows of ``values`` whose flip layers have entries here
+    apart: tuple | None   # open chains: the pairs' terms kept apart, as (zz, cells,
+                          # values, slots): the (pairs, m d) sz_i sz_j of every state,
+                          # and per flip its cell, its entry and its slot, the pair's
+                          # index plus len(pairs) for a parallel pair
 
 
-class _RingEigensystem(NamedTuple):
-    """A ring's eigensystem: what thermal and ground averages need, per eigenstate."""
+class _Eigensystem(NamedTuple):
+    """A chain's energies, per-eigenstate table and stacked vectors, numbered as in _Layout."""
 
-    ring: _Ring
-    table: np.ndarray         # (5, states): per eigenstate (numbered as in _Ring), its
-                              # energy and its expectation of each layer of _RingTerms (d = 1)
-    vectors: tuple            # per group, the (m, d, d) stacked eigenvectors
-    pair_layers: dict         # distance d > 1 -> rows 2-4 of the table for pairs (i, i+d),
-                              # filled on first use
+    layout: _Layout
+    table: np.ndarray     # per eigenstate: its energy, its <M> and, for rings only, its
+                          # expectation of the other layers of the bond _Terms
+    vectors: tuple        # per group, the (m, d, d) stacked eigenvectors
+    pair_layers: dict     # rings: distance d > 1 -> rows 2-4 of the table for pairs
+                          # (i, i+d), filled on first use
 
     @property
     def energies(self) -> np.ndarray:
@@ -468,7 +283,13 @@ class _RingEigensystem(NamedTuple):
 
     @property
     def multiplicity(self) -> np.ndarray:
-        return self.ring.multiplicity
+        return self.layout.multiplicity
+
+
+class _RingEigensystem(_Eigensystem):
+    """A ring's eigensystem, read through its per-eigenstate table."""
+
+    __slots__ = ()
 
     def observables(self, n_sites: int, energies: np.ndarray, p: np.ndarray):
         """(U, M, bond correlators): every bond gets the translation average."""
@@ -498,50 +319,116 @@ class _RingEigensystem(NamedTuple):
         """
         layers = self.pair_layers.get(distance)
         if layers is None:
-            terms = _ring_terms(n_sites, self.ring.conserve_sz, distance)
+            pairs = tuple((i, (i + distance) % n_sites) for i in range(n_sites))
+            terms = _terms(n_sites, n_sites, self.layout.conserve_sz, pairs)
             layers = np.concatenate([_expectations(t, v) for t, v in zip(terms, self.vectors)],
                                     axis=1)
-            layers = layers[:, self.ring.source][1:]
+            layers = layers[:, self.layout.source][1:]
             layers.setflags(write=False)
             layers = self.pair_layers.setdefault(distance, layers)
         return layers
 
 
-def _translate(states: np.ndarray, n_sites: int) -> np.ndarray:
-    """T: site j -> j+1, i.e. bit (N-1-j) -> bit (N-2-j), cyclically."""
-    return (states >> 1) | ((states & 1) << (n_sites - 1))
+class _OpenEigensystem(_Eigensystem):
+    """An open chain's eigensystem, read through per-call densities of each group."""
+
+    __slots__ = ()
+
+    def observables(self, n_sites: int, energies: np.ndarray, p: np.ndarray):
+        """(U, M, bond correlators) for the mixture sum_k p[k] |v_k><v_k|, bond by bond."""
+        zz, antiparallel, parallel = self._read(n_sites, p, bond_list(n_sites, BOUNDARY_OPEN))
+        correlators = zip((antiparallel + parallel).tolist(),
+                          (antiparallel - parallel).tolist(), zz.tolist())
+        return float(p @ energies), float(p @ self.magnetization), tuple(correlators)
+
+    def pair_state(self, n_sites: int, p: np.ndarray, a: int, b: int) -> PairState:
+        """The (a, b) pair state, read from every group's density."""
+        zz, antiparallel, parallel = self._read(n_sites, p, ((min(a, b), max(a, b)),))[:, 0]
+        z_a, z_b = self._site_magnetizations(n_sites, p, (a, b))
+        return _pair_matrix(z_a, z_b, float(zz), float(antiparallel + parallel),
+                            float(antiparallel - parallel))
+
+    def _read(self, n_sites: int, p: np.ndarray, pairs) -> np.ndarray:
+        """(3, pairs): the zz, antiparallel-flip and parallel-flip values of each pair.
+
+        Every group's density rho = (V sqrt w)(V sqrt w)^T is formed once and
+        read through the tables of all pairs. ``w`` folds each spin-flip
+        image's weight onto its source state, since the pair operators are
+        even under a global flip. Vectors of weight exactly 0 in every block
+        of the group (outside the ground multiplet, or with an underflowed
+        Boltzmann factor) add nothing and are skipped.
+        """
+        root = np.sqrt(np.bincount(self.layout.source, p))
+        sums, start = np.zeros(3 * len(pairs)), 0
+        for v, terms in zip(self.vectors, _terms(n_sites, 1, self.layout.conserve_sz, pairs)):
+            zz, cells, values, slots = terms.apart
+            m, d, _ = v.shape
+            w = root[start:start + m * d].reshape(m, 1, d)
+            start += m * d
+            live = (w > 0.0).any(axis=(0, 1))
+            if not live.all():
+                if not live.any():
+                    continue
+                v, w = v[:, :, live], w[:, :, live]
+            weighted = v * w
+            rho = weighted @ weighted.transpose(0, 2, 1)
+            sums[:len(pairs)] += zz @ rho.diagonal(axis1=1, axis2=2).ravel()
+            sums[len(pairs):] += np.bincount(slots, values * rho.reshape(-1)[cells],
+                                             minlength=2 * len(pairs))
+        return sums.reshape(3, -1)
+
+    def _site_magnetizations(self, n_sites: int, p: np.ndarray, sites) -> list:
+        """<sz_j> of each site j in ``sites``.
+
+        sz_j is odd under a global flip, so an image's weight counts
+        negated, and in a spin-inversion half it reads 0, the mean over a
+        state and its image.
+        """
+        solved, source = self.layout.solved, self.layout.source
+        signed = p[:solved] - np.bincount(source[solved:], p[solved:], minlength=solved)
+        bits = n_sites - 1 - np.array(sites)
+        z, start = np.zeros(len(sites)), 0
+        for g, v in zip(self.layout.groups, self.vectors):
+            m, d = g.reps.shape
+            occupation = ((v * v) @ signed[start:start + m * d].reshape(m, d, 1))[..., 0]
+            start += m * d
+            occupation *= (g.parity == 0)[:, None]
+            z += occupation.reshape(-1) @ (1.0 - 2.0 * ((g.reps.reshape(-1, 1) >> bits) & 1))
+        return z.tolist()
 
 
 @lru_cache(maxsize=32)
-def _ring(n_sites: int, conserve_sz: bool) -> _Ring:
-    """Momentum-block layout of an N-site ring; no coupling or field enters it.
+def _layout(n_sites: int, order: int, conserve_sz: bool) -> _Layout:
+    """Block layout of an N-site chain whose translation group has ``order`` elements.
 
-    Solved blocks are q = 0..N/2 of the sectors k = 0..N/2 when
-    ``conserve_sz`` (sector N - k is the spin-flip image of k at B = 0),
-    otherwise of both parity sectors. The blocks of k = N/2 are solved as
-    their two spin-inversion halves (see :func:`_inversion_halves`).
+    A ring has order N. An open chain has order 1: every state is its own
+    representative, with orbit size 1, and only q = 0 exists. No coupling
+    or field enters the layout. Solved blocks are q = 0..order/2 of the
+    sectors k = 0..N/2 when ``conserve_sz`` (sector N - k is the spin-flip
+    image of k at B = 0), otherwise of both parity sectors. The blocks of
+    k = N/2 are solved as their two spin-inversion halves (see
+    :func:`_inversion_halves`).
     """
     n = n_sites
     states = np.arange(1 << n, dtype=np.int64)
-    images = np.empty((n, states.size), np.int64)  # images[l] = T^l state
+    images = np.empty((order, states.size), np.int64)  # images[l] = T^l state
     images[0] = states
-    for l in range(1, n):
-        images[l] = _translate(images[l - 1], n)
+    for l in range(1, order):  # T: site j -> j+1, i.e. bit N-1-j -> bit N-2-j, cyclically
+        images[l] = (images[l - 1] >> 1) | ((images[l - 1] & 1) << (n - 1))
     to_rep = images.argmin(axis=0)
     rep = images[to_rep, states]
-    shift = (-to_rep) % n
-    back = images[1:] == states
-    period = np.where(back.any(axis=0), back.argmax(axis=0) + 1, n)
+    shift = (-to_rep) % order
+    period = order // (images == states).sum(axis=0)  # R_a = order / #{l : T^l a = a}
     downs = np.rint((n - _site_z(n).sum(axis=0)) / 2.0).astype(np.int64)
     label = downs if conserve_sz else downs % 2
 
     blocks = {}  # size -> [(reps, orbits, q, parity, sector)]
     for sector in range(n // 2 + 1) if conserve_sz else (0, 1):
         members = np.flatnonzero((rep == states) & (label == sector))
-        for q in range(n // 2 + 1):
-            reps = members[q * period[members] % n == 0]
+        for q in range(order // 2 + 1):
+            reps = members[q * period[members] % order == 0]
             if conserve_sz and 2 * sector == n:
-                halves = _inversion_halves(reps, q, rep, shift, period, n)
+                halves = _inversion_halves(reps, q, rep, shift, period, order)
             else:
                 halves = [(reps, period[reps], 0)]
             for half, orbits, parity in halves:
@@ -550,34 +437,35 @@ def _ring(n_sites: int, conserve_sz: bool) -> _Ring:
     groups, sectors, momenta = [], [], []
     for size in sorted(blocks):
         reps, orbits, q, parity, sector = (np.array(column) for column in zip(*blocks[size]))
-        dtype = complex if (2 * q % n).any() else float
-        groups.append(_RingGroup(reps, orbits, q, parity, dtype))
+        dtype = complex if (2 * q % order).any() else float
+        groups.append(_Group(reps, orbits, q, parity, dtype))
         sectors.append(np.repeat(sector, size))
         momenta.append(np.repeat(q, size))
     sectors, momenta = np.concatenate(sectors), np.concatenate(momenta)
     source = np.arange(sectors.size)
     if conserve_sz:
         source = np.concatenate([source, np.flatnonzero(2 * sectors < n)])
-    multiplicity = np.where(2 * momenta[source] % n == 0, 1.0, 2.0)
+    multiplicity = np.where(2 * momenta[source] % order == 0, 1.0, 2.0)
     for array in (rep, shift, source, multiplicity):
         array.setflags(write=False)
-    return _Ring(conserve_sz, tuple(groups), rep, shift, source, multiplicity)
+    return _Layout(order, conserve_sz, tuple(groups), rep, shift, sectors.size, source,
+                   multiplicity)
 
 
-def _inversion_halves(reps, q, rep, shift, period, n_sites):
+def _inversion_halves(reps, q, rep, shift, period, order):
     """The two spin-inversion halves of momentum block q of sector k = N/2.
 
     Inverting every spin (Z) takes |a, q> to e^(2 pi i q m / N) |b, q>,
     where the inverted a is T^m b (Sandvik, arXiv:1101.3281, section 4.2).
     Each pair a < b spans one state (|a, q> +- Z|a, q>)/sqrt 2 of each
     half, listed under a; it spans the 2 R_a site states of both orbits.
-    A state with b = a is its own image times +-1 and lies in one half.
-    Returns (representatives, orbit sizes, parity) of the + and - halves.
+    A state with b = a is its own image times +-1 and lies in one half;
+    an open chain has none. Returns (representatives, orbit sizes, parity)
+    of the + and - halves.
     """
-    n = n_sites
-    inverted = ((1 << n) - 1) ^ reps
+    inverted = (rep.size - 1) ^ reps
     image = rep[inverted]
-    sign = np.where(q * shift[inverted] % n == 0, 1, -1)
+    sign = np.where(q * shift[inverted] % order == 0, 1, -1)
     orbits = np.where(image == reps, 1, 2) * period[reps]
     halves = []
     for parity in (1, -1):
@@ -586,55 +474,71 @@ def _inversion_halves(reps, q, rep, shift, period, n_sites):
     return halves
 
 
-@lru_cache(maxsize=64)
-def _ring_terms(n_sites: int, conserve_sz: bool, distance: int) -> tuple[_RingTerms, ...]:
-    """Per group of :func:`_ring`, the operators for pairs (i, i+distance).
+def _pair_operators(n_sites: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(flip masks, (pairs, 2^N) table of sz_i sz_j) of the site pairs (i, j) in ``pairs``."""
+    first, second = np.array(pairs, np.int64).reshape(-1, 2).T
+    z = _site_z(n_sites)
+    return (1 << (n_sites - 1 - first)) | (1 << (n_sites - 1 - second)), z[first] * z[second]
 
-    The flip of pair (i, i+d) takes representative a to a state T^l b;
-    summed over i it adds e^(2 pi i q l / N) sqrt(R_a / R_b) to entry (b, a)
-    of block q, with R the orbit sizes of :class:`_RingGroup`. In a
-    spin-inversion half of parity p, a b whose image b' (inverted b =
-    T^m b') is smaller stands for the state listed under b', with the extra
-    factor p e^(2 pi i q m / N). Repeats (several pairs reaching one state)
-    are summed. Phases and roots are taken only for entries inside a block.
+
+@lru_cache(maxsize=64)
+def _terms(n_sites: int, order: int, conserve_sz: bool,
+           pairs: tuple[tuple[int, int], ...]) -> tuple[_Terms, ...]:
+    """Per group of :func:`_layout`, the operators summed over the site pairs ``pairs``.
+
+    A ring's H and its pair layers at distance d take every pair (i, i+d);
+    an open chain's H and bond reader take its N - 1 bonds, its pair
+    reader one pair. A flip taking representative a to a state T^l b adds
+    e^(2 pi i q l / N) sqrt(R_a / R_b) to entry (b, a) of block q, with R
+    the orbit sizes of :class:`_Group`. In a spin-inversion half of parity
+    p, a b whose image b' (inverted b = T^m b') is smaller stands for the
+    state listed under b', with the extra factor p e^(2 pi i q m / N); p is
+    carried as a sign, since with order 1 it is no power of a root of
+    unity. Repeats (several pairs reaching one state) are summed. Phases
+    and roots are taken only for entries inside a block.
     """
     n = n_sites
-    ring = _ring(n, conserve_sz)
-    z = _site_z(n)
-    pairs = [(i, (i + distance) % n) for i in range(n)]
-    masks = np.array([_flip_mask(n, i, j) for i, j in pairs])
-    pair_zz = np.stack([z[i] * z[j] for i, j in pairs], axis=-1)  # (2^N, pairs)
-    parallel = pair_zz > 0.0
-    diagonal = np.stack((z.sum(axis=0), pair_zz.sum(axis=-1)))
-    roots = np.exp(2j * np.pi / n * np.arange(n))
+    layout = _layout(n, order, conserve_sz)
+    masks, pair_zz = _pair_operators(n, pairs)
+    diagonal = np.stack((_site_z(n).sum(axis=0), pair_zz.sum(axis=0)))
+    roots = np.exp(2j * np.pi / order * np.arange(order))
     terms = []
-    for g in ring.groups:
+    for g in layout.groups:
         m, d = g.reps.shape
         block = np.arange(m)[:, None, None]
         q = g.momenta[:, None, None]
         partner = g.reps[:, :, None] ^ masks
-        target = ring.rep[partner]
-        turns = q * ring.shift[partner]  # the phase is e^(2 pi i turns / N)
+        target = layout.rep[partner]
+        turns = q * layout.shift[partner]  # the phase is e^(2 pi i turns / N)
+        negate = None
         if g.parity.any():
             inverted = ((1 << n) - 1) ^ target
-            image = ring.rep[inverted]
+            image = layout.rep[inverted]
             listed = (g.parity[:, None, None] != 0) & (image < target)
             target = np.where(listed, image, target)
-            turns = turns + listed * (q * ring.shift[inverted]
-                                      + (g.parity[:, None, None] < 0) * (n // 2))
+            turns = turns + listed * q * layout.shift[inverted]
+            negate = listed & (g.parity[:, None, None] < 0)
         # Representatives keyed by (block, state) are ascending over the whole group.
         keys = ((np.arange(m)[:, None] << n) + g.reps).ravel()
         target = (block << n) + target
         found = np.minimum(np.searchsorted(keys, target), keys.size - 1)
         inside = keys[found] == target
-        block, row, _ = np.nonzero(inside)
+        block, row, pair = np.nonzero(inside)
         found = found[inside]
-        values = roots[turns[inside] % n] * np.sqrt(g.orbits[block, row]
-                                                     / g.orbits.ravel()[found])
+        phase = roots[turns[inside] % order]
+        values = (phase if g.dtype is complex else phase.real) * np.sqrt(
+            g.orbits[block, row] / g.orbits.ravel()[found])
+        if negate is not None:
+            values[negate[inside]] *= -1.0
+        cells = (block * d + found % d) * d + row
+        parallel = pair_zz[pair, g.reps[block, row]] > 0.0
+        apart = None
+        if order == 1:
+            apart = (pair_zz[:, g.reps.ravel()], cells, values, pair + len(pairs) * parallel)
         on_diagonal = (np.arange(m)[:, None] * (d * d) + np.arange(d) * (d + 1)).ravel()
-        cells = np.concatenate((on_diagonal, on_diagonal, (block * d + found % d) * d + row))
+        cells = np.concatenate((on_diagonal, on_diagonal, cells))
         layer = np.concatenate((np.zeros(m * d, np.int64), np.ones(m * d, np.int64),
-                                2 + parallel[g.reps][inside]))
+                                2 + parallel))
         values = np.concatenate((diagonal[:, g.reps].reshape(-1), values))
         flat, column = np.unique(cells, return_inverse=True)
         where = layer * flat.size + column
@@ -643,12 +547,12 @@ def _ring_terms(n_sites: int, conserve_sz: bool, distance: int) -> tuple[_RingTe
             summed = summed + 1j * np.bincount(where, values.imag, minlength=4 * flat.size)
         filled = 2 + np.flatnonzero(np.bincount(layer, minlength=4)[2:])  # 2, 3 or both
         flips = slice(filled.min(), filled.max() + 1) if filled.size else slice(2, 2)
-        terms.append(_RingTerms(flat, summed.reshape(4, -1),
-                                diagonal[:, g.reps][:, :, None, :], flips))
+        terms.append(_Terms(flat, summed.reshape(4, -1),
+                            diagonal[:, g.reps][:, :, None, :], flips, apart))
     return tuple(terms)
 
 
-def _expectations(terms: _RingTerms, vectors: np.ndarray) -> np.ndarray:
+def _expectations(terms: _Terms, vectors: np.ndarray) -> np.ndarray:
     """(4, m d): every layer's expectation in every eigenstate (column) of the group.
 
     A diagonal layer's is sum_i |v_i|^2 diag_i. A flip layer is multiplied
@@ -673,22 +577,29 @@ def _expectations(terms: _RingTerms, vectors: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_EIG_CACHE_SIZE)
-def _ring_eigensystem(vspec: ValidatedSpec) -> _RingEigensystem:
-    """Energies, observable table and stacked vectors of a ring, cached per spec.
+def _eigensystem(vspec: ValidatedSpec) -> _Eigensystem:
+    """Energies, observable table and stacked vectors of a chain, cached per spec.
 
-    Total-S^z specs arrive here with B = 0 only, where sector N - k is the
-    spin-flip image of k: the same energies and table, with M negated. Each
-    group's H is assembled straight from its :class:`_RingTerms`.
+    ``lru_cache`` serializes insertion, so concurrent readers are safe and
+    at worst two threads diagonalize one spec once each. Total-S^z specs
+    arrive here with B = 0 only, where sector N - k is the spin-flip image
+    of k: the same energies and table, with M negated. Each group's H is
+    assembled straight from the :class:`_Terms` of the chain's bonds. A
+    ring's table holds every layer's expectation; an open chain's holds
+    only <M>, since its reader works from densities.
     """
     n = vspec.n_sites
+    periodic = vspec.boundary == BOUNDARY_PERIODIC
+    order = n if periodic else 1
     conserve_sz = vspec.jx == vspec.jy
-    ring = _ring(n, conserve_sz)
+    layout = _layout(n, order, conserve_sz)
     s = float(vspec.coupling_sign)
     couplings = np.array([-vspec.b, s * vspec.jz, s * (vspec.jx + vspec.jy),
                           s * (vspec.jx - vspec.jy)])
-    table = np.empty((5, sum(g.reps.size for g in ring.groups)))
+    table = np.empty((5 if periodic else 2, layout.solved))
     vectors, start = [], 0
-    for g, terms in zip(ring.groups, _ring_terms(n, conserve_sz, 1)):
+    bonds = bond_list(n, vspec.boundary)
+    for g, terms in zip(layout.groups, _terms(n, order, conserve_sz, bonds)):
         m, d = g.reps.shape
         h = np.zeros((m, d, d), g.dtype)
         h.reshape(-1)[terms.flat] = couplings @ terms.values
@@ -698,13 +609,18 @@ def _ring_eigensystem(vspec: ValidatedSpec) -> _RingEigensystem:
             block_energies, block_vectors = np.linalg.eigh(h)
         rows = table[:, start:start + m * d]
         start += m * d
-        rows[0], rows[1:] = block_energies.ravel(), _expectations(terms, block_vectors)
+        rows[0] = block_energies.ravel()
+        if periodic:
+            rows[1:] = _expectations(terms, block_vectors)
+        else:
+            rows[1] = (terms.diagonal[0] @ (block_vectors * block_vectors)).ravel()
         block_vectors.setflags(write=False)
         vectors.append(block_vectors)
-    table = table[:, ring.source]
-    table[1, start:] *= -1.0  # M of the spin-flip images
+    table = table[:, layout.source]
+    table[1, layout.solved:] *= -1.0  # M of the spin-flip images
     table.setflags(write=False)
-    return _RingEigensystem(ring, table, tuple(vectors), {})
+    reader = _RingEigensystem if periodic else _OpenEigensystem
+    return reader(layout, table, tuple(vectors), {})
 
 
 # ---------------------------------------------------------------------------
@@ -713,11 +629,10 @@ def _ring_eigensystem(vspec: ValidatedSpec) -> _RingEigensystem:
 
 def _spectrum(vspec: ValidatedSpec):
     """(the cached eigensystem, its energies at the spec's field)."""
-    solve = _ring_eigensystem if vspec.boundary == BOUNDARY_PERIODIC else _open_eigensystem
     if vspec.jx != vspec.jy:
-        eig = solve(vspec)
+        eig = _eigensystem(vspec)
         return eig, eig.energies
-    eig = solve(replace(vspec, b=0.0))
+    eig = _eigensystem(replace(vspec, b=0.0))
     return eig, eig.energies - vspec.b * eig.magnetization
 
 

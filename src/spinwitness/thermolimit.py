@@ -132,7 +132,7 @@ def _integrate(integrand, k, c, abs_tol, limit=_MAX_ARGUMENT):
     if reason is not None:
         raise QuadratureError(reason)
     return adaptive_quadrature(integrand, 0.0, math.pi, abs_tol=abs_tol,
-                               seeds=tuple(_step_seeds(k, c)[0]))
+                               seeds=_step_seeds(k, c)[0])
 
 
 def xx_log_partition_density(coupling_over_kt, field_over_kt,

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from spinwitness import cli, quadrature
+from spinwitness import cli, quadrature, thermolimit
 from spinwitness.cli import main
 from spinwitness.quadrature import QuadratureError
 from spinwitness.svgfig import region_geometry
@@ -260,6 +260,40 @@ def test_non_finite_axis_bounds_are_usage_errors(tmp_path, capsys, command, flag
                          capsys)
     assert rc == 1 and "error:" in err and "Warning" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+TOL_ARGV = {
+    "witness": ["witness", "--model", "xx", "--n", "thermodynamic-limit", "--kt", "0.5"],
+    "scan": ["scan", "--kt-steps", "2", "--b-steps", "2"],
+    "boundary": ["boundary", "--b-steps", "2"],
+    "validate": ["validate"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOL_ARGV))
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1", "0"])
+def test_bad_tolerances_are_usage_errors(tmp_path, capsys, command, bad):
+    argv = TOL_ARGV[command] + [f"--tol={bad}"]
+    if command in ("scan", "boundary"):
+        argv += ["--out-path", str(tmp_path / "x.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails the test
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert "--tol" in err and "finite number > 0" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_boundary_tolerance_defaults_to_the_root_residual(tmp_path, capsys):
+    paths = [tmp_path / "default.csv", tmp_path / "explicit.csv"]
+    rc, _, _ = run(["boundary", "--b-steps", "3", "--out-path", str(paths[0])], capsys)
+    assert rc == 0
+    rc, _, _ = run(["boundary", "--b-steps", "3", "--out-path", str(paths[1]),
+                    f"--tol={thermolimit.DEFAULT_ROOT_RESIDUAL!r}"], capsys)
+    assert rc == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_scan_json(tmp_path, capsys):

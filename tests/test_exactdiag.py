@@ -62,6 +62,15 @@ def test_bond_list():
     assert bond_list(1, "open") == ()
 
 
+def test_package_surface_leaves_out_the_oracle_and_the_scalar_quadrature():
+    # Both stay module attributes, reachable by name.
+    import spinwitness
+    from spinwitness import quadrature
+    for name, module in (("build_hamiltonian", exactdiag), ("adaptive_quadrature", quadrature)):
+        assert name not in spinwitness.__all__ and not hasattr(spinwitness, name)
+        assert callable(getattr(module, name))
+
+
 def test_two_site_xxx_spectrum_both_conventions():
     # singlet-ground: J > 0 antiferromagnetic, singlet at -3J below the triplet
     h = build_hamiltonian(ModelSpec.xxx(1.0, n_sites=2, boundary="open"))
@@ -446,9 +455,9 @@ def test_field_sweep_costs_one_diagonalization_when_sz_is_conserved(monkeypatch)
     calls = count_eigh_calls(monkeypatch)
     # Couplings no other test uses, so the eigensystem cache starts cold. Only
     # the blocks k <= N/2 are solved (k and N - k are spin-flip images at B = 0),
-    # and k = N/2 as its two spin-inversion halves; an open chain solves each
-    # sector as one matrix, a ring its momentum blocks q <= N/2 stacked by size,
-    # 1 x 1 blocks without eigh.
+    # and k = N/2 as its two spin-inversion halves; blocks (an open chain's
+    # sectors, a ring's momentum blocks q <= N/2) are stacked by size, and
+    # 1 x 1 blocks need no eigh.
     cases = [
         # N = 6 ring: k = 2 has orbits of size 6, 6, 3, so the blocks q = 0..3
         # have sizes 3 2 3 2. k = 3 has orbits 000111, 001011, 001101 of size 6
@@ -456,9 +465,9 @@ def test_field_sweep_costs_one_diagonalization_when_sz_is_conserved(monkeypatch)
         # 001101 and maps the other two onto themselves. Its halves (+, -)
         # have sizes q0: 3 1, q1: 1 2, q2: 2 1, q3: 1 3.
         (ModelSpec.xxx(0.8137, n_sites=6), [(4, 2, 2), (4, 3, 3)]),
-        (ModelSpec.xx(-0.6113, n_sites=5, boundary="open"), [(1, 1), (5, 5), (10, 10)]),
+        (ModelSpec.xx(-0.6113, n_sites=5, boundary="open"), [(1, 5, 5), (1, 10, 10)]),
         # N = 4 open chain: k = 2 (6 states) is solved as two halves of 3.
-        (ModelSpec.xx(-0.6113, n_sites=4, boundary="open"), [(1, 1), (4, 4), (2, 3, 3)]),
+        (ModelSpec.xx(-0.6113, n_sites=4, boundary="open"), [(2, 3, 3), (1, 4, 4)]),
         # N = 4 ring: k = 2 has orbits 0011 (size 4) and 0101 (size 2), each its
         # own inversion image; only the + half of q = 0 holds both.
         (ModelSpec.xyz(0.7121, 0.7121, -0.3, n_sites=4), [(1, 2, 2)]),
@@ -479,10 +488,11 @@ def test_parity_sectors_rediagonalize_per_field(monkeypatch):
     calls = count_eigh_calls(monkeypatch)
     fields = (0.0, 0.35, -1.7)
     # N = 5 ring: each parity sector has 4 orbits (one of size 1), so blocks
-    # q = 0 have size 4 and q = 1, 2 size 3.
+    # q = 0 have size 4 and q = 1, 2 size 3. The open chain's two parity
+    # sectors of 16 states share one stacked eigh.
     for spec, shapes in ((ModelSpec.xyz(0.6217, -0.4, 0.3, n_sites=5), [(4, 3, 3), (2, 4, 4)]),
                          (ModelSpec.xyz(0.6217, -0.4, 0.3, n_sites=5, boundary="open"),
-                          [(16, 16), (16, 16)])):
+                          [(2, 16, 16)])):
         for b in fields:
             thermal_observables(replace(spec, b=b), 0.9)
             thermal_observables(replace(spec, b=b), 0.2)
@@ -495,9 +505,11 @@ def test_parity_sectors_rediagonalize_per_field(monkeypatch):
 
 
 def test_momentum_blocks_count_every_state_once():
-    for n in range(3, 13):
-        for conserve_sz in (True, False):
-            assert exactdiag._ring(n, conserve_sz).multiplicity.sum() == 2 ** n
+    # Rings (translation order N) and open chains (order 1) alike.
+    for n in range(1, 13):
+        for order in {1, n} if n >= 3 else {1}:
+            for conserve_sz in (True, False):
+                assert exactdiag._layout(n, order, conserve_sz).multiplicity.sum() == 2 ** n
 
 
 RING_PAIR_CASES = [(family, sign, n, b)
@@ -539,7 +551,7 @@ def test_rings_with_a_momentum_pi_block(family, n):
     for b in (0.0, 0.45):
         spec = sector_case_spec(family, "periodic", "singlet-ground", n, b=b)
         vspec = validate_spec(spec)
-        ring = exactdiag._ring(n, vspec.jx == vspec.jy)
+        ring = exactdiag._layout(n, n, vspec.jx == vspec.jy)
         assert any((2 * g.momenta == n).any() for g in ring.groups)
         for kt in (0.3, None):
             ref, ref_pair = dense_reference(spec, kt)
@@ -618,6 +630,38 @@ def test_ring_pair_layers_are_built_once_per_distance(monkeypatch):
         calls.clear()
 
 
+def test_open_chain_pair_terms_are_built_once_per_pair():
+    # An open chain reads each call's densities through coupling-free term
+    # tables: its bonds share the table H is built from, and each pair state
+    # builds the table of its pair once. The cache starts empty so that
+    # every table build shows as a miss.
+    def misses():
+        return exactdiag._terms.cache_info().misses
+
+    exactdiag._terms.cache_clear()
+    for spec in (ModelSpec.xyz(0.4127, -0.53, 0.29, b=0.3, n_sites=9, boundary="open"),
+                 ModelSpec.xxx(-0.8311, b=0.3, n_sites=9, boundary="open")):
+        start = misses()
+        thermal_observables(spec, 0.6)
+        assert misses() - start == 1  # the bond table, shared by H and the reader
+        first = reduced_pair_state(spec, 0.6, (2, 6)).matrix
+        assert misses() - start == 2
+        # The same pair, either way round, at other temperatures, and at other
+        # fields where S^z is conserved, reuses the table.
+        repeats = [(spec, 0.6, (6, 2)), (spec, 1.3, (2, 6)), (spec, 0.2, (6, 2))]
+        if spec.jx == spec.jy:
+            repeats.append((replace(spec, b=-0.9), 0.6, (2, 6)))
+        for case in repeats:
+            reduced_pair_state(*case)
+        thermal_observables(spec, 0.9)
+        assert misses() - start == 2
+        assert np.array_equal(reduced_pair_state(spec, 0.6, (2, 6)).matrix, first)
+        # A new pair builds its table once.
+        reduced_pair_state(spec, 0.6, (0, 8))
+        reduced_pair_state(spec, 0.9, (8, 0))
+        assert misses() - start == 3
+
+
 # ---------------------------------------------------------------------------
 # The k = N/2 sector in spin-inversion halves
 
@@ -645,7 +689,7 @@ SPLIT_CASES += [("xxx", "periodic", "singlet-ground", 10, 0.0),
 def test_spin_inversion_halves_match_dense(family, boundary, sign, n, b):
     spec = split_case_spec(family, boundary, sign, n, b)
     if boundary == "periodic":
-        assert any(g.parity.any() for g in exactdiag._ring(n, True).groups)
+        assert any(g.parity.any() for g in exactdiag._layout(n, n, True).groups)
     ref, _ = dense_reference(spec, None)
     assert_observables_close(ground_state_observables(spec), ref, 1e-11)
     assert abs(ground_state_energy(spec) - ref.u) < 1e-11 * max(1.0, abs(ref.u))

@@ -8,6 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from spinwitness import quadrature, thermolimit
@@ -557,3 +559,23 @@ def test_couplings_just_inside_the_float_range():
     assert abs(xx_witness(1e-306, 0.5, 2.0).value - expected) < 1e-12
     assert abs(xx_witness_single_integral(1e-306, 0.5, 2.0) - expected) < 1e-12
     assert abs(region_scan(np.array([1e-306]), np.array([0.25])).w[0, 0] - expected) < 1e-12
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(log_kt=st.floats(-6.0, 3.0),
+       b=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       j=st.sampled_from([-1.0, 1.0]))
+def test_both_limit_routes_agree_or_both_fail(log_kt, b, j):
+    kt = 10.0 ** log_kt
+    outcomes = []
+    for route in (lambda: xx_witness(kt, b, j).value,
+                  lambda: xx_witness_single_integral(kt, b, j)):
+        try:
+            outcomes.append(route())
+        except quadrature.QuadratureError:
+            outcomes.append(None)
+    two, one = outcomes
+    if two is None or one is None:
+        assert two is None and one is None, (kt, b, outcomes)
+    else:
+        assert abs(two - one) < 1e-10, (kt, b, outcomes)

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinwitness import witness
 from spinwitness.exactdiag import concurrence, reduced_pair_state, thermal_observables
@@ -301,3 +303,16 @@ def test_witness_from_model_rejections():
         witness_from_model(ModelSpec.xyz(1.0, 0.5, 0.2, n_sites=4), 1.0)
     with pytest.raises(SpecError):
         witness_from_model(ModelSpec.xx(1.0), 1.0)  # thermodynamic limit
+
+
+BLOCH = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda u: math.hypot(*u) > 1e-3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["xxx", "xx"]),
+       boundary=st.sampled_from(["open", "periodic"]),
+       vectors=st.lists(BLOCH, min_size=2, max_size=40))
+def test_product_states_never_exceed_the_separable_bound(family, boundary, vectors):
+    u = np.array(vectors)
+    u /= np.sqrt((u * u).sum(axis=1))[:, None]
+    assert product_state_witness(u, family, boundary) <= 1.0 + 1e-12
