@@ -37,22 +37,43 @@ c e^(2 pi i q l / N) sqrt(R_a / R_b) to <b, q|H|a, q> (Sandvik,
 arXiv:1101.3281, section 4). Block N - q is the complex conjugate of block
 q, so only q <= N/2 is diagonalized and 0 < q < N/2 counts twice. An open
 chain is the same construction with a translation group of order 1: every
-state is its own representative and only q = 0 exists. Both boundaries
-share one layout and build each block's H from one sparse table of four
-coupling-free operators: sum_j sz_j and, summed over a tuple of site
-pairs, sz.sz and the flips that move an antiparallel or a parallel pair.
-The blocks of k = N/2 are laid out in their Z-parity halves, and blocks
-of equal size are stacked into one `numpy.linalg.eigh` call; 1 x 1 blocks
-need none.
+state is its own representative and only q = 0 exists.
+
+Every block is made real by the reflection R (site j -> N-1-j, which
+reverses the bit string) combined with complex conjugation K (Sandvik,
+section 4.3, momentum states with reflection). R T R = T^-1, so KR keeps
+q and commutes with H for both boundaries, all couplings and any B, and
+(KR)^2 = 1. It maps |a, q> to e^(i phi) |c, q>, where R a = T^m c, c is
+a representative and phi = 2 pi q m / N. A block keeps its size and
+takes the KR-invariant basis
+
+    e^(i phi / 2) |a, q>                     if c = a,
+    (|a, q> + KR|a, q>) / sqrt 2,
+    (i|a, q> + KR(i|a, q>)) / sqrt 2         if c != a, listed under min(a, c),
+
+in which H and every KR-even operator are real. At q = 0 and q = N/2,
+e^(i phi) = +-1, so these states are R-even or R-odd, H does not couple
+the two kinds, and the block is solved as its two reflection halves; an
+open chain's every block halves. Inside the spin-inversion halves of
+k = N/2 the same basis is built from their half states (Z commutes with
+T, R and K). Both boundaries share one layout and build each block's H
+from one sparse table of four coupling-free operators: sum_j sz_j and,
+summed over a tuple of site pairs, sz.sz and the flips that move an
+antiparallel or a parallel pair. Blocks of equal size are stacked into
+one `numpy.linalg.eigh` call; 1 x 1 blocks need none. No complex number
+enters.
 
 Only the readers differ. A ring's thermal state commutes with T, so every
 ring bond has the same correlators: its eigensystem stores, per
 eigenstate, <M> and the translation sums of the bond operators (diagonal
-ones read as sum_i |v_i|^2 diag_i, flip ones multiplied into the vectors
+ones read as sum_i v_i^2 diag_i, flip ones multiplied into the vectors
 only where they have entries), and any average is one weighted sum over
-that table. An open chain stores only energies and <M>; each call forms
-the density (V sqrt p)(V sqrt p)^T of every stack of equal-size blocks and
-reads it pair by pair. No 2^N x 2^N matrix is formed;
+that table; these sums are R-even. An open chain stores only energies and
+<M>; each call forms the density (V sqrt p)(V sqrt p)^T of every stack of
+equal-size blocks and reads it pair by pair. That density is block
+diagonal in R parity, so a pair (a, b) is read as the mean of (a, b) and
+its mirror (N-1-b, N-1-a), and sz_a as the mean of sites a and N-1-a,
+which are equal in any R-symmetric state. No 2^N x 2^N matrix is formed;
 :func:`build_hamiltonian` assembles the dense matrix, which serves as an
 independent oracle.
 
@@ -66,6 +87,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -79,16 +101,16 @@ from .model import (
     validate_spec,
 )
 
-# Exact-diagonalization cap: at N = 14 the widest open-chain block is 3003
-# (total S^z, k = 6; k = 7 is solved as two halves of 1716) or 8192 (parity),
-# the widest ring momentum block 217 or 596. Deliberately a plain module
-# attribute so callers can raise it at their own risk.
+# Exact-diagonalization cap: at N = 14 the widest open-chain block is 1519
+# (total S^z, a reflection half of k = 6) or 4160 (a reflection half of a
+# parity sector), the widest ring momentum block 217 or 594. Deliberately a
+# plain module attribute so callers can raise it at their own risk.
 SITE_CAP = 14
 
 # A cached eigensystem holds the vectors of its solved blocks. At N = 14 an
-# open chain's are about 160 MB in total-S^z sectors (k <= N/2) and 1.1 GB in
-# the two parity sectors (a dense one would be 2 GB), a ring's 13 MB and
-# 80 MB. Keep the cache small.
+# open chain's are about 80 MB in total-S^z sectors (k <= N/2) and 540 MB in
+# the two parity sectors (a dense one would be 2 GB), a ring's 6 MB and
+# 39 MB. Keep the cache small.
 _EIG_CACHE_SIZE = 8
 
 _DEGENERACY_TOL = 1e-9
@@ -186,22 +208,46 @@ def build_hamiltonian(spec) -> np.ndarray:
     return h
 
 
-def _boltzmann(energies: np.ndarray, beta: float, multiplicity):
+def _boltzmann(energies: np.ndarray, beta: float, multiplicity, spread: float):
     """Weights g exp(-beta (E - E0)) / Z' and ln Z, with E0 the lowest energy.
 
-    ``multiplicity`` g counts the states each energy stands for.
+    ``multiplicity`` g counts the states each energy stands for, and the
+    finite ``spread`` bounds max E - E0.
     """
+    if not math.isfinite(beta):
+        raise FloatingPointError(f"beta = 1/kT = {beta} is not finite")
     e0 = float(energies.min())
-    w = multiplicity * np.exp(-beta * (energies - e0))
+    w = energies - e0
+    if not math.isfinite(beta * spread):  # beta (E - E0) could overflow; exp(-1000) is 0
+        np.minimum(w, 1e3 / beta, out=w)
+    w *= -beta
+    np.exp(w, out=w)
+    w *= multiplicity
     z0 = float(w.sum())
-    return w / z0, math.log(z0) - beta * e0
+    w /= z0
+    return w, math.log(z0) - beta * e0
 
 
 def _ground_weights(energies: np.ndarray, multiplicity) -> np.ndarray:
     """Uniform weights over the ground multiplet (which may span several blocks)."""
-    e0 = energies.min()
+    e0 = float(energies.min())
     members = multiplicity * ((energies - e0) < _DEGENERACY_TOL * max(1.0, abs(e0)))
     return members / members.sum()
+
+
+def _checked(u: float, m: float, correlators, log_partition=None) -> ThermalObservables:
+    """The observables, or FloatingPointError if U, M, a correlator or ln Z is not finite.
+
+    ``log_partition`` None marks a ground-multiplet average, whose ln Z is NaN.
+    Correlators lie in [-1, 1], so their sum is finite exactly when each is.
+    """
+    if not (math.isfinite(u) and math.isfinite(m)
+            and math.isfinite(sum(chain.from_iterable(correlators)))
+            and (log_partition is None or math.isfinite(log_partition))):
+        raise FloatingPointError(f"non-finite thermal observables: U = {u}, M = {m}, "
+                                 f"ln Z = {log_partition}, correlators {correlators[:1]}")
+    return ThermalObservables(u=u, m=m, bond_correlators=correlators,
+                              log_partition=math.nan if log_partition is None else log_partition)
 
 
 def _pair_matrix(za: float, zb: float, zab: float, xx: float, yy: float) -> PairState:
@@ -214,19 +260,37 @@ def _pair_matrix(za: float, zb: float, zab: float, xx: float, yy: float) -> Pair
 
 
 # ---------------------------------------------------------------------------
-# Symmetry blocks: momentum blocks of each total-S^z or parity sector. An open
-# chain is a ring whose translation group has order 1.
+# Symmetry blocks: real blocks of each total-S^z or parity sector and momentum,
+# halved by spin inversion and by reflection where those act inside a block. An
+# open chain is a ring whose translation group has order 1.
 
 
 class _Group(NamedTuple):
     """Blocks of one size, diagonalized by one stacked eigh."""
 
-    reps: np.ndarray      # (m, d): each block's representatives, ascending
-    orbits: np.ndarray    # (m, d): site states each basis state spans: the orbit size R
-                          # of its representative, 2R for a spin-inversion pair
+    states: slice         # the group's basis states in the layout's _Basis, block by block
+    reps: np.ndarray      # (m, d): each basis state's representative, block by block
     momenta: np.ndarray   # (m,): q of each block
     parity: np.ndarray    # (m,): +1 or -1 for the spin-inversion halves of k = N/2, else 0
-    dtype: type           # float when every block has q = 0 or q = N/2
+
+
+class _Basis(NamedTuple):
+    """The real basis states of all groups, numbered group by group, one array each."""
+
+    reps: np.ndarray      # the representative a each state is listed under
+    orbits: np.ndarray    # site states it spans: R_a, twice that for a spin-inversion pair,
+                          # and twice again for a KR pair
+    angles: np.ndarray    # its phase in units of pi / (2 order): 0 for the first state of
+                          # a KR pair, order (a factor i) for the second, phi / 2 for a
+                          # state KR maps onto itself
+    momenta4: np.ndarray  # 4 q: the angle of one translation step in block q
+    sign_angle: np.ndarray  # (1 - p) order: the angle of the half's sign p (only read
+                            # where p is +1 or -1)
+    lookup: np.ndarray    # offset of its (q, p > 0) table in the layout's ``index``
+    block: np.ndarray     # index of its block, with a sentinel -1 appended
+    row: np.ndarray       # offset of its row in its group's (m, d, d) stack of blocks
+    column: np.ndarray    # its column inside its block
+    group: np.ndarray     # index of its group
 
 
 class _Layout(NamedTuple):
@@ -235,8 +299,12 @@ class _Layout(NamedTuple):
     order: int                # of the translation group: N for a ring, 1 for an open chain
     conserve_sz: bool
     groups: tuple[_Group, ...]
-    rep: np.ndarray           # representative of every basis state
-    shift: np.ndarray         # l with state = T^l rep, for every basis state
+    basis: _Basis
+    landing: np.ndarray       # (4, 2^N) per site state: the representative of the basis
+                              # state it stands for, and the turns, half signs and
+                              # conjugation of its factor (see _terms)
+    index: np.ndarray         # (q, p > 0, second of a KR pair, representative) -> basis
+                              # state, or the sentinel `solved`; flattened
     solved: int               # eigenstates solved by the groups; the rest are images
     source: np.ndarray        # every eigenstate's solved state: its own, then the
                               # spin-flip images of k < N/2 (total S^z only)
@@ -247,20 +315,20 @@ class _Terms(NamedTuple):
     """One group's operators for a tuple of site pairs (i, j), summed, without couplings.
 
     The four layers are sum_j sz_j over every site, the sum of sz_i sz_j
-    over the pairs, and the sums of the pair flips that move an
-    antiparallel and a parallel pair. ``values`` holds them row by row at
-    the cells ``flat`` of the group's (m, d, d) stack of blocks that any of
-    them fills; the first two are diagonal.
+    over the pairs (both diagonal), and the sums of the pair flips that move
+    an antiparallel and a parallel pair. Every layer is kept as entries of
+    the group's (m, d, d) stack of blocks, the 2 m d diagonal ones first;
+    entries at one cell add up.
     """
 
-    flat: np.ndarray      # distinct indices into the (m, d, d) stack
-    values: np.ndarray    # (4, cells): every layer's entry at each cell
     diagonal: np.ndarray  # (2, m, 1, d): the diagonal layers, block by block
-    flips: slice          # the rows of ``values`` whose flip layers have entries here
-    apart: tuple | None   # open chains: the pairs' terms kept apart, as (zz, cells,
-                          # values, slots): the (pairs, m d) sz_i sz_j of every state,
-                          # and per flip its cell, its entry and its slot, the pair's
-                          # index plus len(pairs) for a parallel pair
+    cells: np.ndarray     # per entry, its index into the (m, d, d) stack
+    layers: np.ndarray    # per entry, its layer
+    values: np.ndarray    # per entry, its value
+    flips: slice          # the flip layers (2, 3 or both) with entries in this group
+    apart: tuple | None   # open chains: the pairs' terms kept apart, as (zz, slots): the
+                          # (pairs, m d) sz_i sz_j of every state, and per flip entry its
+                          # pair's index, plus len(pairs) for a parallel pair
 
 
 class _Eigensystem(NamedTuple):
@@ -269,6 +337,7 @@ class _Eigensystem(NamedTuple):
     layout: _Layout
     table: np.ndarray     # per eigenstate: its energy, its <M> and, for rings only, its
                           # expectation of the other layers of the bond _Terms
+    scale: float          # the largest |E|
     vectors: tuple        # per group, the (m, d, d) stacked eigenvectors
     pair_layers: dict     # rings: distance d > 1 -> rows 2-4 of the table for pairs
                           # (i, i+d), filled on first use
@@ -330,12 +399,20 @@ class _RingEigensystem(_Eigensystem):
 
 
 class _OpenEigensystem(_Eigensystem):
-    """An open chain's eigensystem, read through per-call densities of each group."""
+    """An open chain's eigensystem, read through per-call densities of each group.
+
+    Every block has one reflection parity, so the density commutes with R
+    and an operator reads the same as its mirror image (site j -> N-1-j).
+    The readers therefore return mirror means: a pair (a, b) is read with
+    (N-1-b, N-1-a), whose mean is even under R and so lies inside the
+    blocks, and a site a with N-1-a.
+    """
 
     __slots__ = ()
 
     def observables(self, n_sites: int, energies: np.ndarray, p: np.ndarray):
         """(U, M, bond correlators) for the mixture sum_k p[k] |v_k><v_k|, bond by bond."""
+        # Bond N-2-i is the mirror image of bond i.
         zz, antiparallel, parallel = self._read(n_sites, p, bond_list(n_sites, BOUNDARY_OPEN))
         correlators = zip((antiparallel + parallel).tolist(),
                           (antiparallel - parallel).tolist(), zz.tolist())
@@ -343,7 +420,9 @@ class _OpenEigensystem(_Eigensystem):
 
     def pair_state(self, n_sites: int, p: np.ndarray, a: int, b: int) -> PairState:
         """The (a, b) pair state, read from every group's density."""
-        zz, antiparallel, parallel = self._read(n_sites, p, ((min(a, b), max(a, b)),))[:, 0]
+        low, high = min(a, b), max(a, b)
+        pairs = ((low, high), (n_sites - 1 - high, n_sites - 1 - low))
+        zz, antiparallel, parallel = self._read(n_sites, p, pairs)[:, 0]
         z_a, z_b = self._site_magnetizations(n_sites, p, (a, b))
         return _pair_matrix(z_a, z_b, float(zz), float(antiparallel + parallel),
                             float(antiparallel - parallel))
@@ -351,7 +430,9 @@ class _OpenEigensystem(_Eigensystem):
     def _read(self, n_sites: int, p: np.ndarray, pairs) -> np.ndarray:
         """(3, pairs): the zz, antiparallel-flip and parallel-flip values of each pair.
 
-        Every group's density rho = (V sqrt w)(V sqrt w)^T is formed once and
+        ``pairs`` lists the mirror image of its pair i at position -1-i,
+        and each value is the mean over the pair and its image. Every
+        group's density rho = (V sqrt w)(V sqrt w)^T is formed once and
         read through the tables of all pairs. ``w`` folds each spin-flip
         image's weight onto its source state, since the pair operators are
         even under a global flip. Vectors of weight exactly 0 in every block
@@ -359,26 +440,30 @@ class _OpenEigensystem(_Eigensystem):
         Boltzmann factor) add nothing and are skipped.
         """
         root = np.sqrt(np.bincount(self.layout.source, p))
-        sums, start = np.zeros(3 * len(pairs)), 0
-        for v, terms in zip(self.vectors, _terms(n_sites, 1, self.layout.conserve_sz, pairs)):
-            zz, cells, values, slots = terms.apart
+        partial = not root.all()
+        sums = np.zeros(3 * len(pairs))
+        for g, v, terms in zip(self.layout.groups, self.vectors,
+                               _terms(n_sites, 1, self.layout.conserve_sz, pairs)):
+            zz, slots = terms.apart
             m, d, _ = v.shape
-            w = root[start:start + m * d].reshape(m, 1, d)
-            start += m * d
-            live = (w > 0.0).any(axis=(0, 1))
-            if not live.all():
+            flips = slice(2 * m * d, None)
+            w = root[g.states].reshape(m, 1, d)
+            if partial:
+                live = (w > 0.0).any(axis=(0, 1))
                 if not live.any():
                     continue
                 v, w = v[:, :, live], w[:, :, live]
             weighted = v * w
             rho = weighted @ weighted.transpose(0, 2, 1)
             sums[:len(pairs)] += zz @ rho.diagonal(axis1=1, axis2=2).ravel()
-            sums[len(pairs):] += np.bincount(slots, values * rho.reshape(-1)[cells],
-                                             minlength=2 * len(pairs))
-        return sums.reshape(3, -1)
+            sums[len(pairs):] += np.bincount(
+                slots, terms.values[flips] * rho.reshape(-1)[terms.cells[flips]],
+                minlength=2 * len(pairs))
+        sums = sums.reshape(3, -1)
+        return 0.5 * (sums + sums[:, ::-1])
 
     def _site_magnetizations(self, n_sites: int, p: np.ndarray, sites) -> list:
-        """<sz_j> of each site j in ``sites``.
+        """<sz_j> of each site j in ``sites``, as the mean over j and N-1-j.
 
         sz_j is odd under a global flip, so an image's weight counts
         negated, and in a spin-inversion half it reads 0, the mean over a
@@ -386,15 +471,15 @@ class _OpenEigensystem(_Eigensystem):
         """
         solved, source = self.layout.solved, self.layout.source
         signed = p[:solved] - np.bincount(source[solved:], p[solved:], minlength=solved)
-        bits = n_sites - 1 - np.array(sites)
-        z, start = np.zeros(len(sites)), 0
+        sites = np.array(sites)
+        bits = np.concatenate((n_sites - 1 - sites, sites))  # site j on bit N-1-j, then N-1-j
+        z = np.zeros(bits.size)
         for g, v in zip(self.layout.groups, self.vectors):
             m, d = g.reps.shape
-            occupation = ((v * v) @ signed[start:start + m * d].reshape(m, d, 1))[..., 0]
-            start += m * d
+            occupation = ((v * v) @ signed[g.states].reshape(m, d, 1))[..., 0]
             occupation *= (g.parity == 0)[:, None]
             z += occupation.reshape(-1) @ (1.0 - 2.0 * ((g.reps.reshape(-1, 1) >> bits) & 1))
-        return z.tolist()
+        return (0.5 * (z[:sites.size] + z[sites.size:])).tolist()
 
 
 @lru_cache(maxsize=32)
@@ -406,10 +491,14 @@ def _layout(n_sites: int, order: int, conserve_sz: bool) -> _Layout:
     or field enters the layout. Solved blocks are q = 0..order/2 of the
     sectors k = 0..N/2 when ``conserve_sz`` (sector N - k is the spin-flip
     image of k at B = 0), otherwise of both parity sectors. The blocks of
-    k = N/2 are solved as their two spin-inversion halves (see
-    :func:`_inversion_halves`).
+    k = N/2 are split into their spin-inversion halves, and every block
+    takes the KR-invariant basis of the module docstring, in which q = 0
+    and q = N/2 split again into reflection halves. Every basis state is
+    labelled with arrays (sector, q, half, reflection half) and sorted once,
+    by block size, block and slot.
     """
     n = n_sites
+    full = (1 << n) - 1
     states = np.arange(1 << n, dtype=np.int64)
     images = np.empty((order, states.size), np.int64)  # images[l] = T^l state
     images[0] = states
@@ -420,64 +509,114 @@ def _layout(n_sites: int, order: int, conserve_sz: bool) -> _Layout:
     shift = (-to_rep) % order
     period = order // (images == states).sum(axis=0)  # R_a = order / #{l : T^l a = a}
     downs = np.rint((n - _site_z(n).sum(axis=0)) / 2.0).astype(np.int64)
-    label = downs if conserve_sz else downs % 2
+    halved = conserve_sz & (2 * downs == n)  # k = N/2: solved in spin-inversion halves
+    reverse = np.zeros_like(states)  # R: site j -> N-1-j reverses the bit string
+    for j in range(n):
+        reverse |= ((states >> j) & 1) << (n - 1 - j)
 
-    blocks = {}  # size -> [(reps, orbits, q, parity, sector)]
-    for sector in range(n // 2 + 1) if conserve_sz else (0, 1):
-        members = np.flatnonzero((rep == states) & (label == sector))
-        for q in range(order // 2 + 1):
-            reps = members[q * period[members] % order == 0]
-            if conserve_sz and 2 * sector == n:
-                halves = _inversion_halves(reps, q, rep, shift, period, order)
-            else:
-                halves = [(reps, period[reps], 0)]
-            for half, orbits, parity in halves:
-                if half.size:
-                    blocks.setdefault(half.size, []).append((half, orbits, q, parity, sector))
-    groups, sectors, momenta = [], [], []
-    for size in sorted(blocks):
-        reps, orbits, q, parity, sector = (np.array(column) for column in zip(*blocks[size]))
-        dtype = complex if (2 * q % order).any() else float
-        groups.append(_Group(reps, orbits, q, parity, dtype))
-        sectors.append(np.repeat(sector, size))
-        momenta.append(np.repeat(q, size))
-    sectors, momenta = np.concatenate(sectors), np.concatenate(momenta)
-    source = np.arange(sectors.size)
+    def listed(x, turns):
+        """The state each representative x is listed under in a spin-inversion half.
+
+        Z|x, q> = e^(2 pi i q m / N) |x', q> with inverted x = T^m x'; the
+        half of sign p lists the pair under the smaller of x and x', and
+        |x, q> there stands for p e^(2 pi i q m / N) times the listed one.
+        Returns (listed, turns + m where swapped, swapped). Element j of x
+        lies in the sector of site state j, whose ``halved`` it reads.
+        """
+        inverted = full ^ x
+        swapped = halved & (rep[inverted] < x)
+        return np.where(swapped, rep[inverted], x), turns + swapped * shift[inverted], swapped
+
+    # Every site state stands for a phase times the half state listed under x,
+    # and KR maps that onto e^(i Phi) times the half state listed under c, with
+    # Phi = 4 q c_turns + (1 - p) order c_signs in units of pi / (2 order).
+    x, x_turns, x_signs = listed(rep, shift)
+    mirrored = reverse[x]
+    c, c_turns, c_signs = listed(rep[mirrored], shift[mirrored])
+    conjugated = c < x
+    landing = np.stack((np.minimum(x, c), np.where(conjugated, c_turns - x_turns, x_turns),
+                        np.where(conjugated, c_signs.astype(np.int64) - x_signs, x_signs),
+                        np.where(conjugated, -1, 1)))
+
+    # Listed states: representatives of the solved sectors, first of their
+    # spin-inversion pair and first of their KR pair, at each momentum they carry.
+    kept = (rep == states) & (x == states) & (c >= states)
     if conserve_sz:
-        source = np.concatenate([source, np.flatnonzero(2 * sectors < n)])
-    multiplicity = np.where(2 * momenta[source] % order == 0, 1.0, 2.0)
-    for array in (rep, shift, source, multiplicity):
+        kept &= 2 * downs <= n
+    a = np.flatnonzero(kept)
+    momenta = np.arange(order // 2 + 1)
+    carried, q = np.nonzero(momenta * period[a, None] % order == 0)
+    a = a[carried]
+    # A spin-inversion pair has a state in both halves; a state Z maps onto
+    # itself, times e^(2 pi i q m / N) = +-1, lies in the half of that sign.
+    inverted = full ^ a
+    paired = halved[a] & (rep[inverted] != a)
+    sign = np.where(q * shift[inverted] % order == 0, 1, -1)
+    p = np.where(halved[a], np.where(paired, 1, sign), 0)
+    orbits = period[a] * (1 + paired)
+    a, q, p, orbits = (np.concatenate((v, v[paired])) for v in (a, q, p, orbits))
+    p[p.size - paired.sum():] = -1
+    phi = (4 * q * c_turns[a] + (1 - p) * order * c_signs[a]) % (4 * order)
+    alone = c[a] == a
+    # q = 0 and q = N/2: KR acts as R; its pairs give an R-even and an R-odd
+    # state, and a state it maps onto itself is R-even when phi = 0.
+    halves = 2 * q % order == 0
+    mirror = np.where(halves, np.where(alone & (phi != 0), -1, 1), 0)
+    second = ~alone
+    a, q, p = (np.concatenate((v, v[second])) for v in (a, q, p))
+    slots = 2 * a
+    slots[slots.size - second.sum():] += 1
+    orbits = np.concatenate((orbits * (1 + second), 2 * orbits[second]))
+    angles = np.concatenate((np.where(alone, phi // 2, 0), np.full(second.sum(), order)))
+    mirror = np.concatenate((mirror, np.where(halves[second], -1, 0)))
+    sector = downs[a] if conserve_sz else downs[a] % 2
+
+    label = ((sector * momenta.size + q) * 3 + p + 1) * 3 + mirror + 1
+    size = np.bincount(label)[label]
+    ranked = np.lexsort((slots, label, size))
+    a, q, p, slots, orbits, angles, mirror, sector, label, size = (
+        v[ranked] for v in (a, q, p, slots, orbits, angles, mirror, sector, label, size))
+    numbered = np.arange(a.size)
+    new_block = np.concatenate(([True], label[1:] != label[:-1]))
+    block = np.cumsum(new_block) - 1
+    column = numbered - np.flatnonzero(new_block)[block]
+    new_group = np.concatenate(([True], size[1:] != size[:-1]))
+    group = np.cumsum(new_group) - 1
+    group_starts = np.flatnonzero(new_group).tolist() + [a.size]
+    row = (numbered - np.array(group_starts)[group]) * size
+    lookup = (2 * (2 * q + (p > 0))) << n
+    index = np.full((4 * momenta.size) << n, a.size, np.int32)
+    index[lookup + ((slots & 1) << n) + a] = numbered
+
+    groups = []
+    for lo, hi in zip(group_starts[:-1], group_starts[1:]):
+        d = int(size[lo])
+        groups.append(_Group(slice(lo, hi), a[lo:hi].reshape(-1, d), q[lo:hi:d], p[lo:hi:d]))
+    basis = _Basis(a, orbits.astype(float), angles, 4 * q, (1 - p) * order, lookup,
+                   np.append(block, -1), row, column, group)
+    source = numbered
+    if conserve_sz:
+        source = np.concatenate([source, np.flatnonzero(2 * sector < n)])
+    multiplicity = np.where(2 * q[source] % order == 0, 1.0, 2.0)
+    for array in (*basis, landing, index, source, multiplicity):
         array.setflags(write=False)
-    return _Layout(order, conserve_sz, tuple(groups), rep, shift, sectors.size, source,
+    return _Layout(order, conserve_sz, tuple(groups), basis, landing, index, a.size, source,
                    multiplicity)
 
 
-def _inversion_halves(reps, q, rep, shift, period, order):
-    """The two spin-inversion halves of momentum block q of sector k = N/2.
-
-    Inverting every spin (Z) takes |a, q> to e^(2 pi i q m / N) |b, q>,
-    where the inverted a is T^m b (Sandvik, arXiv:1101.3281, section 4.2).
-    Each pair a < b spans one state (|a, q> +- Z|a, q>)/sqrt 2 of each
-    half, listed under a; it spans the 2 R_a site states of both orbits.
-    A state with b = a is its own image times +-1 and lies in one half;
-    an open chain has none. Returns (representatives, orbit sizes, parity)
-    of the + and - halves.
-    """
-    inverted = (rep.size - 1) ^ reps
-    image = rep[inverted]
-    sign = np.where(q * shift[inverted] % order == 0, 1, -1)
-    orbits = np.where(image == reps, 1, 2) * period[reps]
-    halves = []
-    for parity in (1, -1):
-        keep = (image > reps) | ((image == reps) & (sign == parity))
-        halves.append((reps[keep], orbits[keep], parity))
-    return halves
+@lru_cache(maxsize=8)
+def _cosines(order: int) -> np.ndarray:
+    """cos(k pi / (2 order)) for k < 4 order, exact at multiples of pi / 2."""
+    cosines = np.cos(np.pi / (2 * order) * np.arange(4 * order))
+    cosines[::order] = (1.0, 0.0, -1.0, 0.0)
+    cosines.setflags(write=False)
+    return cosines
 
 
-def _pair_operators(n_sites: int, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """(flip masks, (pairs, 2^N) table of sz_i sz_j) of the site pairs (i, j) in ``pairs``."""
+def _pair_operators(n_sites: int, pairs, states=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """(flip masks, (pairs, states) table of sz_i sz_j) of the site pairs (i, j) in ``pairs``."""
     first, second = np.array(pairs, np.int64).reshape(-1, 2).T
-    z = _site_z(n_sites)
+    z = _site_z(n_sites)[:, states]
     return (1 << (n_sites - 1 - first)) | (1 << (n_sites - 1 - second)), z[first] * z[second]
 
 
@@ -488,127 +627,125 @@ def _terms(n_sites: int, order: int, conserve_sz: bool,
 
     A ring's H and its pair layers at distance d take every pair (i, i+d);
     an open chain's H and bond reader take its N - 1 bonds, its pair
-    reader one pair. A flip taking representative a to a state T^l b adds
-    e^(2 pi i q l / N) sqrt(R_a / R_b) to entry (b, a) of block q, with R
-    the orbit sizes of :class:`_Group`. In a spin-inversion half of parity
-    p, a b whose image b' (inverted b = T^m b') is smaller stands for the
-    state listed under b', with the extra factor p e^(2 pi i q m / N); p is
-    carried as a sign, since with order 1 it is no power of a root of
-    unity. Repeats (several pairs reaching one state) are summed. Phases
-    and roots are taken only for entries inside a block.
+    reader one pair and its mirror image. The sum must be even under KR
+    (a mirror-closed tuple of pairs); then each entry comes from the flips
+    of the listed states alone, in one pass over every group.
+
+    A flip takes representative a to a site state y, which stands for the
+    half state of x (y = T^l x, and x is swapped for its spin-inversion
+    image, a factor p e^(2 pi i q m / N)); with the source's own phase
+    this is e^(i theta) times that state. If x is listed, the entry with
+    the basis state s' of x is sqrt(W_s / W_s') cos(theta - angle_s'),
+    where W counts the site states a basis state spans and angle_s' is its
+    phase (0 and pi/2 read the real and imaginary part). Otherwise x is the
+    KR image e^(-i Phi) KR|c> of a listed c, and theta becomes Phi - theta.
+    ``layout.landing`` holds, per site state, the listed representative
+    and the integers of theta: turns (4 q each), half signs ((1 - p)
+    order each) and -1 where theta is conjugated. Cosines are taken only
+    for entries inside a block.
     """
     n = n_sites
     layout = _layout(n, order, conserve_sz)
-    masks, pair_zz = _pair_operators(n, pairs)
-    diagonal = np.stack((_site_z(n).sum(axis=0), pair_zz.sum(axis=0)))
-    roots = np.exp(2j * np.pi / order * np.arange(order))
+    basis = layout.basis
+    masks, pair_zz = _pair_operators(n, pairs, basis.reps)
+    partner = basis.reps[:, None] ^ masks
+    # Both states listed under the landing's representative: the first of a KR
+    # pair (or the one state KR maps onto itself) and the second. Each counts
+    # if it lies in the source's block.
+    wanted = basis.lookup[:, None] + layout.landing[0][partner]
+    candidates = layout.index[wanted[..., None] + [0, 1 << n]]
+    inside = (basis.block[candidates] == basis.block[:-1, None, None]).ravel()
+    entries = np.flatnonzero(inside)
+    target = candidates.ravel()[entries]
+    entries >>= 1
+    source, pair = np.divmod(entries, len(pairs))
+    _, turns, signs, conjugate = layout.landing[:, partner.ravel()[entries]]
+    angle = (basis.momenta4[source] * turns + basis.sign_angle[source] * signs
+             + conjugate * basis.angles[source] - basis.angles[target])
+    values = (np.sqrt(basis.orbits[source] / basis.orbits[target])
+              * _cosines(order)[angle % (4 * order)])
+    cells = basis.row[target] + basis.column[source]
+    parallel = pair_zz[pair, source] > 0.0
+
+    diagonal = np.stack((_site_z(n).sum(axis=0)[basis.reps], pair_zz.sum(axis=0)))
+    on_diagonal = basis.row + basis.column
+    groups = layout.groups
+    bounds = np.searchsorted(source, [g.states.start for g in groups] + [basis.reps.size])
+    filled = np.bincount(basis.group[source] * 2 + parallel,
+                         minlength=2 * len(groups)).reshape(-1, 2)
     terms = []
-    for g in layout.groups:
+    for g, lo, hi, counts in zip(groups, bounds[:-1], bounds[1:], filled):
         m, d = g.reps.shape
-        block = np.arange(m)[:, None, None]
-        q = g.momenta[:, None, None]
-        partner = g.reps[:, :, None] ^ masks
-        target = layout.rep[partner]
-        turns = q * layout.shift[partner]  # the phase is e^(2 pi i turns / N)
-        negate = None
-        if g.parity.any():
-            inverted = ((1 << n) - 1) ^ target
-            image = layout.rep[inverted]
-            listed = (g.parity[:, None, None] != 0) & (image < target)
-            target = np.where(listed, image, target)
-            turns = turns + listed * q * layout.shift[inverted]
-            negate = listed & (g.parity[:, None, None] < 0)
-        # Representatives keyed by (block, state) are ascending over the whole group.
-        keys = ((np.arange(m)[:, None] << n) + g.reps).ravel()
-        target = (block << n) + target
-        found = np.minimum(np.searchsorted(keys, target), keys.size - 1)
-        inside = keys[found] == target
-        block, row, pair = np.nonzero(inside)
-        found = found[inside]
-        phase = roots[turns[inside] % order]
-        values = (phase if g.dtype is complex else phase.real) * np.sqrt(
-            g.orbits[block, row] / g.orbits.ravel()[found])
-        if negate is not None:
-            values[negate[inside]] *= -1.0
-        cells = (block * d + found % d) * d + row
-        parallel = pair_zz[pair, g.reps[block, row]] > 0.0
-        apart = None
-        if order == 1:
-            apart = (pair_zz[:, g.reps.ravel()], cells, values, pair + len(pairs) * parallel)
-        on_diagonal = (np.arange(m)[:, None] * (d * d) + np.arange(d) * (d + 1)).ravel()
-        cells = np.concatenate((on_diagonal, on_diagonal, cells))
-        layer = np.concatenate((np.zeros(m * d, np.int64), np.ones(m * d, np.int64),
-                                2 + parallel))
-        values = np.concatenate((diagonal[:, g.reps].reshape(-1), values))
-        flat, column = np.unique(cells, return_inverse=True)
-        where = layer * flat.size + column
-        summed = np.bincount(where, values.real, minlength=4 * flat.size)
-        if g.dtype is complex:  # phases are +-1 for q = 0 and q = N/2
-            summed = summed + 1j * np.bincount(where, values.imag, minlength=4 * flat.size)
-        filled = 2 + np.flatnonzero(np.bincount(layer, minlength=4)[2:])  # 2, 3 or both
-        flips = slice(filled.min(), filled.max() + 1) if filled.size else slice(2, 2)
-        terms.append(_Terms(flat, summed.reshape(4, -1),
-                            diagonal[:, g.reps][:, :, None, :], flips, apart))
+        layers = 2 + np.flatnonzero(counts)  # 2, 3 or both
+        terms.append(_Terms(
+            diagonal[:, g.states].reshape(2, m, 1, d),
+            np.concatenate((on_diagonal[g.states], on_diagonal[g.states], cells[lo:hi])),
+            np.concatenate((np.zeros(m * d, np.int64), np.ones(m * d, np.int64),
+                            2 + parallel[lo:hi])),
+            np.concatenate((diagonal[:, g.states].ravel(), values[lo:hi])),
+            slice(layers.min(), layers.max() + 1) if layers.size else slice(2, 2),
+            (pair_zz[:, g.states], pair[lo:hi] + len(pairs) * parallel[lo:hi])
+            if order == 1 else None))
     return tuple(terms)
+
+
+def _flip_layers(terms: _Terms, m: int, d: int) -> np.ndarray:
+    """The flip layers ``terms.flips`` of one group, as a dense (layers, m, d, d) stack."""
+    flips = slice(2 * m * d, None)
+    first, count = terms.flips.start, terms.flips.stop - terms.flips.start
+    return np.bincount((terms.layers[flips] - first) * (m * d * d) + terms.cells[flips],
+                       terms.values[flips], minlength=count * m * d * d).reshape(count, m, d, d)
 
 
 def _expectations(terms: _Terms, vectors: np.ndarray) -> np.ndarray:
     """(4, m d): every layer's expectation in every eigenstate (column) of the group.
 
-    A diagonal layer's is sum_i |v_i|^2 diag_i. A flip layer is multiplied
+    A diagonal layer's is sum_i v_i^2 diag_i. A flip layer is multiplied
     into the vectors only if it has entries in the group; otherwise its
     expectations are exactly 0, as for the parallel flips in total-S^z
     blocks.
     """
     m, d, _ = vectors.shape
     rows = np.zeros((4, m * d))
-    if d == 1:  # every eigenvector is 1, and every cell is on the diagonal
-        rows[:, terms.flat] = terms.values.real
-        return rows
-    bra = vectors.conj()
-    rows[:2] = (terms.diagonal @ (bra * vectors).real).reshape(2, -1)
-    flips = terms.values[terms.flips]
-    if flips.size:
-        layers = np.zeros((flips.shape[0], m * d * d), vectors.dtype)
-        layers[:, terms.flat] = flips
-        products = bra * (layers.reshape(-1, m, d, d) @ vectors)
-        rows[terms.flips] = products.real.sum(axis=-2).reshape(flips.shape[0], -1)
+    rows[:2] = (terms.diagonal @ (vectors * vectors)).reshape(2, -1)
+    if terms.flips.stop > terms.flips.start:
+        products = vectors * (_flip_layers(terms, m, d) @ vectors)
+        rows[terms.flips] = products.sum(axis=-2).reshape(-1, m * d)
     return rows
 
 
 @lru_cache(maxsize=_EIG_CACHE_SIZE)
-def _eigensystem(vspec: ValidatedSpec) -> _Eigensystem:
-    """Energies, observable table and stacked vectors of a chain, cached per spec.
+def _eigensystem(n_sites: int, boundary: str, field: float, zz: float, antiparallel: float,
+                 parallel: float) -> _Eigensystem:
+    """Energies, observable table and stacked vectors of a chain, cached per coupling.
 
+    The key is the site count, the boundary and the four couplings of the
+    layers of :class:`_Terms`: -B, s Jz, s (Jx + Jy) and s (Jx - Jy).
     ``lru_cache`` serializes insertion, so concurrent readers are safe and
-    at worst two threads diagonalize one spec once each. Total-S^z specs
-    arrive here with B = 0 only, where sector N - k is the spin-flip image
-    of k: the same energies and table, with M negated. Each group's H is
-    assembled straight from the :class:`_Terms` of the chain's bonds. A
-    ring's table holds every layer's expectation; an open chain's holds
-    only <M>, since its reader works from densities.
+    at worst two threads diagonalize one key once each. Total-S^z chains
+    (parallel = 0) arrive here with B = 0 only, where sector N - k is the
+    spin-flip image of k: the same energies and table, with M negated.
+    Each group's H is assembled straight from the :class:`_Terms` of the
+    chain's bonds. A ring's table holds every layer's expectation; an open
+    chain's holds only <M>, since its reader works from densities.
     """
-    n = vspec.n_sites
-    periodic = vspec.boundary == BOUNDARY_PERIODIC
+    n = n_sites
+    periodic = boundary == BOUNDARY_PERIODIC
     order = n if periodic else 1
-    conserve_sz = vspec.jx == vspec.jy
+    conserve_sz = parallel == 0.0
     layout = _layout(n, order, conserve_sz)
-    s = float(vspec.coupling_sign)
-    couplings = np.array([-vspec.b, s * vspec.jz, s * (vspec.jx + vspec.jy),
-                          s * (vspec.jx - vspec.jy)])
+    couplings = np.array([field, zz, antiparallel, parallel])
     table = np.empty((5 if periodic else 2, layout.solved))
-    vectors, start = [], 0
-    bonds = bond_list(n, vspec.boundary)
-    for g, terms in zip(layout.groups, _terms(n, order, conserve_sz, bonds)):
+    vectors = []
+    for g, terms in zip(layout.groups, _terms(n, order, conserve_sz, bond_list(n, boundary))):
         m, d = g.reps.shape
-        h = np.zeros((m, d, d), g.dtype)
-        h.reshape(-1)[terms.flat] = couplings @ terms.values
+        h = np.bincount(terms.cells, couplings[terms.layers] * terms.values,
+                        minlength=m * d * d).reshape(m, d, d)
         if d == 1:  # a 1 x 1 block is its own eigensystem
-            block_energies, block_vectors = h.real, np.ones_like(h)
+            block_energies, block_vectors = h[..., 0], np.ones_like(h)
         else:
             block_energies, block_vectors = np.linalg.eigh(h)
-        rows = table[:, start:start + m * d]
-        start += m * d
+        rows = table[:, g.states]
         rows[0] = block_energies.ravel()
         if periodic:
             rows[1:] = _expectations(terms, block_vectors)
@@ -620,7 +757,7 @@ def _eigensystem(vspec: ValidatedSpec) -> _Eigensystem:
     table[1, layout.solved:] *= -1.0  # M of the spin-flip images
     table.setflags(write=False)
     reader = _RingEigensystem if periodic else _OpenEigensystem
-    return reader(layout, table, tuple(vectors), {})
+    return reader(layout, table, float(np.abs(table[0]).max()), tuple(vectors), {})
 
 
 # ---------------------------------------------------------------------------
@@ -628,28 +765,46 @@ def _eigensystem(vspec: ValidatedSpec) -> _Eigensystem:
 
 
 def _spectrum(vspec: ValidatedSpec):
-    """(the cached eigensystem, its energies at the spec's field)."""
-    if vspec.jx != vspec.jy:
-        eig = _eigensystem(vspec)
-        return eig, eig.energies
-    eig = _eigensystem(replace(vspec, b=0.0))
-    return eig, eig.energies - vspec.b * eig.magnetization
+    """(the cached eigensystem, its energies at the spec's field, a bound on their spread).
+
+    Total-S^z chains (Jx = Jy) are keyed with B = 0, and their energies are
+    shifted by -B M, with |M| <= N. Raises FloatingPointError unless H and
+    twice the largest |E| fit the float range, so that no energy and no
+    difference of two overflows.
+    """
+    s = float(vspec.coupling_sign)
+    conserve_sz = vspec.jx == vspec.jy
+    couplings = (0.0 if conserve_sz else -vspec.b, s * vspec.jz, s * (vspec.jx + vspec.jy),
+                 s * (vspec.jx - vspec.jy))
+    # Every entry of a block, and every partial sum forming it, is at most
+    # 2 N^1.5 sum |c| (N terms per layer, each at most sqrt(4 N) |c|).
+    if not math.isfinite(4.0 * vspec.n_sites ** 2 * sum(map(abs, couplings))):
+        raise FloatingPointError(f"the couplings (-B, s Jz, s (Jx + Jy), s (Jx - Jy)) = "
+                                 f"{couplings} overflow the Hamiltonian")
+    eig = _eigensystem(vspec.n_sites, vspec.boundary, *couplings)
+    field = vspec.b if conserve_sz else 0.0
+    spread = 2.0 * (eig.scale + abs(field) * vspec.n_sites)
+    if not math.isfinite(spread):
+        raise FloatingPointError(f"the spectrum at B = {vspec.b} spans more than the float range")
+    if not conserve_sz:
+        return eig, eig.energies, spread
+    return eig, eig.energies - field * eig.magnetization, spread
 
 
 def thermal_observables(spec, kt: float) -> ThermalObservables:
     """U, M, per-bond correlators, and ln Z of the thermal state at kT.
 
     Weights use the spectrum shifted by its minimum, exp(-beta (E - E0)),
-    so no exponential can overflow at low temperature.
+    so no exponential can overflow at low temperature. Raises
+    FloatingPointError where a coupling, the spectrum, beta or a result
+    leaves the float range.
     """
     vspec = validate_spec(spec)
     _require_finite(vspec)
     beta = ThermalPoint(float(kt)).beta
-    eig, energies = _spectrum(vspec)
-    p, log_partition = _boltzmann(energies, beta, eig.multiplicity)
-    u, m, correlators = eig.observables(vspec.n_sites, energies, p)
-    return ThermalObservables(u=u, m=m, bond_correlators=correlators,
-                              log_partition=log_partition)
+    eig, energies, spread = _spectrum(vspec)
+    p, log_partition = _boltzmann(energies, beta, eig.multiplicity, spread)
+    return _checked(*eig.observables(vspec.n_sites, energies, p), log_partition)
 
 
 def ground_state_energy(spec) -> float:
@@ -667,11 +822,9 @@ def ground_state_observables(spec) -> ThermalObservables:
     """
     vspec = validate_spec(spec)
     _require_finite(vspec)
-    eig, energies = _spectrum(vspec)
+    eig, energies, _ = _spectrum(vspec)
     p = _ground_weights(energies, eig.multiplicity)
-    u, m, correlators = eig.observables(vspec.n_sites, energies, p)
-    return ThermalObservables(u=u, m=m, bond_correlators=correlators,
-                              log_partition=float("nan"))
+    return _checked(*eig.observables(vspec.n_sites, energies, p))
 
 
 def thermo_consistency(spec, kt: float) -> tuple[float, float]:
@@ -729,8 +882,8 @@ def reduced_pair_state(spec, kt: float, site_pair: tuple[int, int]) -> PairState
         raise SpecError("site pair must name two distinct sites")
 
     beta = ThermalPoint(float(kt)).beta
-    eig, energies = _spectrum(vspec)
-    p, _ = _boltzmann(energies, beta, eig.multiplicity)
+    eig, energies, spread = _spectrum(vspec)
+    p, _ = _boltzmann(energies, beta, eig.multiplicity, spread)
     return eig.pair_state(n, p, a, b)
 
 

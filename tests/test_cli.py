@@ -403,3 +403,22 @@ def test_numerical_failures_exit_two(capsys, monkeypatch):
                       "--kt", "1.0"], capsys)
     assert rc == 2
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("command", ["exact", "witness"])
+@pytest.mark.parametrize("args", [
+    ["--model", "xxx", "--n", "6", "--b=1e308", "--kt", "1"],
+    ["--model", "xxx", "--n", "6", "--kt", "1e-320"],
+    ["--model", "xx", "--j=1e308", "--n", "6", "--kt", "1"],
+    ["--model", "xyz", "--jx", "1", "--jy", "2", "--jz=1e308", "--n", "5", "--kt", "1"]])
+def test_exact_diagonalization_overflow_exits_two(capsys, command, args):
+    # An overflow is a numerical failure, never a NaN result or a usage
+    # error; XYZ chains are not witness-eligible, which is a usage error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run([command, *args], capsys)
+    if command == "witness" and "xyz" in args:
+        assert rc == 1 and "witness-eligible" in err
+        return
+    assert rc == 2 and err.startswith("numerical failure:")
+    assert "nan" not in out.lower()

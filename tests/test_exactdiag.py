@@ -8,6 +8,7 @@ also compared with one dense diagonalization of the whole space.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -453,23 +454,38 @@ def count_eigh_calls(monkeypatch):
 
 def test_field_sweep_costs_one_diagonalization_when_sz_is_conserved(monkeypatch):
     calls = count_eigh_calls(monkeypatch)
-    # Couplings no other test uses, so the eigensystem cache starts cold. Only
-    # the blocks k <= N/2 are solved (k and N - k are spin-flip images at B = 0),
-    # and k = N/2 as its two spin-inversion halves; blocks (an open chain's
-    # sectors, a ring's momentum blocks q <= N/2) are stacked by size, and
+    # The eigensystem cache starts cold. Only the blocks k <= N/2 are solved
+    # (k and N - k are spin-flip images at B = 0), k = N/2 as its two
+    # spin-inversion halves, and q = 0 and q = N/2 (every block of an open
+    # chain) as their two reflection halves; blocks are stacked by size, and
     # 1 x 1 blocks need no eigh.
+    exactdiag._eigensystem.cache_clear()
     cases = [
-        # N = 6 ring: k = 2 has orbits of size 6, 6, 3, so the blocks q = 0..3
-        # have sizes 3 2 3 2. k = 3 has orbits 000111, 001011, 001101 of size 6
-        # and 010101 of size 2; spin inversion swaps the orbits of 001011 and
-        # 001101 and maps the other two onto themselves. Its halves (+, -)
-        # have sizes q0: 3 1, q1: 1 2, q2: 2 1, q3: 1 3.
-        (ModelSpec.xxx(0.8137, n_sites=6), [(4, 2, 2), (4, 3, 3)]),
-        (ModelSpec.xx(-0.6113, n_sites=5, boundary="open"), [(1, 5, 5), (1, 10, 10)]),
-        # N = 4 open chain: k = 2 (6 states) is solved as two halves of 3.
-        (ModelSpec.xx(-0.6113, n_sites=4, boundary="open"), [(2, 3, 3), (1, 4, 4)]),
+        # N = 6 ring: k = 2 has orbits 000011, 000101 (size 6) and 001001
+        # (size 3), each mapped onto itself by reflection. Its blocks q = 0..3
+        # have sizes 3 2 3 2; q = 0 is all R-even (3), q = 3 splits into 1 + 1.
+        # k = 3 has orbits 000111, 001011, 001101 of size 6 and 010101 of
+        # size 2; spin inversion swaps the orbits of 001011 and 001101 and maps
+        # the other two onto themselves. Its spin-inversion halves (+, -) have
+        # sizes q0: 3 1, q1: 1 2, q2: 2 1, q3: 1 3, and reflection keeps each
+        # q = 0 and q = 3 half whole. The 2 x 2 blocks are k = 2 q = 1, k = 3
+        # q = 1 (-) and k = 3 q = 2 (+); the 3 x 3 ones k = 2 q = 0 and q = 2,
+        # k = 3 q = 0 (+) and q = 3 (-).
+        (ModelSpec.xxx(0.8137, n_sites=6), [(3, 2, 2), (4, 3, 3)]),
+        # N = 5 open chain: k = 1 (5 states, one palindrome 00100) splits into
+        # R-even 3 and R-odd 2; k = 2 (10 states, palindromes 01010 and 10001)
+        # into 6 and 4.
+        (ModelSpec.xx(-0.6113, n_sites=5, boundary="open"),
+         [(1, 2, 2), (1, 3, 3), (1, 4, 4), (1, 6, 6)]),
+        # N = 4 open chain: k = 1 (4 states, no palindrome) splits into 2 + 2.
+        # k = 2 is solved as two spin-inversion halves of 3: reflection maps
+        # 0011, 0101 and 0110 onto their own inversion images, so the + half is
+        # all R-even (3) and the - half splits into R-even 0110 (1) and R-odd
+        # 0011, 0101 (2).
+        (ModelSpec.xx(-0.6113, n_sites=4, boundary="open"), [(3, 2, 2), (1, 3, 3)]),
         # N = 4 ring: k = 2 has orbits 0011 (size 4) and 0101 (size 2), each its
-        # own inversion image; only the + half of q = 0 holds both.
+        # own inversion and reflection image; only the R-even + half of q = 0
+        # holds both.
         (ModelSpec.xyz(0.7121, 0.7121, -0.3, n_sites=4), [(1, 2, 2)]),
     ]
     for spec, shapes in cases:
@@ -486,13 +502,15 @@ def test_field_sweep_costs_one_diagonalization_when_sz_is_conserved(monkeypatch)
 
 def test_parity_sectors_rediagonalize_per_field(monkeypatch):
     calls = count_eigh_calls(monkeypatch)
+    exactdiag._eigensystem.cache_clear()
     fields = (0.0, 0.35, -1.7)
-    # N = 5 ring: each parity sector has 4 orbits (one of size 1), so blocks
-    # q = 0 have size 4 and q = 1, 2 size 3. The open chain's two parity
-    # sectors of 16 states share one stacked eigh.
+    # N = 5 ring: each parity sector has 4 orbits (one of size 1), each its own
+    # reflection image with phase 1 at q = 0, so blocks q = 0 keep size 4 (all
+    # R-even) and q = 1, 2 have size 3. The open chain's two parity sectors of
+    # 16 states (4 palindromes each) split into R-even 10 and R-odd 6.
     for spec, shapes in ((ModelSpec.xyz(0.6217, -0.4, 0.3, n_sites=5), [(4, 3, 3), (2, 4, 4)]),
                          (ModelSpec.xyz(0.6217, -0.4, 0.3, n_sites=5, boundary="open"),
-                          [(2, 16, 16)])):
+                          [(2, 6, 6), (2, 10, 10)])):
         for b in fields:
             thermal_observables(replace(spec, b=b), 0.9)
             thermal_observables(replace(spec, b=b), 0.2)
@@ -599,16 +617,20 @@ def test_ring_pair_layers_are_built_once_per_distance(monkeypatch):
         return expectations(terms, vectors)
 
     monkeypatch.setattr(exactdiag, "_expectations", counting)
-    # Couplings no other test uses, so the eigensystem cache starts cold. The
-    # N = 8 parity sectors have blocks of 14 (two), 16 (five), 17, 18 and 20
-    # states; the total-S^z blocks, with k = 4 in spin-inversion halves, come
-    # in groups of six 1 x 1, five 3 x 3, five 4 x 4, three 5 x 5, one 6 x 6
-    # and six 7 x 7.
+    # The eigensystem cache starts cold. The N = 8 parity sectors have
+    # momentum blocks of 14, 17, 14 (even sector) and 16, 16, 16 (odd sector)
+    # states at q = 1, 2, 3; reflection splits q = 0 into 18 + 2 and 12 + 4,
+    # and q = 4 into 9 + 9 and 12 + 4. The total-S^z blocks, with k = 4 in
+    # spin-inversion halves and q = 0 and 4 in reflection halves, come in
+    # groups of eight 1 x 1, five 2 x 2, four 3 x 3, four 4 x 4, six 5 x 5
+    # and four 7 x 7.
+    exactdiag._eigensystem.cache_clear()
     for spec, shapes in (
             (ModelSpec.xyz(0.5531, -0.37, 0.21, b=0.3, n_sites=8),
-             [(2, 14, 14), (5, 16, 16), (1, 17, 17), (1, 18, 18), (1, 20, 20)]),
+             [(1, 2, 2), (2, 4, 4), (2, 9, 9), (2, 12, 12), (2, 14, 14), (3, 16, 16),
+              (1, 17, 17), (1, 18, 18)]),
             (ModelSpec.xxx(-0.7219, b=0.3, n_sites=8),
-             [(6, 1, 1), (5, 3, 3), (5, 4, 4), (3, 5, 5), (1, 6, 6), (6, 7, 7)])):
+             [(8, 1, 1), (5, 2, 2), (4, 3, 3), (4, 4, 4), (6, 5, 5), (4, 7, 7)])):
         vspec = validate_spec(spec)
         first = reduced_pair_state(spec, 0.6, (1, 4)).matrix
         # One call per group for the eigensystem's table, then one for distance 3.
@@ -639,6 +661,7 @@ def test_open_chain_pair_terms_are_built_once_per_pair():
         return exactdiag._terms.cache_info().misses
 
     exactdiag._terms.cache_clear()
+    exactdiag._eigensystem.cache_clear()
     for spec in (ModelSpec.xyz(0.4127, -0.53, 0.29, b=0.3, n_sites=9, boundary="open"),
                  ModelSpec.xxx(-0.8311, b=0.3, n_sites=9, boundary="open")):
         start = misses()
@@ -766,3 +789,93 @@ def test_xx_coupling_reversal_keeps_u_and_m(boundary, sign, n, j, b, kt):
     obs, reversed_obs = thermal_observables(spec, kt), thermal_observables(reverse, kt)
     assert abs(obs.u - reversed_obs.u) < tol
     assert abs(obs.m - reversed_obs.m) < tol
+
+
+# ---------------------------------------------------------------------------
+# Real blocks and reflection halves
+
+
+@pytest.mark.parametrize("family", ["xxx", "xx", "xyz"])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_every_eigensystem_is_real(family, boundary):
+    for n in range(1 if boundary == "open" else 3, 11):
+        eig, energies, _ = exactdiag._spectrum(validate_spec(
+            sector_case_spec(family, boundary, "singlet-ground", n)))
+        assert eig.table.dtype == energies.dtype == np.float64
+        assert all(v.dtype == np.float64 for v in eig.vectors), n
+
+
+OPEN_MIRROR_SPECS = [sector_case_spec(family, "open", "singlet-ground", n)
+                     for family in ("xxx", "xx", "xyz") for n in (6, 7)]
+
+
+@pytest.mark.parametrize("spec", OPEN_MIRROR_SPECS,
+                         ids=lambda spec: f"{spec.family}-n{spec.n_sites}")
+def test_open_chain_reads_are_mirror_symmetric(spec):
+    # The open-chain readers return mirror means: bond i and bond N-2-i, and
+    # pair (a, b) and (N-1-b, N-1-a), agree, and each matches the dense oracle.
+    n = spec.n_sites
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    for kt in (0.3, None):
+        ref, ref_pair = dense_reference(spec, kt)
+        obs = ground_state_observables(spec) if kt is None else thermal_observables(spec, kt)
+        assert_observables_close(obs, ref, 1e-11)
+        bonds = np.array(obs.bond_correlators)
+        assert np.max(np.abs(bonds - bonds[::-1])) < 1e-12
+        if kt is None:
+            continue
+        for a, b in ((0, 1), (0, 2), (1, 4), (4, 1), (0, n - 1), (2, 3)):
+            rho = reduced_pair_state(spec, kt, (a, b)).matrix
+            mirror = reduced_pair_state(spec, kt, (n - 1 - b, n - 1 - a)).matrix
+            assert np.max(np.abs(rho - swap @ mirror @ swap)) < 1e-12
+            assert np.max(np.abs(rho - reduced_pair_state(spec, kt, (n - 1 - a, n - 1 - b))
+                                 .matrix)) < 1e-12
+            assert np.max(np.abs(rho - ref_pair(a, b))) < 1e-11
+            assert np.max(np.abs(mirror - ref_pair(n - 1 - b, n - 1 - a))) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# Overflow: an honest numerical failure, never a NaN result
+
+
+OVERFLOW_CASES = [
+    (ModelSpec.xxx(1.0, b=1e308, n_sites=6), 1.0),  # -B M leaves the float range
+    (ModelSpec.xxx(1.0, n_sites=6), 1e-320),  # beta = 1/kT overflows
+    (ModelSpec.xyz(1.0, 2.0, 1e308, n_sites=5), 1.0),  # s Jz overflows into H
+    (ModelSpec.xyz(1.0, 2.0, 1e308, n_sites=5, boundary="open"), 1.0),
+    (ModelSpec.xx(1e308, n_sites=6), 1.0),  # s (Jx + Jy) overflows
+    (ModelSpec.xx(1e308, n_sites=6, boundary="open"), 1.0),
+]
+
+
+@pytest.mark.parametrize("spec, kt", OVERFLOW_CASES)
+def test_overflow_raises_floating_point_error(spec, kt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            thermal_observables(spec, kt)
+        with pytest.raises(FloatingPointError):
+            reduced_pair_state(spec, kt, (0, 1))
+        if kt == 1.0:
+            with pytest.raises(FloatingPointError):
+                ground_state_observables(spec)
+
+
+def test_weights_beyond_the_float_range_are_zero():
+    # beta (E - E0) overflows for the top of the XXX N = 6 spectrum (E0 =
+    # -11.2, top +6), while ln Z = -beta E0 stays finite: the thermal state is
+    # the ground singlet.
+    spec = ModelSpec.xxx(1.0, n_sites=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        obs = thermal_observables(spec, 8e-308)
+    ground = ground_state_observables(spec)
+    assert obs.u == pytest.approx(ground.u, rel=1e-12)
+    assert obs.log_partition == pytest.approx(-ground.u / 8e-308, rel=1e-12)
+    # At kT = 1e-308, ln Z = -beta E0 overflows, but the pair state needs no ln Z.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="ln Z = inf"):
+            thermal_observables(spec, 1e-308)
+        rho = reduced_pair_state(spec, 1e-308, (0, 1)).matrix
+    assert np.max(np.abs(rho - reduced_pair_state(spec, 8e-308, (0, 1)).matrix)) < 1e-15
