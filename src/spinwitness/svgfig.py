@@ -10,6 +10,8 @@ and no timestamp is embedded, so output bytes are stable for a given grid.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import SpecError
@@ -23,25 +25,26 @@ _CONTOUR_STROKE = "#1f4e79"
 _AXIS_COLOR = "#222222"
 
 
-def _column_crossing(b_values: np.ndarray, w_column: np.ndarray) -> float | None:
+def _column_crossing(b_values: list[float], w_column: list[float]) -> float | None:
     """B where W crosses 1 in one kT column, by linear interpolation.
 
-    Returns None when the column is not entangled at its lowest field.
-    Columns entangled across the whole sampled field range clamp to the top
-    edge. NaN cells (failed quadrature) end the upward search.
+    Takes the column as Python floats. Returns None when the column is not
+    entangled at its lowest field. Columns entangled across the whole
+    sampled field range clamp to the top edge. NaN cells (failed
+    quadrature) end the upward search.
     """
     if not (w_column[0] > 1.0):
         return None
     for i in range(len(b_values) - 1):
         lo, hi = w_column[i], w_column[i + 1]
-        if np.isnan(hi):
-            return float(b_values[i])
+        if math.isnan(hi):
+            return b_values[i]
         if lo > 1.0 >= hi:
             if hi == lo:
-                return float(b_values[i])
+                return b_values[i]
             frac = (lo - 1.0) / (lo - hi)
-            return float(b_values[i] + frac * (b_values[i + 1] - b_values[i]))
-    return float(b_values[-1])
+            return b_values[i] + frac * (b_values[i + 1] - b_values[i])
+    return b_values[-1]
 
 
 def region_geometry(grid: RegionGrid):
@@ -59,15 +62,16 @@ def region_geometry(grid: RegionGrid):
     if kt_values.size > 1 and not np.all(np.diff(kt_values) > 0):
         raise SpecError("SVG rendering expects a strictly increasing kT axis")
 
+    b_list = b_values.tolist()
     contour = []
-    for ik, kt in enumerate(kt_values):
-        crossing = _column_crossing(b_values, grid.w[:, ik])
+    for kt, column in zip(kt_values.tolist(), np.asarray(grid.w, dtype=float).T.tolist()):
+        crossing = _column_crossing(b_list, column)
         if crossing is None:
             break
-        contour.append((float(kt), crossing))
+        contour.append((kt, crossing))
     if not contour:
         return [], []
-    floor = float(b_values[0])
+    floor = b_list[0]
     polygon = [(contour[0][0], floor), *contour, (contour[-1][0], floor)]
     return polygon, contour
 

@@ -131,8 +131,11 @@ def _integrate(integrand, k, c, abs_tol, limit=_MAX_ARGUMENT):
     reason = _out_of_range(k, c, limit)
     if reason is not None:
         raise QuadratureError(reason)
+    # Without a step every seed is NaN and makes no panel, so skipping them
+    # keeps the bits; the test is on the quotient arccos would see.
+    has_step = k != 0.0 and abs(c / (2.0 * k)) <= 1.0
     return adaptive_quadrature(integrand, 0.0, math.pi, abs_tol=abs_tol,
-                               seeds=_step_seeds(k, c)[0])
+                               seeds=_step_seeds(k, c)[0] if has_step else ())
 
 
 def xx_log_partition_density(coupling_over_kt, field_over_kt,
@@ -264,20 +267,24 @@ class RegionGrid:
 
     def to_csv(self) -> str:
         """CSV rows, row-major in B then kT; byte-stable for a given grid."""
+        # Whole rows as Python floats and bools, each axis value formatted once.
+        kts = [repr(kt) for kt in np.asarray(self.kt_over_j, dtype=float).tolist()]
         lines = ["kT_over_J,B_over_J,W,entangled"]
-        for ib, b in enumerate(self.b_over_j):
-            for ik, kt in enumerate(self.kt_over_j):
-                flag = "true" if bool(self.entangled[ib, ik]) else "false"
-                lines.append(f"{float(kt)!r},{float(b)!r},{float(self.w[ib, ik])!r},{flag}")
+        for b, w_row, flags in zip(np.asarray(self.b_over_j, dtype=float).tolist(),
+                                   np.asarray(self.w, dtype=float).tolist(),
+                                   np.asarray(self.entangled, dtype=bool).tolist()):
+            tail = f",{b!r},"
+            lines.extend(f"{kt}{tail}{w!r},{'true' if flag else 'false'}"
+                         for kt, w, flag in zip(kts, w_row, flags))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         return json.dumps({
             "kind": "region-grid",
-            "kT_over_J": [float(x) for x in self.kt_over_j],
-            "B_over_J": [float(x) for x in self.b_over_j],
-            "W": [[float(x) for x in row] for row in self.w],
-            "entangled": [[bool(x) for x in row] for row in self.entangled],
+            "kT_over_J": np.asarray(self.kt_over_j, dtype=float).tolist(),
+            "B_over_J": np.asarray(self.b_over_j, dtype=float).tolist(),
+            "W": np.asarray(self.w, dtype=float).tolist(),
+            "entangled": np.asarray(self.entangled, dtype=bool).tolist(),
             "cell_errors": [list(e) for e in self.cell_errors],
             "metadata": {
                 "abs_tol": self.abs_tol,

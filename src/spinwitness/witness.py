@@ -179,21 +179,37 @@ def _corner_states(n_sites: int):
     return (aligned_z, aligned_x, aligned_z * signs, aligned_x * signs)
 
 
+def _ring_bonds(op, x, n, out):
+    """out[i] = op(x[i], x[i + 1]) over rings of n consecutive sites of the flat x.
+
+    Each ring's last site pairs with its first, so ``out`` holds what
+    op(x, np.roll(x, -1)) gives per ring, without the roll's copy.
+    """
+    op(x[:-1], x[1:], out=out[:-1])
+    op(x[n - 1::n], x[::n], out=out[n - 1::n])
+    return out
+
+
 def separable_sweep(n_samples, n_sites, family, seed, include_corners: bool = True) -> float:
     """Max witness over random product states on a ring (plus corner states).
 
-    Each site gets an independent Bloch vector uniform on the sphere
-    (normalized Gaussian triple). The Cauchy-Schwarz bound guarantees the
-    result never exceeds 1 beyond roundoff; aligned corner states saturate
-    it exactly. Mixed separable states need no sampling: the witness is
-    convex, so its maximum over separable states is attained on pure
-    products.
+    Each site gets an independent Bloch vector uniform on the sphere, drawn
+    from two uniforms as z = cos(theta) = 2 u1 - 1 and phi = 2 pi u2: the
+    height of a uniform point on the sphere is itself uniform on [-1, 1]
+    (Archimedes' hat-box theorem). A bond scores
+    u_i . u_j = z_i z_j + r_i r_j cos(phi_i - phi_j), r = sqrt(1 - z^2),
+    and the XX family keeps only the r_i r_j cos term, so no vector is
+    formed or normalized: a site costs two uniforms, one square root and
+    one cosine. The Cauchy-Schwarz bound guarantees the result never
+    exceeds 1 beyond roundoff; aligned corner states saturate it exactly.
+    Mixed separable states need no sampling: the witness is convex, so its
+    maximum over separable states is attained on pure products.
 
-    Samples are drawn and scored in blocks of about 2^15 site vectors, so
-    memory is constant in ``n_samples`` and in ``n_sites`` (a few MiB; only
-    a ring of more than 2^15 sites makes a one-sample block larger). Blocks
-    are consecutive draws from one generator, so the result is the same
-    bits as scoring every sample at once.
+    Samples are drawn and scored in blocks of about 2^15 sites, so memory
+    is constant in ``n_samples`` and in ``n_sites`` (a few MiB; only a ring
+    of more than 2^15 sites makes a one-sample block larger). Blocks are
+    consecutive draws from one generator, so the result is the same bits
+    as scoring every sample at once.
     """
     n_samples = require_count(n_samples, "n_samples")
     n = require_count(n_sites, "n_sites")
@@ -204,17 +220,25 @@ def separable_sweep(n_samples, n_sites, family, seed, include_corners: bool = Tr
         raise SpecError(f"family {family!r} is not witness-eligible")
 
     rng = np.random.default_rng(seed)
-    components = 3 if family == FAMILY_XXX else 2
     block = max(1, _SWEEP_BLOCK_SITES // n)
     largest = 0.0
     for start in range(0, n_samples, block):
-        vecs = rng.normal(size=(min(block, n_samples - start), n, 3))
-        sq = vecs * vecs  # the sum linalg.norm takes, in its order, without its overhead
-        vecs /= np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])[..., None]
-        del sq  # a block-sized buffer; held through the roll below it raises the peak
-        dots = np.einsum("sna,sna->sn", vecs[:, :, :components],
-                         np.roll(vecs, -1, axis=1)[:, :, :components])
-        largest = max(largest, float(np.max(np.abs(dots.sum(axis=1)))))
+        m = min(block, n_samples - start)
+        uniforms = rng.random((m, n, 2)).reshape(m * n, 2)
+        z, phi = uniforms[:, 0], uniforms[:, 1]  # views: the draws become z and phi in place
+        z *= 2.0
+        z -= 1.0
+        phi *= 2.0 * math.pi
+        r = z * z
+        np.subtract(1.0, r, out=r)
+        np.sqrt(r, out=r)
+        dots = _ring_bonds(np.subtract, phi, n, np.empty(m * n))
+        np.cos(dots, out=dots)
+        pair = _ring_bonds(np.multiply, r, n, np.empty(m * n))
+        dots *= pair
+        if family == FAMILY_XXX:
+            dots += _ring_bonds(np.multiply, z, n, pair)
+        largest = max(largest, float(np.max(np.abs(dots.reshape(m, n).sum(axis=1)))))
     best = largest / n
     if include_corners:
         for corner in _corner_states(n):

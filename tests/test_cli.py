@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from spinwitness import cli, quadrature, thermolimit
+from spinwitness import cli, quadrature, svgfig, thermolimit
 from spinwitness.cli import main
 from spinwitness.quadrature import QuadratureError
 from spinwitness.svgfig import region_geometry
@@ -326,6 +326,124 @@ def test_scan_svg_matches_the_grid_geometry(tmp_path, capsys):
     points = [tuple(float(v) for v in pair.split(","))
               for pair in contour.get("points").split()]
     assert points == expected_contour
+
+
+def per_cell_csv(grid):
+    """RegionGrid.to_csv with one float() per cell: the writer's oracle."""
+    lines = ["kT_over_J,B_over_J,W,entangled"]
+    for ib, b in enumerate(grid.b_over_j):
+        for ik, kt in enumerate(grid.kt_over_j):
+            flag = "true" if bool(grid.entangled[ib, ik]) else "false"
+            lines.append(f"{float(kt)!r},{float(b)!r},{float(grid.w[ib, ik])!r},{flag}")
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_json(grid):
+    """RegionGrid.to_json with one float() or bool() per value, no timestamp."""
+    return json.dumps({
+        "kind": "region-grid",
+        "kT_over_J": [float(x) for x in grid.kt_over_j],
+        "B_over_J": [float(x) for x in grid.b_over_j],
+        "W": [[float(x) for x in row] for row in grid.w],
+        "entangled": [[bool(x) for x in row] for row in grid.entangled],
+        "cell_errors": [list(e) for e in grid.cell_errors],
+        "metadata": {"abs_tol": grid.abs_tol, "magnetization_form": grid.magnetization_form,
+                     "threshold": 1.0, "generated_at": None},
+    }, indent=2) + "\n"
+
+
+def column_crossing_by_index(b_values, w_column):
+    """svgfig._column_crossing reading numpy scalars by index: its oracle."""
+    if not (w_column[0] > 1.0):
+        return None
+    for i in range(len(b_values) - 1):
+        lo, hi = w_column[i], w_column[i + 1]
+        if np.isnan(hi):
+            return float(b_values[i])
+        if lo > 1.0 >= hi:
+            if hi == lo:
+                return float(b_values[i])
+            frac = (lo - 1.0) / (lo - hi)
+            return float(b_values[i] + frac * (b_values[i + 1] - b_values[i]))
+    return float(b_values[-1])
+
+
+def geometry_by_index(grid):
+    """svgfig.region_geometry over numpy columns: its oracle."""
+    b_values, kt_values = np.asarray(grid.b_over_j), np.asarray(grid.kt_over_j)
+    contour = []
+    for ik, kt in enumerate(kt_values):
+        crossing = column_crossing_by_index(b_values, grid.w[:, ik])
+        if crossing is None:
+            break
+        contour.append((float(kt), crossing))
+    if not contour:
+        return [], []
+    floor = float(b_values[0])
+    return [(contour[0][0], floor), *contour, (contour[-1][0], floor)], contour
+
+
+def oracle_svg(grid, monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(svgfig, "region_geometry", geometry_by_index)
+        return svgfig.render_region_svg(grid)
+
+
+def _without_timestamp(text):
+    return [line for line in text.splitlines() if '"generated_at"' not in line]
+
+
+def assert_writers_match_the_oracles(grid, monkeypatch):
+    assert grid.to_csv() == per_cell_csv(grid)
+    assert _without_timestamp(grid.to_json()) == _without_timestamp(per_cell_json(grid))
+    assert region_geometry(grid) == geometry_by_index(grid)
+    assert svgfig.render_region_svg(grid) == oracle_svg(grid, monkeypatch)
+
+
+@pytest.mark.parametrize("argv, kt, b", [
+    ([], np.linspace(0.05, 3.0, 60), np.linspace(0.0, 3.0, 60)),  # the default scan
+    (["--tol", "1e-17", "--kt-steps", "8", "--b-steps", "8"],  # NaN cells
+     np.linspace(0.05, 3.0, 8), np.linspace(0.0, 3.0, 8)),
+])
+def test_scan_artifacts_match_the_per_cell_writers(tmp_path, capsys, monkeypatch, argv, kt, b):
+    csv, svg = tmp_path / "region.csv", tmp_path / "region.svg"
+    rc, _, _ = run(["scan", *argv, "--out-path", str(csv), "--svg", str(svg)], capsys)
+    assert rc == 0
+    grid = region_scan(kt, b, abs_tol=float(argv[1]) if argv else quadrature.DEFAULT_ABS_TOL)
+    assert csv.read_text() == per_cell_csv(grid)
+    assert svg.read_text() == oracle_svg(grid, monkeypatch)
+    assert_writers_match_the_oracles(grid, monkeypatch)
+    assert grid.entangled.any() if not argv else np.isnan(grid.w).any()
+
+
+def _grid(kt, b, w):
+    w = np.asarray(w, dtype=float)
+    return thermolimit.RegionGrid(
+        kt_over_j=np.asarray(kt, dtype=float), b_over_j=np.asarray(b, dtype=float), w=w,
+        entangled=np.where(np.isnan(w), False, w > 1.0), cell_errors=(), abs_tol=1e-10,
+        magnetization_form="lnz-derivative")
+
+
+WRITER_GRIDS = {
+    "one-field": lambda: region_scan(np.linspace(0.05, 3.0, 7), np.array([0.5])),
+    "one-temperature": lambda: region_scan(np.array([0.5]), np.linspace(0.0, 3.0, 7)),
+    "negative-fields": lambda: region_scan(np.linspace(0.05, 1.5, 9), np.linspace(-0.5, 1.5, 9)),
+    "clamped": lambda: region_scan(np.linspace(0.05, 0.5, 5), np.linspace(0.0, 0.5, 5)),
+    "nan-in-a-crossing-column": lambda: _grid(
+        [0.1, 0.2, 0.3], [0.0, 1.0, 2.0],
+        [[2.0, 1.5, 1.25], [float("nan"), 1.2, float("nan")], [0.5, 0.3, 0.75]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_GRIDS))
+def test_region_writers_match_the_per_cell_writers(monkeypatch, name):
+    grid = WRITER_GRIDS[name]()
+    assert_writers_match_the_oracles(grid, monkeypatch)
+    _, contour = region_geometry(grid)
+    if name == "clamped":  # entangled at every field: each crossing sits on the top edge
+        assert [b for _, b in contour] == [0.5] * 5
+    if name in ("negative-fields", "nan-in-a-crossing-column"):
+        assert contour
 
 
 def test_scan_as_printed_changes_the_surface(tmp_path, capsys):

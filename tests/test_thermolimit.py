@@ -355,6 +355,50 @@ def test_batched_witness_matches_both_scalar_routes(kt, b):
     assert abs(w - xx_witness(kt, b, 1.0).value) < 1e-10
 
 
+def _always_seeded(integrand, k, c, abs_tol, limit=thermolimit._MAX_ARGUMENT):
+    """The scalar integral seeded by _step_seeds whether or not there is a step."""
+    reason = thermolimit._out_of_range(k, c, limit)
+    if reason is not None:
+        raise quadrature.QuadratureError(reason)
+    return quadrature.adaptive_quadrature(integrand, 0.0, math.pi, abs_tol=abs_tol,
+                                          seeds=thermolimit._step_seeds(k, c)[0])
+
+
+def _scalar_limit_values(kt, b, j):
+    return (xx_witness_single_integral(kt, b, j), xx_internal_energy(kt, b, j),
+            xx_magnetization(kt, b, j), xx_magnetization(kt, b, j, as_printed=True),
+            xx_log_partition_density(j / kt, b / kt))
+
+
+# B = 2|J| makes C/2K exactly +-1, a step at w* = 0 or pi; the floats next
+# to 2 land on either side of it or round back onto it.
+@pytest.mark.parametrize("kt", [0.02, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("b", [0.0, 1.2, math.nextafter(2.0, 0.0), 2.0,
+                               math.nextafter(2.0, 3.0), 2.5, -2.0, -3.0])
+@pytest.mark.parametrize("j", [1.0, -1.0])
+def test_scalar_integrals_seed_only_at_a_step_and_keep_the_bits(monkeypatch, kt, b, j):
+    values = _scalar_limit_values(kt, b, j)
+    step_seeds, quotients = thermolimit._step_seeds, []
+
+    def recorded(k, c):
+        quotients.append(c / (2.0 * k))
+        return step_seeds(k, c)
+
+    monkeypatch.setattr(thermolimit, "_step_seeds", recorded)
+    assert _scalar_limit_values(kt, b, j) == values
+    assert all(abs(q) <= 1.0 for q in quotients)
+    if abs(b) <= 2.0:
+        assert len(quotients) == len(values)
+    monkeypatch.setattr(thermolimit, "_integrate", _always_seeded)
+    assert _scalar_limit_values(kt, b, j) == values
+
+
+def test_a_zero_coupling_has_no_step_and_keeps_the_bits(monkeypatch):
+    values = [xx_log_partition_density(0.0, c) for c in (0.0, 0.5, -4.0)]
+    monkeypatch.setattr(thermolimit, "_integrate", _always_seeded)
+    assert [xx_log_partition_density(0.0, c) for c in (0.0, 0.5, -4.0)] == values
+
+
 def _reference_witness(kt, b):
     """W by mpmath's tanh-sinh rule, split at the kink w* = arccos(B/2J)."""
     with mpmath.workdps(30):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from spinwitness import witness
 from spinwitness.exactdiag import concurrence, reduced_pair_state, thermal_observables
@@ -185,14 +186,22 @@ def test_separable_sweep_rejections():
         separable_sweep(10, 6, "xyz", seed=1)
 
 
-def unblocked_sweep(n_samples, n, family, seed, include_corners):
-    """The sweep scored as one (n_samples, N, 3) array."""
+def sweep_bond_dots(n_samples, n, family, seed):
+    """The sweep's (n_samples, N) ring bond dots, drawn as one (n_samples, N, 2) array."""
     rng = np.random.default_rng(seed)
-    vecs = rng.normal(size=(n_samples, n, 3))
-    vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
-    components = 3 if family == "xxx" else 2
-    dots = np.einsum("sna,sna->sn", vecs[:, :, :components],
-                     np.roll(vecs, -1, axis=1)[:, :, :components])
+    u = rng.random((n_samples, n, 2))
+    z = 2.0 * u[..., 0] - 1.0
+    phi = 2.0 * math.pi * u[..., 1]
+    r = np.sqrt(1.0 - z * z)
+    dots = r * np.roll(r, -1, axis=1) * np.cos(phi - np.roll(phi, -1, axis=1))
+    if family == "xxx":
+        dots = z * np.roll(z, -1, axis=1) + dots
+    return dots
+
+
+def unblocked_sweep(n_samples, n, family, seed, include_corners):
+    """The sweep scored as one array."""
+    dots = sweep_bond_dots(n_samples, n, family, seed)
     best = float(np.max(np.abs(dots.sum(axis=1))) / n)
     if include_corners:
         best = max(best, 1.0)  # the x-aligned corner scores exactly 1, the others at most 1
@@ -215,6 +224,21 @@ def test_blocked_sweep_is_bit_identical_to_the_unblocked_reference(monkeypatch, 
         for corners in (True, False):
             expected = unblocked_sweep(n_samples, n, family, n, corners)
             assert separable_sweep(n_samples, n, family, n, corners) == expected
+
+
+def test_xxx_bond_dots_are_uniform_on_minus_one_to_one():
+    # u . v of independent uniform unit vectors is exactly Uniform[-1, 1].
+    # The open-chain bonds 0 .. N-2 of a ring are mutually independent.
+    dots = sweep_bond_dots(20_000, 8, "xxx", seed=11)[:, :-1].ravel()
+    assert stats.kstest(dots, stats.uniform(loc=-1.0, scale=2.0).cdf).pvalue > 0.01
+
+
+def test_xx_bond_dots_have_mean_zero_and_variance_two_ninths():
+    # r r' cos(dphi): E = 0, E[x^2] = E[r^2]^2 E[cos^2] = (2/3)^2 / 2 = 2/9,
+    # with standard errors 1.3e-3 and 6.4e-4 over these 140 000 bonds.
+    dots = sweep_bond_dots(20_000, 8, "xx", seed=11)[:, :-1].ravel()
+    assert abs(dots.mean()) < 7e-3
+    assert abs(dots.var() - 2.0 / 9.0) < 3.5e-3
 
 
 @pytest.mark.parametrize("n_samples, n", [(20_000, 8), (200_000, 8), (64, 2000)])
