@@ -63,19 +63,16 @@ antiparallel or a parallel pair. Blocks of equal size are stacked into
 one `numpy.linalg.eigh` call; 1 x 1 blocks need none. No complex number
 enters.
 
-Only the readers differ. A ring's thermal state commutes with T, so every
-ring bond has the same correlators: its eigensystem stores, per
-eigenstate, <M> and the translation sums of the bond operators (diagonal
-ones read as sum_i v_i^2 diag_i, flip ones multiplied into the vectors
-only where they have entries), and any average is one weighted sum over
-that table; these sums are R-even. An open chain stores only energies and
-<M>; each call forms the density (V sqrt p)(V sqrt p)^T of every stack of
-equal-size blocks and reads it pair by pair. That density is block
-diagonal in R parity, so a pair (a, b) is read as the mean of (a, b) and
-its mirror (N-1-b, N-1-a), and sz_a as the mean of sites a and N-1-a,
-which are equal in any R-symmetric state. No 2^N x 2^N matrix is formed;
-:func:`build_hamiltonian` assembles the dense matrix, which serves as an
-independent oracle.
+Both boundaries also share one reader. The thermal state commutes with
+the chain's translations and with R, so sites, or site pairs, in one orbit
+of that group read the same. Per eigenstate the eigensystem stores its
+energy, sum_j sz_j over each site class (an orbit of sites) and the sums of
+sz.sz and of both flips over each bond class: one class of each on a ring,
+a site or bond with its mirror image on an open chain. Any average is then
+one weighted sum over that table: a site or bond reads its class mean, a
+pair the rows of its pair orbit, built once from the vectors. No 2^N x 2^N
+matrix is formed; :func:`build_hamiltonian` assembles the dense matrix,
+which serves as an independent oracle.
 
 Thermal averages never special-case T -> 0: weights are
 exp(-beta (E - E0)) normalized through a log-sum-exp partition function, so
@@ -93,7 +90,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    BOUNDARY_OPEN,
     BOUNDARY_PERIODIC,
     SpecError,
     ThermalPoint,
@@ -110,10 +106,24 @@ SITE_CAP = 14
 # A cached eigensystem holds the vectors of its solved blocks. At N = 14 an
 # open chain's are about 80 MB in total-S^z sectors (k <= N/2) and 540 MB in
 # the two parity sectors (a dense one would be 2 GB), a ring's 6 MB and
-# 39 MB. Keep the cache small.
+# 39 MB. Its table is small beside them: 29 rows per eigenstate for an open
+# chain, 3.8 MB at N = 14, and 5 for a ring. Keep the cache small.
 _EIG_CACHE_SIZE = 8
 
 _DEGENERACY_TOL = 1e-9
+
+# Numbers per buffer of gathered vector rows: 125 KiB, below the 128 KiB from
+# which malloc maps fresh pages for every temporary.
+_GATHER_SIZE = 16000
+
+# A gathered number costs about 16 multiply-adds of a dense product and only
+# half of a symmetric row's entries (i <= j) are gathered: a group's flip rows
+# are dense layers where these hold fewer than 8 cells per entry.
+_GATHER_COST = 8
+
+# A gathered number costs about as much as this many multiply-adds of a
+# dense product: a group's flip rows are multiplied as dense layers when
+# those take fewer.
 
 _SIGMA_YY = np.array([[0.0, 0.0, 0.0, -1.0],
                       [0.0, 0.0, 1.0, 0.0],
@@ -312,174 +322,86 @@ class _Layout(NamedTuple):
 
 
 class _Terms(NamedTuple):
-    """One group's operators for a tuple of site pairs (i, j), summed, without couplings.
+    """One group's operators for S site classes and C pair classes, without couplings.
 
-    The four layers are sum_j sz_j over every site, the sum of sz_i sz_j
-    over the pairs (both diagonal), and the sums of the pair flips that move
-    an antiparallel and a parallel pair. Every layer is kept as entries of
-    the group's (m, d, d) stack of blocks, the 2 m d diagonal ones first;
+    Per site class the sum of sz_j, per pair class the sums of sz_i sz_j and
+    of the flips that move an antiparallel and a parallel pair: the table's
+    S + 3 C rows. H's four layers are these summed over the classes, kept as
+    entries of the group's (m, d, d) stack, the 2 m d diagonal ones first;
     entries at one cell add up.
     """
 
-    diagonal: np.ndarray  # (2, m, 1, d): the diagonal layers, block by block
-    cells: np.ndarray     # per entry, its index into the (m, d, d) stack
-    layers: np.ndarray    # per entry, its layer
-    values: np.ndarray    # per entry, its value
-    flips: slice          # the flip layers (2, 3 or both) with entries in this group
-    apart: tuple | None   # open chains: the pairs' terms kept apart, as (zz, slots): the
-                          # (pairs, m d) sz_i sz_j of every state, and per flip entry its
-                          # pair's index, plus len(pairs) for a parallel pair
+    diagonal: np.ndarray  # (m, S + C, d): the diagonal rows, block by block
+    rows: int             # S + 3 C
+    cells: np.ndarray     # per H entry, its index into the (m, d, d) stack,
+    layers: np.ndarray    # its layer (the field, zz, antiparallel or parallel flips)
+    values: np.ndarray    # and its value
+    dense: tuple | None   # the 2 C flip rows as dense layers: (how many leading rows they
+                          # span, each flip entry's index into their (rows, m, d, d) stack), or
+    chunks: tuple         # gathered in chunks of (flat rows i and j of the (m d, d) vectors,
+                          # the (runs, entries) matrix summing each run, its slice of ``keys``)
+    keys: np.ndarray      # per run of one flip row r and block b: r m + b
+
+
+class _Classes(NamedTuple):
+    """A chain's sites and bonds in orbits under its translations and its reflection."""
+
+    sites: tuple          # site classes, each a sorted tuple of 1-tuples (j,)
+    site_class: tuple     # per site, the index of its class
+    bonds: tuple          # bond classes, each a sorted tuple of sorted site pairs
+    bond_class: tuple     # per bond of bond_list, the index of its class
 
 
 class _Eigensystem(NamedTuple):
     """A chain's energies, per-eigenstate table and stacked vectors, numbered as in _Layout."""
 
     layout: _Layout
-    table: np.ndarray     # per eigenstate: its energy, its <M> and, for rings only, its
-                          # expectation of the other layers of the bond _Terms
+    classes: _Classes
+    table: np.ndarray     # per eigenstate: its energy, sum_j <sz_j> over each site class, then
+                          # <sz_i sz_j>, the antiparallel and the parallel flip sums over each
+                          # bond class (1 + S + 3 C rows)
+    magnetization: np.ndarray  # per eigenstate, its <M>: the site rows summed
     scale: float          # the largest |E|
     vectors: tuple        # per group, the (m, d, d) stacked eigenvectors
-    pair_layers: dict     # rings: distance d > 1 -> rows 2-4 of the table for pairs
-                          # (i, i+d), filled on first use
+    pair_layers: dict     # pair orbit -> its three rows (zz, antiparallel, parallel): the bond
+                          # classes' table rows, other orbits added on first use
 
     @property
     def energies(self) -> np.ndarray:
         return self.table[0]
 
-    @property
-    def magnetization(self) -> np.ndarray:
-        return self.table[1]
-
-    @property
-    def multiplicity(self) -> np.ndarray:
-        return self.layout.multiplicity
-
-
-class _RingEigensystem(_Eigensystem):
-    """A ring's eigensystem, read through its per-eigenstate table."""
-
-    __slots__ = ()
-
-    def observables(self, n_sites: int, energies: np.ndarray, p: np.ndarray):
-        """(U, M, bond correlators): every bond gets the translation average."""
-        m, zz, antiparallel, parallel = (self.table[1:] @ p).tolist()
-        bond = ((antiparallel + parallel) / n_sites, (antiparallel - parallel) / n_sites,
-                zz / n_sites)
-        return float(p @ energies), m, (bond,) * n_sites
+    def observables(self, energies: np.ndarray, p: np.ndarray):
+        """(U, M, bond correlators) of sum_k p[k] |v_k><v_k|: each bond reads its class."""
+        classes = self.classes
+        sites, bonds = len(classes.sites), len(classes.bonds)
+        values = (self.table[1:] @ p).tolist()
+        rows = values[sites:]
+        per_class = [((antiparallel + parallel) / size, (antiparallel - parallel) / size,
+                      zz / size) for zz, antiparallel, parallel, size in zip(
+                          rows, rows[bonds:], rows[2 * bonds:], map(len, classes.bonds))]
+        return (float(p @ energies), sum(values[:sites]),
+                tuple(map(per_class.__getitem__, classes.bond_class)))
 
     def pair_state(self, n_sites: int, p: np.ndarray, a: int, b: int) -> PairState:
-        """The (a, b) pair state from translation sums over pairs (i, i+d).
+        """The (a, b) pair state from the rows of its site classes and its pair orbit.
 
-        The state commutes with T, so it depends on d = b - a only, and the
-        pair operators of d and N - d are the same sums.
+        A new orbit's rows are built once from the vectors; spin-flip images
+        share their source state's rows, which spin flip leaves unchanged.
         """
-        n = n_sites
-        distance = min((b - a) % n, (a - b) % n)
-        layers = self.table[2:] if distance == 1 else self._pair_layers(n, distance)
-        z = float(p @ self.magnetization) / n
-        zz, antiparallel, parallel = (layers @ p / n).tolist()
-        return _pair_matrix(z, z, zz, antiparallel + parallel, antiparallel - parallel)
-
-    def _pair_layers(self, n_sites: int, distance: int) -> np.ndarray:
-        """Every eigenstate's zz, antiparallel and parallel flip sums at ``distance``.
-
-        Spin flip leaves these three unchanged, so the images share their
-        source state's values.
-        """
-        layers = self.pair_layers.get(distance)
+        layout, classes = self.layout, self.classes
+        orbit = _orbit(n_sites, layout.order, (a, b))
+        layers = self.pair_layers.get(orbit)
         if layers is None:
-            pairs = tuple((i, (i + distance) % n_sites) for i in range(n_sites))
-            terms = _terms(n_sites, n_sites, self.layout.conserve_sz, pairs)
+            terms = _terms(n_sites, layout.order, layout.conserve_sz, (), (orbit,))
             layers = np.concatenate([_expectations(t, v) for t, v in zip(terms, self.vectors)],
-                                    axis=1)
-            layers = layers[:, self.layout.source][1:]
+                                    axis=1)[:, layout.source]
             layers.setflags(write=False)
-            layers = self.pair_layers.setdefault(distance, layers)
-        return layers
-
-
-class _OpenEigensystem(_Eigensystem):
-    """An open chain's eigensystem, read through per-call densities of each group.
-
-    Every block has one reflection parity, so the density commutes with R
-    and an operator reads the same as its mirror image (site j -> N-1-j).
-    The readers therefore return mirror means: a pair (a, b) is read with
-    (N-1-b, N-1-a), whose mean is even under R and so lies inside the
-    blocks, and a site a with N-1-a.
-    """
-
-    __slots__ = ()
-
-    def observables(self, n_sites: int, energies: np.ndarray, p: np.ndarray):
-        """(U, M, bond correlators) for the mixture sum_k p[k] |v_k><v_k|, bond by bond."""
-        # Bond N-2-i is the mirror image of bond i.
-        zz, antiparallel, parallel = self._read(n_sites, p, bond_list(n_sites, BOUNDARY_OPEN))
-        correlators = zip((antiparallel + parallel).tolist(),
-                          (antiparallel - parallel).tolist(), zz.tolist())
-        return float(p @ energies), float(p @ self.magnetization), tuple(correlators)
-
-    def pair_state(self, n_sites: int, p: np.ndarray, a: int, b: int) -> PairState:
-        """The (a, b) pair state, read from every group's density."""
-        low, high = min(a, b), max(a, b)
-        pairs = ((low, high), (n_sites - 1 - high, n_sites - 1 - low))
-        zz, antiparallel, parallel = self._read(n_sites, p, pairs)[:, 0]
-        z_a, z_b = self._site_magnetizations(n_sites, p, (a, b))
-        return _pair_matrix(z_a, z_b, float(zz), float(antiparallel + parallel),
-                            float(antiparallel - parallel))
-
-    def _read(self, n_sites: int, p: np.ndarray, pairs) -> np.ndarray:
-        """(3, pairs): the zz, antiparallel-flip and parallel-flip values of each pair.
-
-        ``pairs`` lists the mirror image of its pair i at position -1-i,
-        and each value is the mean over the pair and its image. Every
-        group's density rho = (V sqrt w)(V sqrt w)^T is formed once and
-        read through the tables of all pairs. ``w`` folds each spin-flip
-        image's weight onto its source state, since the pair operators are
-        even under a global flip. Vectors of weight exactly 0 in every block
-        of the group (outside the ground multiplet, or with an underflowed
-        Boltzmann factor) add nothing and are skipped.
-        """
-        root = np.sqrt(np.bincount(self.layout.source, p))
-        partial = not root.all()
-        sums = np.zeros(3 * len(pairs))
-        for g, v, terms in zip(self.layout.groups, self.vectors,
-                               _terms(n_sites, 1, self.layout.conserve_sz, pairs)):
-            zz, slots = terms.apart
-            m, d, _ = v.shape
-            flips = slice(2 * m * d, None)
-            w = root[g.states].reshape(m, 1, d)
-            if partial:
-                live = (w > 0.0).any(axis=(0, 1))
-                if not live.any():
-                    continue
-                v, w = v[:, :, live], w[:, :, live]
-            weighted = v * w
-            rho = weighted @ weighted.transpose(0, 2, 1)
-            sums[:len(pairs)] += zz @ rho.diagonal(axis1=1, axis2=2).ravel()
-            sums[len(pairs):] += np.bincount(
-                slots, terms.values[flips] * rho.reshape(-1)[terms.cells[flips]],
-                minlength=2 * len(pairs))
-        sums = sums.reshape(3, -1)
-        return 0.5 * (sums + sums[:, ::-1])
-
-    def _site_magnetizations(self, n_sites: int, p: np.ndarray, sites) -> list:
-        """<sz_j> of each site j in ``sites``, as the mean over j and N-1-j.
-
-        sz_j is odd under a global flip, so an image's weight counts
-        negated, and in a spin-inversion half it reads 0, the mean over a
-        state and its image.
-        """
-        solved, source = self.layout.solved, self.layout.source
-        signed = p[:solved] - np.bincount(source[solved:], p[solved:], minlength=solved)
-        sites = np.array(sites)
-        bits = np.concatenate((n_sites - 1 - sites, sites))  # site j on bit N-1-j, then N-1-j
-        z = np.zeros(bits.size)
-        for g, v in zip(self.layout.groups, self.vectors):
-            m, d = g.reps.shape
-            occupation = ((v * v) @ signed[g.states].reshape(m, d, 1))[..., 0]
-            occupation *= (g.parity == 0)[:, None]
-            z += occupation.reshape(-1) @ (1.0 - 2.0 * ((g.reps.reshape(-1, 1) >> bits) & 1))
-        return (0.5 * (z[:sites.size] + z[sites.size:])).tolist()
+            layers = self.pair_layers.setdefault(orbit, layers)
+        zz, antiparallel, parallel = (layers @ p / len(orbit)).tolist()
+        sites = self.table[1:1 + len(classes.sites)] @ p
+        z_a, z_b = (float(sites[classes.site_class[j]]) / len(classes.sites[classes.site_class[j]])
+                    for j in (a, b))
+        return _pair_matrix(z_a, z_b, zz, antiparallel + parallel, antiparallel - parallel)
 
 
 @lru_cache(maxsize=32)
@@ -620,16 +542,46 @@ def _pair_operators(n_sites: int, pairs, states=slice(None)) -> tuple[np.ndarray
     return (1 << (n_sites - 1 - first)) | (1 << (n_sites - 1 - second)), z[first] * z[second]
 
 
-@lru_cache(maxsize=64)
-def _terms(n_sites: int, order: int, conserve_sz: bool,
-           pairs: tuple[tuple[int, int], ...]) -> tuple[_Terms, ...]:
-    """Per group of :func:`_layout`, the operators summed over the site pairs ``pairs``.
+@lru_cache(maxsize=4096)
+def _orbit(n_sites: int, order: int, sites: tuple) -> tuple:
+    """The sorted images of ``sites`` under the ``order`` translations j -> j + l mod N and
+    the reflection j -> N-1-j, each a sorted tuple: one result for every member."""
+    n = n_sites
+    return tuple(sorted({tuple(sorted((j + l) % n for j in image))
+                         for image in (sites, tuple(n - 1 - j for j in sites))
+                         for l in range(order)}))
 
-    A ring's H and its pair layers at distance d take every pair (i, i+d);
-    an open chain's H and bond reader take its N - 1 bonds, its pair
-    reader one pair and its mirror image. The sum must be even under KR
-    (a mirror-closed tuple of pairs); then each entry comes from the flips
-    of the listed states alone, in one pass over every group.
+
+@lru_cache(maxsize=32)
+def _classes(n_sites: int, order: int, bonds: tuple) -> _Classes:
+    """The orbits of the sites and of the ``bonds`` of a chain, numbered in first-seen order.
+
+    A ring (order N) has one site class and one bond class. An open chain
+    (order 1) pairs each site and each bond with its mirror image.
+    """
+    def orbits(members):
+        found, index = [], {}
+        for member in members:
+            if member not in index:
+                orbit = _orbit(n_sites, order, member)
+                index.update(dict.fromkeys(orbit, len(found)))
+                found.append(orbit)
+        return tuple(found), tuple(index[member] for member in members)
+
+    return _Classes(*orbits([(j,) for j in range(n_sites)]),
+                    *orbits([tuple(sorted(bond)) for bond in bonds]))
+
+
+@lru_cache(maxsize=64)
+def _terms(n_sites: int, order: int, conserve_sz: bool, sites: tuple,
+           pairs: tuple) -> tuple[_Terms, ...]:
+    """Per group of :func:`_layout`, the operators of the classes ``sites`` and ``pairs``.
+
+    A chain's H and table take its site and bond classes, a pair state its
+    pair orbit and no site class. Every class must be closed under the
+    chain's translations and reflection, so its operators are even under
+    KR; then each entry comes from the flips of the listed states alone, in
+    one pass over every group.
 
     A flip takes representative a to a site state y, which stands for the
     half state of x (y = T^l x, and x is swapped for its spin-inversion
@@ -647,7 +599,7 @@ def _terms(n_sites: int, order: int, conserve_sz: bool,
     n = n_sites
     layout = _layout(n, order, conserve_sz)
     basis = layout.basis
-    masks, pair_zz = _pair_operators(n, pairs, basis.reps)
+    masks, pair_zz = _pair_operators(n, tuple(chain.from_iterable(pairs)), basis.reps)
     partner = basis.reps[:, None] ^ masks
     # Both states listed under the landing's representative: the first of a KR
     # pair (or the one state KR maps onto itself) and the second. Each counts
@@ -658,7 +610,7 @@ def _terms(n_sites: int, order: int, conserve_sz: bool,
     entries = np.flatnonzero(inside)
     target = candidates.ravel()[entries]
     entries >>= 1
-    source, pair = np.divmod(entries, len(pairs))
+    source, pair = np.divmod(entries, masks.size)
     _, turns, signs, conjugate = layout.landing[:, partner.ravel()[entries]]
     angle = (basis.momenta4[source] * turns + basis.sign_angle[source] * signs
              + conjugate * basis.angles[source] - basis.angles[target])
@@ -666,52 +618,98 @@ def _terms(n_sites: int, order: int, conserve_sz: bool,
               * _cosines(order)[angle % (4 * order)])
     cells = basis.row[target] + basis.column[source]
     parallel = pair_zz[pair, source] > 0.0
+    owner = np.repeat(np.arange(len(pairs)), [len(c) for c in pairs])
+    flip_row = owner[pair] + len(pairs) * parallel  # antiparallel rows first, then parallel
 
-    diagonal = np.stack((_site_z(n).sum(axis=0)[basis.reps], pair_zz.sum(axis=0)))
+    # sz_j reads 0 in the spin-inversion halves (sign angle 0 or 2 order),
+    # where sum_j sz_j = 0 anyway.
+    z = _site_z(n)[:, basis.reps]
+    classes = np.array([z[np.ravel(site)].sum(axis=0) for site in sites]
+                       + [pair_zz[owner == c].sum(axis=0) for c in range(len(pairs))])
+    classes[:len(sites)] *= basis.sign_angle == order
+    diagonal = np.stack((classes[:len(sites)].sum(axis=0), classes[len(sites):].sum(axis=0)))
     on_diagonal = basis.row + basis.column
+
+    # A group's flip rows are dense layers where those hold fewer than
+    # _GATHER_COST cells per entry, else gathered: an entry (i, j) indexes the
+    # group's (m d, d) vectors from its first state. A block's rows are
+    # symmetric, so only i <= j is gathered, and i < j counts twice, sorted by
+    # group, flip row r and block b; a run shares all three.
     groups = layout.groups
-    bounds = np.searchsorted(source, [g.states.start for g in groups] + [basis.reps.size])
-    filled = np.bincount(basis.group[source] * 2 + parallel,
-                         minlength=2 * len(groups)).reshape(-1, 2)
+    flip_rows = 2 * len(pairs)
+    spanned = len(pairs) if conserve_sz else flip_rows  # parallel flips leave S^z blocks
+    starts = np.array([g.states.start for g in groups])
+    stack, width = np.array([g.reps.shape for g in groups]).reshape(-1, 2).T
+    bounds = np.searchsorted(source, starts.tolist() + [basis.reps.size]).tolist()
+    dense = spanned * stack * width * width < _GATHER_COST * np.diff(bounds)
+    group = basis.group[source]
+    layer_cells = flip_row * (stack * width * width)[group] + cells  # dense groups' layers
+    kept = np.flatnonzero(~dense[group] & (target <= source))
+    group = group[kept]
+    first, second = target[kept] - starts[group], source[kept] - starts[group]
+    offset = np.cumsum(flip_rows * stack) - flip_rows * stack  # each group's first key
+    key = offset[group] + flip_row[kept] * stack[group] + first // width[group]
+    ranked = np.argsort(key, kind="stable")
+    kept, group, first, second, key = (v[ranked] for v in (kept, group, first, second, key))
+    weight = np.where(first < second, 2.0, 1.0) * values[kept]
+    new = np.ones(key.size, bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    run = np.cumsum(new) - 1
+    keys = (key - offset[group])[new]
+
+    split = np.searchsorted(group, np.arange(len(groups) + 1)).tolist()
     terms = []
-    for g, lo, hi, counts in zip(groups, bounds[:-1], bounds[1:], filled):
+    for g, lo, hi, a, b, dense_g in zip(groups, bounds[:-1], bounds[1:], split[:-1], split[1:],
+                                        dense.tolist()):
         m, d = g.reps.shape
-        layers = 2 + np.flatnonzero(counts)  # 2, 3 or both
+        per, chunks = max(1, _GATHER_SIZE // d), []
+        for c0, c1 in ((c, min(c + per, b)) for c in range(a, b, per)):
+            r0, r1 = int(run[c0]), int(run[c1 - 1]) + 1  # the runs the chunk touches
+            sums = np.zeros((r1 - r0, c1 - c0))
+            sums[run[c0:c1] - r0, np.arange(c1 - c0)] = weight[c0:c1]
+            chunks.append((first[c0:c1], second[c0:c1], sums,
+                           slice(r0 - int(run[a]), r1 - int(run[a]))))
         terms.append(_Terms(
-            diagonal[:, g.states].reshape(2, m, 1, d),
+            classes[:, g.states].reshape(-1, m, d).transpose(1, 0, 2).copy(),
+            len(sites) + len(pairs) + flip_rows,
             np.concatenate((on_diagonal[g.states], on_diagonal[g.states], cells[lo:hi])),
             np.concatenate((np.zeros(m * d, np.int64), np.ones(m * d, np.int64),
                             2 + parallel[lo:hi])),
             np.concatenate((diagonal[:, g.states].ravel(), values[lo:hi])),
-            slice(layers.min(), layers.max() + 1) if layers.size else slice(2, 2),
-            (pair_zz[:, g.states], pair[lo:hi] + len(pairs) * parallel[lo:hi])
-            if order == 1 else None))
+            (spanned, layer_cells[lo:hi]) if dense_g else None,
+            tuple(chunks), keys[run[a]:run[b - 1] + 1] if chunks else keys[:0]))
     return tuple(terms)
 
 
-def _flip_layers(terms: _Terms, m: int, d: int) -> np.ndarray:
-    """The flip layers ``terms.flips`` of one group, as a dense (layers, m, d, d) stack."""
-    flips = slice(2 * m * d, None)
-    first, count = terms.flips.start, terms.flips.stop - terms.flips.start
-    return np.bincount((terms.layers[flips] - first) * (m * d * d) + terms.cells[flips],
-                       terms.values[flips], minlength=count * m * d * d).reshape(count, m, d, d)
-
-
 def _expectations(terms: _Terms, vectors: np.ndarray) -> np.ndarray:
-    """(4, m d): every layer's expectation in every eigenstate (column) of the group.
+    """(rows, m d): every table row's expectation in every eigenstate (column) of the group.
 
-    A diagonal layer's is sum_i v_i^2 diag_i. A flip layer is multiplied
-    into the vectors only if it has entries in the group; otherwise its
-    expectations are exactly 0, as for the parallel flips in total-S^z
-    blocks.
+    A diagonal row's is sum_i v_i^2 diag_i. Flip rows are dense layers
+    multiplied into the vectors, or sums of value v_i v_j over their
+    entries, gathered chunk by chunk into two reused buffers.
     """
     m, d, _ = vectors.shape
-    rows = np.zeros((4, m * d))
-    rows[:2] = (terms.diagonal @ (vectors * vectors)).reshape(2, -1)
-    if terms.flips.stop > terms.flips.start:
-        products = vectors * (_flip_layers(terms, m, d) @ vectors)
-        rows[terms.flips] = products.sum(axis=-2).reshape(-1, m * d)
-    return rows
+    classes = terms.diagonal.shape[1]
+    rows = np.zeros((terms.rows, m, d))
+    rows[:classes] = (terms.diagonal @ (vectors * vectors)).transpose(1, 0, 2)
+    flips = rows[classes:]
+    if terms.dense is not None:
+        spanned, cells = terms.dense
+        flip = slice(2 * m * d, None)
+        layers = np.bincount(cells, terms.values[flip], minlength=spanned * m * d * d)
+        flips[:spanned] = (vectors * (layers.reshape(-1, m, d, d) @ vectors)).sum(axis=-2)
+    if terms.chunks:
+        flat, runs = vectors.reshape(m * d, d), np.zeros((terms.keys.size, d))
+        size = terms.chunks[0][0].size  # the first chunk is full
+        left, right = np.empty((size, d)), np.empty((size, d))
+        for first, second, sums, run in terms.chunks:
+            product, other = left[:first.size], right[:first.size]
+            flat.take(first, axis=0, out=product, mode="clip")
+            flat.take(second, axis=0, out=other, mode="clip")
+            product *= other
+            runs[run] += sums @ product
+        flips.reshape(-1, d)[terms.keys] = runs  # row r m + b: flip row r in block b
+    return rows.reshape(terms.rows, m * d)
 
 
 @lru_cache(maxsize=_EIG_CACHE_SIZE)
@@ -724,20 +722,21 @@ def _eigensystem(n_sites: int, boundary: str, field: float, zz: float, antiparal
     ``lru_cache`` serializes insertion, so concurrent readers are safe and
     at worst two threads diagonalize one key once each. Total-S^z chains
     (parallel = 0) arrive here with B = 0 only, where sector N - k is the
-    spin-flip image of k: the same energies and table, with M negated.
-    Each group's H is assembled straight from the :class:`_Terms` of the
-    chain's bonds. A ring's table holds every layer's expectation; an open
-    chain's holds only <M>, since its reader works from densities.
+    spin-flip image of k: the same energies and table, with every sz
+    negated. The :class:`_Terms` of the chain's site and bond classes give
+    each group's H and its table rows.
     """
     n = n_sites
-    periodic = boundary == BOUNDARY_PERIODIC
-    order = n if periodic else 1
+    order = n if boundary == BOUNDARY_PERIODIC else 1
     conserve_sz = parallel == 0.0
     layout = _layout(n, order, conserve_sz)
+    classes = _classes(n, order, bond_list(n, boundary))
     couplings = np.array([field, zz, antiparallel, parallel])
-    table = np.empty((5 if periodic else 2, layout.solved))
+    sites, bonds = len(classes.sites), len(classes.bonds)
+    table = np.empty((1 + sites + 3 * bonds, layout.solved))
     vectors = []
-    for g, terms in zip(layout.groups, _terms(n, order, conserve_sz, bond_list(n, boundary))):
+    for g, terms in zip(layout.groups,
+                        _terms(n, order, conserve_sz, classes.sites, classes.bonds)):
         m, d = g.reps.shape
         h = np.bincount(terms.cells, couplings[terms.layers] * terms.values,
                         minlength=m * d * d).reshape(m, d, d)
@@ -747,17 +746,17 @@ def _eigensystem(n_sites: int, boundary: str, field: float, zz: float, antiparal
             block_energies, block_vectors = np.linalg.eigh(h)
         rows = table[:, g.states]
         rows[0] = block_energies.ravel()
-        if periodic:
-            rows[1:] = _expectations(terms, block_vectors)
-        else:
-            rows[1] = (terms.diagonal[0] @ (block_vectors * block_vectors)).ravel()
+        rows[1:] = _expectations(terms, block_vectors)
         block_vectors.setflags(write=False)
         vectors.append(block_vectors)
     table = table[:, layout.source]
-    table[1, layout.solved:] *= -1.0  # M of the spin-flip images
+    table[1:1 + sites, layout.solved:] *= -1.0  # sz of the spin-flip images
     table.setflags(write=False)
-    reader = _RingEigensystem if periodic else _OpenEigensystem
-    return reader(layout, table, float(np.abs(table[0]).max()), tuple(vectors), {})
+    magnetization = table[1:1 + sites].sum(axis=0)
+    magnetization.setflags(write=False)
+    pair_layers = {bond: table[1 + sites + c::bonds] for c, bond in enumerate(classes.bonds)}
+    return _Eigensystem(layout, classes, table, magnetization, float(np.abs(table[0]).max()),
+                        tuple(vectors), pair_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -803,8 +802,8 @@ def thermal_observables(spec, kt: float) -> ThermalObservables:
     _require_finite(vspec)
     beta = ThermalPoint(float(kt)).beta
     eig, energies, spread = _spectrum(vspec)
-    p, log_partition = _boltzmann(energies, beta, eig.multiplicity, spread)
-    return _checked(*eig.observables(vspec.n_sites, energies, p), log_partition)
+    p, log_partition = _boltzmann(energies, beta, eig.layout.multiplicity, spread)
+    return _checked(*eig.observables(energies, p), log_partition)
 
 
 def ground_state_energy(spec) -> float:
@@ -823,8 +822,8 @@ def ground_state_observables(spec) -> ThermalObservables:
     vspec = validate_spec(spec)
     _require_finite(vspec)
     eig, energies, _ = _spectrum(vspec)
-    p = _ground_weights(energies, eig.multiplicity)
-    return _checked(*eig.observables(vspec.n_sites, energies, p))
+    p = _ground_weights(energies, eig.layout.multiplicity)
+    return _checked(*eig.observables(energies, p))
 
 
 def thermo_consistency(spec, kt: float) -> tuple[float, float]:
@@ -883,7 +882,7 @@ def reduced_pair_state(spec, kt: float, site_pair: tuple[int, int]) -> PairState
 
     beta = ThermalPoint(float(kt)).beta
     eig, energies, spread = _spectrum(vspec)
-    p, _ = _boltzmann(energies, beta, eig.multiplicity, spread)
+    p, _ = _boltzmann(energies, beta, eig.layout.multiplicity, spread)
     return eig.pair_state(n, p, a, b)
 
 

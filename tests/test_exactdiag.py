@@ -594,8 +594,13 @@ def test_ring_bond_correlators_are_identical(family):
 @pytest.mark.parametrize("spec", [
     ModelSpec.xyz(0.9, -0.4, 0.6, b=0.45, n_sites=10),
     ModelSpec.xx(-1.3, b=0.45, n_sites=11, sign_convention="as-printed"),
-], ids=["xyz-n10", "xx-n11"])
+    ModelSpec.xyz(0.9, -0.4, 0.6, b=0.45, n_sites=10, boundary="open"),
+    ModelSpec.xx(-1.3, b=0.45, n_sites=11, boundary="open", sign_convention="as-printed"),
+], ids=["xyz-n10", "xx-n11", "open-xyz-n10", "open-xx-n11"])
 def test_large_rings_match_dense(spec):
+    # Beyond SECTOR_CASES: the open chains' widest blocks (240, 256 and 272
+    # states at N = 10, 226 and 236 at N = 11) gather their flip rows in 9
+    # to 38 chunks, with runs of one row and block across chunk edges.
     n = spec.n_sites
     for kt in (0.3, None):
         ref, ref_pair = dense_reference(spec, kt)
@@ -603,12 +608,38 @@ def test_large_rings_match_dense(spec):
             assert_observables_close(ground_state_observables(spec), ref, 1e-11)
             continue
         assert_observables_close(thermal_observables(spec, kt), ref, 1e-11)
-        for pair in ((0, 1), (3, 1), (2, 2 + n // 2)):
+        # A bond, a pair at distance 2, a pair across the chain, a pair that
+        # is its own mirror image on an open chain, and the middle bond.
+        for pair in ((0, 1), (3, 1), (2, 2 + n // 2), (2, n - 3), (n // 2 - 1, n // 2)):
             rho = reduced_pair_state(spec, kt, pair).matrix
-            assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11
+            assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11, pair
 
 
-def test_ring_pair_layers_are_built_once_per_distance(monkeypatch):
+# The eigensystem cache starts cold. The N = 8 ring's parity sectors have
+# momentum blocks of 14, 17, 14 (even sector) and 16, 16, 16 (odd sector)
+# states at q = 1, 2, 3; reflection splits q = 0 into 18 + 2 and 12 + 4, and
+# q = 4 into 9 + 9 and 12 + 4. Its total-S^z blocks, with k = 4 in
+# spin-inversion halves and q = 0 and 4 in reflection halves, come in groups
+# of eight 1 x 1, five 2 x 2, four 3 x 3, four 4 x 4, six 5 x 5 and four 7 x 7.
+# The N = 8 open chain's parity sectors split by reflection into 72 + 56 (the
+# even one holds all 16 palindromes) and 64 + 64. Its total-S^z sectors split
+# into k = 0: 1, k = 1: 4 + 4, k = 2: 16 + 12 and k = 3: 28 + 28; k = 4 is
+# solved as two spin-inversion halves of 35, split into 20 + 15 and 23 + 12.
+PAIR_LAYER_SHAPES = {
+    "periodic": ([(1, 2, 2), (2, 4, 4), (2, 9, 9), (2, 12, 12), (2, 14, 14), (3, 16, 16),
+                  (1, 17, 17), (1, 18, 18)],
+                 [(8, 1, 1), (5, 2, 2), (4, 3, 3), (4, 4, 4), (6, 5, 5), (4, 7, 7)]),
+    "open": ([(1, 56, 56), (2, 64, 64), (1, 72, 72)],
+             [(1, 1, 1), (2, 4, 4), (2, 12, 12), (1, 15, 15), (1, 16, 16), (1, 20, 20),
+              (1, 23, 23), (2, 28, 28)]),
+}
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_pair_layers_are_built_once_per_orbit(monkeypatch, boundary):
+    # A pair reads its orbit under the chain's translations and reflection:
+    # on the N = 8 ring the pairs at distance d and N - d, on the open chain
+    # the pair and its mirror image. Bond orbits are rows of the table.
     calls = []
     expectations = exactdiag._expectations
 
@@ -617,37 +648,36 @@ def test_ring_pair_layers_are_built_once_per_distance(monkeypatch):
         return expectations(terms, vectors)
 
     monkeypatch.setattr(exactdiag, "_expectations", counting)
-    # The eigensystem cache starts cold. The N = 8 parity sectors have
-    # momentum blocks of 14, 17, 14 (even sector) and 16, 16, 16 (odd sector)
-    # states at q = 1, 2, 3; reflection splits q = 0 into 18 + 2 and 12 + 4,
-    # and q = 4 into 9 + 9 and 12 + 4. The total-S^z blocks, with k = 4 in
-    # spin-inversion halves and q = 0 and 4 in reflection halves, come in
-    # groups of eight 1 x 1, five 2 x 2, four 3 x 3, four 4 x 4, six 5 x 5
-    # and four 7 x 7.
     exactdiag._eigensystem.cache_clear()
-    for spec, shapes in (
-            (ModelSpec.xyz(0.5531, -0.37, 0.21, b=0.3, n_sites=8),
-             [(1, 2, 2), (2, 4, 4), (2, 9, 9), (2, 12, 12), (2, 14, 14), (3, 16, 16),
-              (1, 17, 17), (1, 18, 18)]),
-            (ModelSpec.xxx(-0.7219, b=0.3, n_sites=8),
-             [(8, 1, 1), (5, 2, 2), (4, 3, 3), (4, 4, 4), (6, 5, 5), (4, 7, 7)])):
-        vspec = validate_spec(spec)
+    for spec, shapes in zip(
+            (ModelSpec.xyz(0.5531, -0.37, 0.21, b=0.3, n_sites=8, boundary=boundary),
+             ModelSpec.xxx(-0.7219, b=0.3, n_sites=8, boundary=boundary)),
+            PAIR_LAYER_SHAPES[boundary]):
+        conserve_sz = spec.jx == spec.jy
         first = reduced_pair_state(spec, 0.6, (1, 4)).matrix
-        # One call per group for the eigensystem's table, then one for distance 3.
+        # One call per group for the eigensystem's table, then one for the orbit of (1, 4).
         assert calls == shapes * 2
         calls.clear()
-        # The same distance (3 or N - 3) at other temperatures, and at other
-        # fields where S^z is conserved, reuses the cached table.
-        repeats = [(spec, 0.6, (1, 4)), (spec, 1.3, (4, 1)), (spec, 0.2, (2, 7))]
-        if vspec.jx == vspec.jy:
-            repeats.append((replace(spec, b=-0.9), 0.6, (0, 3)))
+        # The same orbit at other temperatures, and at other fields where S^z
+        # is conserved, reuses its cached rows; bonds and thermal calls read
+        # the table.
+        repeats = [(spec, 0.6, (1, 4)), (spec, 1.3, (4, 1)), (spec, 0.2, (6, 3))]
+        if conserve_sz:
+            repeats.append((replace(spec, b=-0.9), 0.6, (3, 6)))
         for case in repeats:
             reduced_pair_state(*case)
+        reduced_pair_state(spec, 0.6, (2, 3))
+        reduced_pair_state(spec, 1.3, (5, 4))
+        thermal_observables(spec, 1.3)
+        ground_state_observables(spec)
+        if conserve_sz:
+            thermal_observables(replace(spec, b=-0.9), 0.6)
+            reduced_pair_state(replace(spec, b=0.7), 0.6, (5, 4))
         assert calls == []
         assert np.array_equal(reduced_pair_state(spec, 0.6, (1, 4)).matrix, first)
-        # A new distance builds its layers once, one call per group.
+        # A new orbit builds its rows once, one call per group.
         reduced_pair_state(spec, 0.6, (0, 2))
-        reduced_pair_state(spec, 0.9, (5, 3))
+        reduced_pair_state(spec, 0.9, (7, 5))
         assert calls == shapes
         calls.clear()
 
