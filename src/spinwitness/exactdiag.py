@@ -116,15 +116,6 @@ _DEGENERACY_TOL = 1e-9
 # which malloc maps fresh pages for every temporary.
 _GATHER_SIZE = 16000
 
-# A gathered number costs about 16 multiply-adds of a dense product and only
-# half of a symmetric row's entries (i <= j) are gathered: a group's flip rows
-# are dense layers where these hold fewer than 8 cells per entry.
-_GATHER_COST = 8
-
-# A gathered number costs about as much as this many multiply-adds of a
-# dense product: a group's flip rows are multiplied as dense layers when
-# those take fewer.
-
 _SIGMA_YY = np.array([[0.0, 0.0, 0.0, -1.0],
                       [0.0, 0.0, 1.0, 0.0],
                       [0.0, 1.0, 0.0, 0.0],
@@ -336,11 +327,9 @@ class _Terms(NamedTuple):
     cells: np.ndarray     # per H entry, its index into the (m, d, d) stack,
     layers: np.ndarray    # its layer (the field, zz, antiparallel or parallel flips)
     values: np.ndarray    # and its value
-    dense: tuple | None   # the 2 C flip rows as dense layers: (how many leading rows they
-                          # span, each flip entry's index into their (rows, m, d, d) stack), or
-    chunks: tuple         # gathered in chunks of (flat rows i and j of the (m d, d) vectors,
-                          # the (runs, entries) matrix summing each run, its slice of ``keys``)
-    keys: np.ndarray      # per run of one flip row r and block b: r m + b
+    chunks: tuple         # the flip entries in chunks of (flat rows i and j of the (m d, d)
+                          # vectors, the (rows, entries) matrix summing them into the rows
+                          # r m + b of flip row r in block b, the slice of those rows)
 
 
 class _Classes(NamedTuple):
@@ -572,40 +561,30 @@ def _classes(n_sites: int, order: int, bonds: tuple) -> _Classes:
                     *orbits([tuple(sorted(bond)) for bond in bonds]))
 
 
-@lru_cache(maxsize=64)
-def _terms(n_sites: int, order: int, conserve_sz: bool, sites: tuple,
-           pairs: tuple) -> tuple[_Terms, ...]:
-    """Per group of :func:`_layout`, the operators of the classes ``sites`` and ``pairs``.
+def _flips(n_sites: int, layout: _Layout, masks: np.ndarray):
+    """(source, target, pair, value) of every entry the flips ``masks`` make inside a block.
 
-    A chain's H and table take its site and bond classes, a pair state its
-    pair orbit and no site class. Every class must be closed under the
-    chain's translations and reflection, so its operators are even under
-    KR; then each entry comes from the flips of the listed states alone, in
-    one pass over every group.
-
-    A flip takes representative a to a site state y, which stands for the
-    half state of x (y = T^l x, and x is swapped for its spin-inversion
-    image, a factor p e^(2 pi i q m / N)); with the source's own phase
-    this is e^(i theta) times that state. If x is listed, the entry with
-    the basis state s' of x is sqrt(W_s / W_s') cos(theta - angle_s'),
-    where W counts the site states a basis state spans and angle_s' is its
-    phase (0 and pi/2 read the real and imaginary part). Otherwise x is the
-    KR image e^(-i Phi) KR|c> of a listed c, and theta becomes Phi - theta.
-    ``layout.landing`` holds, per site state, the listed representative
-    and the integers of theta: turns (4 q each), half signs ((1 - p)
-    order each) and -1 where theta is conjugated. Cosines are taken only
-    for entries inside a block.
+    Sources and targets are basis states of the layout, ``pair`` indexes
+    ``masks``, and entries come by source. A flip takes representative a to
+    a site state y, which stands for the half state of x (y = T^l x, and x
+    is swapped for its spin-inversion image, a factor p e^(2 pi i q m / N));
+    with the source's own phase this is e^(i theta) times that state. If x
+    is listed, the entry with the basis state s' of x is
+    sqrt(W_s / W_s') cos(theta - angle_s'), where W counts the site states a
+    basis state spans and angle_s' is its phase (0 and pi/2 read the real and
+    imaginary part). Otherwise x is the KR image e^(-i Phi) KR|c> of a listed
+    c, and theta becomes Phi - theta. ``layout.landing`` holds, per site
+    state, the listed representative and the integers of theta: turns (4 q
+    each), half signs ((1 - p) order each) and -1 where theta is conjugated.
+    Cosines are taken only for entries inside a block.
     """
-    n = n_sites
-    layout = _layout(n, order, conserve_sz)
     basis = layout.basis
-    masks, pair_zz = _pair_operators(n, tuple(chain.from_iterable(pairs)), basis.reps)
     partner = basis.reps[:, None] ^ masks
     # Both states listed under the landing's representative: the first of a KR
     # pair (or the one state KR maps onto itself) and the second. Each counts
     # if it lies in the source's block.
     wanted = basis.lookup[:, None] + layout.landing[0][partner]
-    candidates = layout.index[wanted[..., None] + [0, 1 << n]]
+    candidates = layout.index[wanted[..., None] + [0, 1 << n_sites]]
     inside = (basis.block[candidates] == basis.block[:-1, None, None]).ravel()
     entries = np.flatnonzero(inside)
     target = candidates.ravel()[entries]
@@ -615,7 +594,27 @@ def _terms(n_sites: int, order: int, conserve_sz: bool, sites: tuple,
     angle = (basis.momenta4[source] * turns + basis.sign_angle[source] * signs
              + conjugate * basis.angles[source] - basis.angles[target])
     values = (np.sqrt(basis.orbits[source] / basis.orbits[target])
-              * _cosines(order)[angle % (4 * order)])
+              * _cosines(layout.order)[angle % (4 * layout.order)])
+    return source, target, pair, values
+
+
+@lru_cache(maxsize=64)
+def _terms(n_sites: int, order: int, conserve_sz: bool, sites: tuple,
+           pairs: tuple) -> tuple[_Terms, ...]:
+    """Per group of :func:`_layout`, the operators of the classes ``sites`` and ``pairs``.
+
+    A chain's H and table take its site and bond classes, a pair state its
+    pair orbit and no site class. Every class must be closed under the
+    chain's translations and reflection, so its operators are even under
+    KR; then each entry comes from the flips of the listed states alone
+    (:func:`_flips`, whose (states, pairs) index tables are freed before the
+    groups' arrays are cut), in one pass over every group.
+    """
+    n = n_sites
+    layout = _layout(n, order, conserve_sz)
+    basis = layout.basis
+    masks, pair_zz = _pair_operators(n, tuple(chain.from_iterable(pairs)), basis.reps)
+    source, target, pair, values = _flips(n, layout, masks)
     cells = basis.row[target] + basis.column[source]
     parallel = pair_zz[pair, source] > 0.0
     owner = np.repeat(np.arange(len(pairs)), [len(c) for c in pairs])
@@ -630,85 +629,83 @@ def _terms(n_sites: int, order: int, conserve_sz: bool, sites: tuple,
     diagonal = np.stack((classes[:len(sites)].sum(axis=0), classes[len(sites):].sum(axis=0)))
     on_diagonal = basis.row + basis.column
 
-    # A group's flip rows are dense layers where those hold fewer than
-    # _GATHER_COST cells per entry, else gathered: an entry (i, j) indexes the
-    # group's (m d, d) vectors from its first state. A block's rows are
-    # symmetric, so only i <= j is gathered, and i < j counts twice, sorted by
-    # group, flip row r and block b; a run shares all three.
+    # H's entries group by group: the field and the zz entries of its states, then its flips.
     groups = layout.groups
-    flip_rows = 2 * len(pairs)
-    spanned = len(pairs) if conserve_sz else flip_rows  # parallel flips leave S^z blocks
-    starts = np.array([g.states.start for g in groups])
-    stack, width = np.array([g.reps.shape for g in groups]).reshape(-1, 2).T
-    bounds = np.searchsorted(source, starts.tolist() + [basis.reps.size]).tolist()
-    dense = spanned * stack * width * width < _GATHER_COST * np.diff(bounds)
-    group = basis.group[source]
-    layer_cells = flip_row * (stack * width * width)[group] + cells  # dense groups' layers
-    kept = np.flatnonzero(~dense[group] & (target <= source))
-    group = group[kept]
-    first, second = target[kept] - starts[group], source[kept] - starts[group]
-    offset = np.cumsum(flip_rows * stack) - flip_rows * stack  # each group's first key
-    key = offset[group] + flip_row[kept] * stack[group] + first // width[group]
-    ranked = np.argsort(key, kind="stable")
-    kept, group, first, second, key = (v[ranked] for v in (kept, group, first, second, key))
-    weight = np.where(first < second, 2.0, 1.0) * values[kept]
-    new = np.ones(key.size, bool)
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    run = np.cumsum(new) - 1
-    keys = (key - offset[group])[new]
+    states = basis.reps.size
+    starts = np.array([g.states.start for g in groups] + [states])
+    by_group = np.argsort(np.concatenate((basis.group, basis.group, basis.group[source])),
+                          kind="stable")
+    h_cells = np.concatenate((on_diagonal, on_diagonal, cells))[by_group]
+    h_layers = np.concatenate((np.zeros(states, np.int64), np.ones(states, np.int64),
+                               2 + parallel))[by_group]
+    h_values = np.concatenate((diagonal[0], diagonal[1], values))[by_group]
+    h_bounds = (2 * starts + np.searchsorted(source, starts)).tolist()
 
-    split = np.searchsorted(group, np.arange(len(groups) + 1)).tolist()
+    # Flip rows are gathered: an entry (i, j) indexes the group's (m d, d)
+    # vectors from its first state. A block's rows are symmetric, so only
+    # i <= j is gathered, and i < j counts twice. Entries are sorted by group
+    # and by their flip row r m + b (flip row r, block b), and cut into chunks
+    # of at most _GATHER_SIZE numbers, none spanning two groups; each chunk's
+    # (rows, entries) matrix is cut from one array filled by one scatter.
+    flip_rows = 2 * len(pairs)
+    stack, width = np.array([g.reps.shape for g in groups]).reshape(-1, 2).T
+    kept = np.flatnonzero(target <= source)
+    group = basis.group[source[kept]]
+    first, second = target[kept] - starts[group], source[kept] - starts[group]
+    row = flip_row[kept] * stack[group] + first // width[group]
+    weight = np.where(first < second, 2.0, 1.0) * values[kept]
+    ranked = np.argsort(row + flip_rows * starts[group], kind="stable")  # keeps each group's place
+    first, second, row, weight = (v[ranked] for v in (first, second, row, weight))
+    split = np.searchsorted(group, np.arange(len(groups) + 1))
+    index = np.arange(group.size)
+    heads = (index - split[group]) % np.maximum(1, _GATHER_SIZE // width)[group] == 0
+    c0 = np.flatnonzero(heads)
+    c1 = np.append(c0, group.size)[1:]
+    r0, r1 = row[c0], row[c1 - 1] + 1
+    columns = c1 - c0
+    size = (r1 - r0) * columns
+    offset = np.cumsum(size) - size
+    # Entry e lands in row row_e - r0 and column e - c0 of its chunk's matrix.
+    chunk = np.cumsum(heads) - 1
+    sums = np.zeros(int(size.sum()))
+    sums[(offset - r0 * columns - c0)[chunk] + row * columns[chunk] + index] = weight
+    chunks = [(first[lo:hi], second[lo:hi], sums[at:at + (b - a) * (hi - lo)].reshape(b - a, -1),
+               slice(a, b))
+              for lo, hi, a, b, at in zip(*(v.tolist() for v in (c0, c1, r0, r1, offset)))]
+    chunk_bounds = np.searchsorted(c0, split).tolist()
+
     terms = []
-    for g, lo, hi, a, b, dense_g in zip(groups, bounds[:-1], bounds[1:], split[:-1], split[1:],
-                                        dense.tolist()):
+    for g, h0, h1, k0, k1 in zip(groups, h_bounds[:-1], h_bounds[1:], chunk_bounds[:-1],
+                                 chunk_bounds[1:]):
         m, d = g.reps.shape
-        per, chunks = max(1, _GATHER_SIZE // d), []
-        for c0, c1 in ((c, min(c + per, b)) for c in range(a, b, per)):
-            r0, r1 = int(run[c0]), int(run[c1 - 1]) + 1  # the runs the chunk touches
-            sums = np.zeros((r1 - r0, c1 - c0))
-            sums[run[c0:c1] - r0, np.arange(c1 - c0)] = weight[c0:c1]
-            chunks.append((first[c0:c1], second[c0:c1], sums,
-                           slice(r0 - int(run[a]), r1 - int(run[a]))))
         terms.append(_Terms(
             classes[:, g.states].reshape(-1, m, d).transpose(1, 0, 2).copy(),
             len(sites) + len(pairs) + flip_rows,
-            np.concatenate((on_diagonal[g.states], on_diagonal[g.states], cells[lo:hi])),
-            np.concatenate((np.zeros(m * d, np.int64), np.ones(m * d, np.int64),
-                            2 + parallel[lo:hi])),
-            np.concatenate((diagonal[:, g.states].ravel(), values[lo:hi])),
-            (spanned, layer_cells[lo:hi]) if dense_g else None,
-            tuple(chunks), keys[run[a]:run[b - 1] + 1] if chunks else keys[:0]))
+            h_cells[h0:h1], h_layers[h0:h1], h_values[h0:h1], tuple(chunks[k0:k1])))
     return tuple(terms)
 
 
 def _expectations(terms: _Terms, vectors: np.ndarray) -> np.ndarray:
     """(rows, m d): every table row's expectation in every eigenstate (column) of the group.
 
-    A diagonal row's is sum_i v_i^2 diag_i. Flip rows are dense layers
-    multiplied into the vectors, or sums of value v_i v_j over their
-    entries, gathered chunk by chunk into two reused buffers.
+    A diagonal row's is sum_i v_i^2 diag_i. A flip row's is the sum of
+    value v_i v_j over its entries, gathered chunk by chunk into two reused
+    buffers.
     """
     m, d, _ = vectors.shape
     classes = terms.diagonal.shape[1]
     rows = np.zeros((terms.rows, m, d))
     rows[:classes] = (terms.diagonal @ (vectors * vectors)).transpose(1, 0, 2)
-    flips = rows[classes:]
-    if terms.dense is not None:
-        spanned, cells = terms.dense
-        flip = slice(2 * m * d, None)
-        layers = np.bincount(cells, terms.values[flip], minlength=spanned * m * d * d)
-        flips[:spanned] = (vectors * (layers.reshape(-1, m, d, d) @ vectors)).sum(axis=-2)
     if terms.chunks:
-        flat, runs = vectors.reshape(m * d, d), np.zeros((terms.keys.size, d))
+        flat, flips = vectors.reshape(m * d, d), rows[classes:].reshape(-1, d)
         size = terms.chunks[0][0].size  # the first chunk is full
         left, right = np.empty((size, d)), np.empty((size, d))
-        for first, second, sums, run in terms.chunks:
+        for first, second, sums, span in terms.chunks:
             product, other = left[:first.size], right[:first.size]
             flat.take(first, axis=0, out=product, mode="clip")
             flat.take(second, axis=0, out=other, mode="clip")
             product *= other
-            runs[run] += sums @ product
-        flips.reshape(-1, d)[terms.keys] = runs  # row r m + b: flip row r in block b
+            flips[span] += sums @ product
     return rows.reshape(terms.rows, m * d)
 
 

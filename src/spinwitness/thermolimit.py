@@ -54,10 +54,17 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
-from .model import SpecError, ThermalPoint, require_count, to_dimensionless
+from .model import (
+    DimensionlessPoint,
+    SpecError,
+    ThermalPoint,
+    require_count,
+    to_dimensionless,
+)
 from .quadrature import (
     DEFAULT_ABS_TOL,
     QuadratureError,
@@ -106,6 +113,15 @@ def _out_of_range(k, c, limit=_MAX_ARGUMENT) -> str | None:
             "the integrand overflows")
 
 
+def _witness_integrand(k, c, omega):
+    """cos w tanh(2K cos w - C), the integrand of the one-integral W, for both routes.
+
+    K and C are floats for the scalar route and row columns for the batched one.
+    """
+    cos = np.cos(omega)
+    return cos * np.tanh(2.0 * k * cos - c)
+
+
 def _step_seeds(k, c):
     """Quadrature seeds around the zero w* = arccos(C/2K) of 2K cos w - C.
 
@@ -150,7 +166,8 @@ def xx_log_partition_density(coupling_over_kt, field_over_kt,
     ``abs_tol * max(1, |K|, |C|)``, so lnZ's relative error is of order
     ``abs_tol`` at every temperature.
     """
-    k, c = abs(float(coupling_over_kt)), abs(float(field_over_kt))
+    point = DimensionlessPoint(float(coupling_over_kt), float(field_over_kt))
+    k, c = abs(point.coupling_over_kt), abs(point.field_over_kt)
 
     def integrand(omega):
         return _ln_2cosh(2.0 * k * np.cos(omega) - c)
@@ -236,12 +253,7 @@ def xx_witness_single_integral(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL) -> fl
     """
     point = to_dimensionless(j, b, kt)
     k, c = abs(point.coupling_over_kt), abs(point.field_over_kt)
-
-    def integrand(omega):
-        cos = np.cos(omega)
-        return cos * np.tanh(2.0 * k * cos - c)
-
-    return abs(2.0 * _integrate(integrand, k, c, abs_tol) / math.pi)
+    return abs(2.0 * _integrate(partial(_witness_integrand, k, c), k, c, abs_tol) / math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +370,7 @@ def _witness_rows(kt_over_j, b_over_j, abs_tol):
     k, c = k[rows], c[rows]
 
     def integrand(block_rows, omega):
-        cos = np.cos(omega)
-        return cos * np.tanh(2.0 * k[block_rows, None] * cos - c[block_rows, None])
+        return _witness_integrand(k[block_rows, None], c[block_rows, None], omega)
 
     values, failed = adaptive_quadrature_rows(integrand, k.size, 0.0, math.pi,
                                               abs_tol=abs_tol, seeds=_step_seeds(k, c))

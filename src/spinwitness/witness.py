@@ -128,6 +128,15 @@ def per_site_witness_report(u_per_site, m_per_site, b, j,
                          inputs=WitnessInputs(u=u, m=m, b=b, j=j, n_sites=None))
 
 
+def _eligible_family(family) -> str:
+    """``family`` lowercased; SpecError unless the witness proofs cover it (XXX, XX)."""
+    family = str(family).lower()
+    if family not in WITNESS_ELIGIBLE_FAMILIES:
+        raise SpecError(
+            f"family {family!r} is not witness-eligible (proofs cover {WITNESS_ELIGIBLE_FAMILIES})")
+    return family
+
+
 def witness_from_correlators(bond_correlators, n_sites, family) -> float:
     """(1/N)|sum_bonds (xx + yy + zz)|, dropping zz for the XX family.
 
@@ -135,10 +144,7 @@ def witness_from_correlators(bond_correlators, n_sites, family) -> float:
     :func:`witness_value` on the same thermal state to near machine
     precision.
     """
-    family = str(family).lower()
-    if family not in WITNESS_ELIGIBLE_FAMILIES:
-        raise SpecError(
-            f"family {family!r} is not witness-eligible (proofs cover {WITNESS_ELIGIBLE_FAMILIES})")
+    family = _eligible_family(family)
     n = require_count(n_sites, "n_sites")
     total = 0.0
     for triple in bond_correlators:
@@ -162,9 +168,7 @@ def product_state_witness(bloch_vectors, family, boundary=BOUNDARY_PERIODIC) -> 
     norms = np.linalg.norm(u, axis=1)
     if np.max(np.abs(norms - 1.0)) > 1e-9:
         raise SpecError("Bloch vectors must be unit length")
-    family = str(family).lower()
-    if family not in WITNESS_ELIGIBLE_FAMILIES:
-        raise SpecError(f"family {family!r} is not witness-eligible")
+    family = _eligible_family(family)
     v = u[:, :3 if family == FAMILY_XXX else 2]
     partner = np.roll(v, -1, axis=0) if boundary == BOUNDARY_PERIODIC else v[1:]
     total = float(np.einsum("na,na->", v[:partner.shape[0]], partner))
@@ -215,9 +219,7 @@ def separable_sweep(n_samples, n_sites, family, seed, include_corners: bool = Tr
     n = require_count(n_sites, "n_sites")
     if n < 3:
         raise SpecError(f"the sweep samples rings, which need n_sites >= 3, got {n}")
-    family = str(family).lower()
-    if family not in WITNESS_ELIGIBLE_FAMILIES:
-        raise SpecError(f"family {family!r} is not witness-eligible")
+    family = _eligible_family(family)
 
     rng = np.random.default_rng(seed)
     block = max(1, _SWEEP_BLOCK_SITES // n)

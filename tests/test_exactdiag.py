@@ -615,6 +615,42 @@ def test_large_rings_match_dense(spec):
             assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11, pair
 
 
+@pytest.fixture
+def tiny_gather_chunks(monkeypatch):
+    """Flip entries gathered a few dozen numbers at a time, from term tables built cold."""
+    def clear():
+        exactdiag._terms.cache_clear()
+        exactdiag._eigensystem.cache_clear()
+
+    clear()
+    monkeypatch.setattr(exactdiag, "_GATHER_SIZE", 40)
+    yield
+    clear()
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+@pytest.mark.parametrize("family", ["xxx", "xx", "xyz"])
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_flip_rows_across_chunk_edges_match_dense(tiny_gather_chunks, family, boundary, n):
+    # A chunk of 40 numbers holds at most 40 // d entries of a group of
+    # d-state blocks, so every group wider than a few states spans several
+    # chunks, and some flip row of a block is summed across a chunk edge: in
+    # total-S^z (XXX, XX) and in parity sectors (XYZ), for the table and for
+    # a pair orbit built later.
+    spec = sector_case_spec(family, boundary, "singlet-ground", n)
+    vspec = validate_spec(spec)
+    order = n if boundary == "periodic" else 1
+    classes = exactdiag._classes(n, order, bond_list(n, boundary))
+    terms = exactdiag._terms(n, order, vspec.jx == vspec.jy, classes.sites, classes.bonds)
+    assert any(left[3].stop - 1 == right[3].start
+               for t in terms for left, right in zip(t.chunks, t.chunks[1:]))
+    ref, ref_pair = dense_reference(spec, 0.7)
+    assert_observables_close(thermal_observables(spec, 0.7), ref, 1e-11)
+    for pair in ((0, 1), (1, n - 2)):  # a bond and a pair that is not one
+        rho = reduced_pair_state(spec, 0.7, pair).matrix
+        assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11, pair
+
+
 # The eigensystem cache starts cold. The N = 8 ring's parity sectors have
 # momentum blocks of 14, 17, 14 (even sector) and 16, 16, 16 (odd sector)
 # states at q = 1, 2, 3; reflection splits q = 0 into 18 + 2 and 12 + 4, and

@@ -587,6 +587,13 @@ def test_overflowing_couplings_are_numerical_failures():
         boundary_trace([0.5], kt_min=1e-308)
 
 
+@pytest.mark.parametrize("k, c", [(math.nan, 0.5), (1.0, math.inf), (math.inf, 0.0)])
+def test_log_partition_rejects_non_finite_couplings(k, c):
+    # bad input, not a numerical failure: the same error as the (J, B, kT) routes
+    with pytest.raises(SpecError, match="dimensionless couplings must be finite"):
+        xx_log_partition_density(k, c)
+
+
 @pytest.mark.parametrize("as_printed", [False, True])
 def test_overflowing_scan_cells_fail_alone(as_printed):
     grid = region_scan(np.array([1e-308, 0.5]), np.array([0.0, 0.5]), as_printed=as_printed)
