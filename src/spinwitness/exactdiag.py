@@ -18,7 +18,11 @@ is therefore block diagonal: in the N + 1 total-S^z sectors (basis states
 of fixed popcount) when Jx == Jy, otherwise in the two S^z-parity
 sectors. Every state of a total-S^z sector has sum_j sz_j = N - 2k, so
 there B only shifts the energies by -B (N - 2k): those eigensystems are
-cached without B, and one diagonalization serves every field. At B = 0,
+cached without B, and one diagonalization serves every field. They are also
+cached without the couplings' common scale and sign: H is linear in its
+couplings, H(lambda c) = lambda H(c), so every chain on one ray c keeps the
+eigenvectors and the table of one solve at lambda = s (Jx + Jy) (or 1 where
+that is 0), and its energies are lambda times those. At B = 0,
 flipping every spin maps sector k onto sector N - k with the same
 energies, so only k <= N/2 is diagonalized. For even N that spin
 inversion Z also maps sector k = N/2, where B does not act, onto itself,
@@ -66,17 +70,21 @@ enters.
 Both boundaries also share one reader. The thermal state commutes with
 the chain's translations and with R, so sites, or site pairs, in one orbit
 of that group read the same. Per eigenstate the eigensystem stores its
-energy, sum_j sz_j over each site class (an orbit of sites) and the sums of
-sz.sz and of both flips over each bond class: one class of each on a ring,
-a site or bond with its mirror image on an open chain. Any average is then
-one weighted sum over that table: a site or bond reads its class mean, a
-pair the rows of its pair orbit, built once from the vectors. No 2^N x 2^N
-matrix is formed; :func:`build_hamiltonian` assembles the dense matrix,
-which serves as an independent oracle.
+energy, sum_j sz_j, the mean sz over each site class (an orbit of sites)
+and the mean xx, yy and zz over each bond class: one class of each on a
+ring, a site or bond with its mirror image on an open chain. Any average is
+then one weighted sum over that table, and a pair reads the rows of its
+pair orbit, built once from the vectors. The cache holds tables, not
+vectors: only the latest solve's vectors are kept, and a pair orbit of an
+older chain solves that chain again. No 2^N x 2^N matrix is formed;
+:func:`build_hamiltonian` assembles the dense matrix, which serves as an
+independent oracle.
 
 Thermal averages never special-case T -> 0: weights are
 exp(-beta (E - E0)) normalized through a log-sum-exp partition function, so
-lowering kT simply concentrates weight on the ground multiplet.
+lowering kT simply concentrates weight on the ground multiplet. With
+E = lambda e they are exp(-beta lambda (e - e0)), e0 the e of the lowest
+energy (the largest e where lambda < 0), so lambda folds into beta.
 """
 
 from __future__ import annotations
@@ -103,12 +111,14 @@ from .model import (
 # plain module attribute so callers can raise it at their own risk.
 SITE_CAP = 14
 
-# A cached eigensystem holds the vectors of its solved blocks. At N = 14 an
-# open chain's are about 80 MB in total-S^z sectors (k <= N/2) and 540 MB in
-# the two parity sectors (a dense one would be 2 GB), a ring's 6 MB and
-# 39 MB. Its table is small beside them: 29 rows per eigenstate for an open
-# chain, 3.8 MB at N = 14, and 5 for a ring. Keep the cache small.
-_EIG_CACHE_SIZE = 8
+# A cached eigensystem holds its table, 2 + S + 3 C rows per eigenstate: at
+# N = 14, 30 rows or 3.9 MB for an open chain and 6 rows or 0.45 MB for a
+# ring (0.85 and 0.12 MB at N = 12). The vectors, kept for the latest solve
+# only, are far larger: at N = 14 an open chain's are about 80 MB in total-S^z
+# sectors (k <= N/2) and 540 MB in the two parity sectors, a ring's 6 MB and
+# 39 MB. The cache keeps every XXX and XX chain of N <= 8 of both boundaries
+# (26 rays) between their repeats.
+_EIG_CACHE_SIZE = 64
 
 _DEGENERACY_TOL = 1e-9
 
@@ -209,30 +219,37 @@ def build_hamiltonian(spec) -> np.ndarray:
     return h
 
 
-def _boltzmann(energies: np.ndarray, beta: float, multiplicity, spread: float):
-    """Weights g exp(-beta (E - E0)) / Z' and ln Z, with E0 the lowest energy.
+def _boltzmann(energies: np.ndarray, beta: float, scale: float, multiplicity, spread: float):
+    """Weights g exp(-beta (E - E0)) / Z' and ln Z of the energies E = scale * e.
 
-    ``multiplicity`` g counts the states each energy stands for, and the
-    finite ``spread`` bounds max E - E0.
+    E0 = scale * e0 is the lowest energy: e0 is the smallest e, or the
+    largest where ``scale`` < 0. ``multiplicity`` g counts the states each
+    energy stands for, the finite ``spread`` bounds |e - e0|, and
+    |scale| * spread is finite.
     """
     if not math.isfinite(beta):
         raise FloatingPointError(f"beta = 1/kT = {beta} is not finite")
-    e0 = float(energies.min())
+    e0 = float(energies.min() if scale > 0.0 else energies.max())
     w = energies - e0
-    if not math.isfinite(beta * spread):  # beta (E - E0) could overflow; exp(-1000) is 0
+    rate = beta * scale
+    if math.isfinite(rate * spread):
+        w *= -rate
+    else:  # beta (E - E0) could overflow; exp(-1000) is 0
+        w *= scale
         np.minimum(w, 1e3 / beta, out=w)
-    w *= -beta
+        w *= -beta
     np.exp(w, out=w)
     w *= multiplicity
     z0 = float(w.sum())
     w /= z0
-    return w, math.log(z0) - beta * e0
+    return w, math.log(z0) - beta * (scale * e0)
 
 
-def _ground_weights(energies: np.ndarray, multiplicity) -> np.ndarray:
-    """Uniform weights over the ground multiplet (which may span several blocks)."""
-    e0 = float(energies.min())
-    members = multiplicity * ((energies - e0) < _DEGENERACY_TOL * max(1.0, abs(e0)))
+def _ground_weights(energies: np.ndarray, scale: float, multiplicity) -> np.ndarray:
+    """Uniform weights over the ground multiplet of E = scale * e (it may span several blocks)."""
+    e0 = float(energies.min() if scale > 0.0 else energies.max())
+    degenerate = _DEGENERACY_TOL * max(1.0, abs(scale * e0))
+    members = multiplicity * ((energies - e0) * scale < degenerate)
     return members / members.sum()
 
 
@@ -342,55 +359,57 @@ class _Classes(NamedTuple):
 
 
 class _Eigensystem(NamedTuple):
-    """A chain's energies, per-eigenstate table and stacked vectors, numbered as in _Layout."""
+    """A chain's per-eigenstate table, numbered as in _Layout, and the key of its solve."""
 
     layout: _Layout
     classes: _Classes
-    table: np.ndarray     # per eigenstate: its energy, sum_j <sz_j> over each site class, then
-                          # <sz_i sz_j>, the antiparallel and the parallel flip sums over each
-                          # bond class (1 + S + 3 C rows)
-    magnetization: np.ndarray  # per eigenstate, its <M>: the site rows summed
-    scale: float          # the largest |E|
-    vectors: tuple        # per group, the (m, d, d) stacked eigenvectors
-    pair_layers: dict     # pair orbit -> its three rows (zz, antiparallel, parallel): the bond
-                          # classes' table rows, other orbits added on first use
+    key: tuple            # the arguments of :func:`_solve` that give its vectors
+    table: np.ndarray     # per eigenstate: its energy, sum_j <sz_j>, the mean <sz_j> over each
+                          # site class, then the mean <xx>, <yy> and <zz> over each bond class
+                          # (2 + S + 3 C rows: S site rows, C of each bond kind)
+    magnitude: float      # the largest |energy| in the table
+    pair_layers: dict     # pair orbit -> its three rows (mean xx, yy, zz): the bond classes'
+                          # table rows, other orbits added on first use
 
     @property
     def energies(self) -> np.ndarray:
         return self.table[0]
 
-    def observables(self, energies: np.ndarray, p: np.ndarray):
-        """(U, M, bond correlators) of sum_k p[k] |v_k><v_k|: each bond reads its class."""
+    def observables(self, p: np.ndarray, scale: float, field: float):
+        """(U, M, bond correlators) of sum_k p[k] |v_k><v_k|, E_k = scale e_k - field M_k.
+
+        e_k is the table's energy. Each bond reads its class.
+        """
+        values = (self.table @ p).tolist()
         classes = self.classes
-        sites, bonds = len(classes.sites), len(classes.bonds)
-        values = (self.table[1:] @ p).tolist()
-        rows = values[sites:]
-        per_class = [((antiparallel + parallel) / size, (antiparallel - parallel) / size,
-                      zz / size) for zz, antiparallel, parallel, size in zip(
-                          rows, rows[bonds:], rows[2 * bonds:], map(len, classes.bonds))]
-        return (float(p @ energies), sum(values[:sites]),
+        bonds = len(classes.bonds)
+        means = values[2 + len(classes.sites):]
+        per_class = list(zip(means[:bonds], means[bonds:2 * bonds], means[2 * bonds:]))
+        return (scale * values[0] - field * values[1], values[1],
                 tuple(map(per_class.__getitem__, classes.bond_class)))
 
     def pair_state(self, n_sites: int, p: np.ndarray, a: int, b: int) -> PairState:
         """The (a, b) pair state from the rows of its site classes and its pair orbit.
 
-        A new orbit's rows are built once from the vectors; spin-flip images
-        share their source state's rows, which spin flip leaves unchanged.
+        A new orbit's rows are built once from the vectors of :func:`_solve`,
+        which solves the chain again unless it was the latest solved; spin-flip
+        images share their source state's rows, which spin flip leaves
+        unchanged.
         """
         layout, classes = self.layout, self.classes
         orbit = _orbit(n_sites, layout.order, (a, b))
         layers = self.pair_layers.get(orbit)
         if layers is None:
             terms = _terms(n_sites, layout.order, layout.conserve_sz, (), (orbit,))
-            layers = np.concatenate([_expectations(t, v) for t, v in zip(terms, self.vectors)],
-                                    axis=1)[:, layout.source]
+            sums = np.concatenate([_expectations(t, vectors)
+                                   for t, (_, vectors) in zip(terms, _solve(*self.key))], axis=1)
+            layers = _pair_means(sums[:, layout.source], [len(orbit)])
             layers.setflags(write=False)
             layers = self.pair_layers.setdefault(orbit, layers)
-        zz, antiparallel, parallel = (layers @ p / len(orbit)).tolist()
-        sites = self.table[1:1 + len(classes.sites)] @ p
-        z_a, z_b = (float(sites[classes.site_class[j]]) / len(classes.sites[classes.site_class[j]])
-                    for j in (a, b))
-        return _pair_matrix(z_a, z_b, zz, antiparallel + parallel, antiparallel - parallel)
+        xx, yy, zz = (layers @ p).tolist()
+        sites = self.table[2:2 + len(classes.sites)] @ p
+        return _pair_matrix(float(sites[classes.site_class[a]]),
+                            float(sites[classes.site_class[b]]), zz, xx, yy)
 
 
 @lru_cache(maxsize=32)
@@ -709,19 +728,20 @@ def _expectations(terms: _Terms, vectors: np.ndarray) -> np.ndarray:
     return rows.reshape(terms.rows, m * d)
 
 
-@lru_cache(maxsize=_EIG_CACHE_SIZE)
-def _eigensystem(n_sites: int, boundary: str, field: float, zz: float, antiparallel: float,
-                 parallel: float) -> _Eigensystem:
-    """Energies, observable table and stacked vectors of a chain, cached per coupling.
+def _pair_means(sums: np.ndarray, sizes) -> np.ndarray:
+    """The mean xx, yy and zz rows of C pair classes from their zz, antiparallel and parallel
+    flip sums (3 C rows), ``sizes`` the classes' pair counts."""
+    zz, antiparallel, parallel = np.split(sums / np.tile(sizes, 3)[:, None], 3)
+    return np.concatenate((antiparallel + parallel, antiparallel - parallel, zz))
 
-    The key is the site count, the boundary and the four couplings of the
-    layers of :class:`_Terms`: -B, s Jz, s (Jx + Jy) and s (Jx - Jy).
-    ``lru_cache`` serializes insertion, so concurrent readers are safe and
-    at worst two threads diagonalize one key once each. Total-S^z chains
-    (parallel = 0) arrive here with B = 0 only, where sector N - k is the
-    spin-flip image of k: the same energies and table, with every sz
-    negated. The :class:`_Terms` of the chain's site and bond classes give
-    each group's H and its table rows.
+
+@lru_cache(maxsize=1)
+def _solve(n_sites: int, boundary: str, field: float, zz: float, antiparallel: float,
+           parallel: float) -> tuple:
+    """Per group of the chain's layout, its (m, d) energies and (m, d, d) stacked vectors.
+
+    The arguments are those of :func:`_eigensystem`. Only the latest solve
+    is kept: the vectors of a chain take far more memory than its table.
     """
     n = n_sites
     order = n if boundary == BOUNDARY_PERIODIC else 1
@@ -729,62 +749,116 @@ def _eigensystem(n_sites: int, boundary: str, field: float, zz: float, antiparal
     layout = _layout(n, order, conserve_sz)
     classes = _classes(n, order, bond_list(n, boundary))
     couplings = np.array([field, zz, antiparallel, parallel])
-    sites, bonds = len(classes.sites), len(classes.bonds)
-    table = np.empty((1 + sites + 3 * bonds, layout.solved))
-    vectors = []
+    solved = []
     for g, terms in zip(layout.groups,
                         _terms(n, order, conserve_sz, classes.sites, classes.bonds)):
         m, d = g.reps.shape
         h = np.bincount(terms.cells, couplings[terms.layers] * terms.values,
                         minlength=m * d * d).reshape(m, d, d)
         if d == 1:  # a 1 x 1 block is its own eigensystem
-            block_energies, block_vectors = h[..., 0], np.ones_like(h)
+            energies, vectors = h[..., 0], np.ones_like(h)
         else:
-            block_energies, block_vectors = np.linalg.eigh(h)
-        rows = table[:, g.states]
-        rows[0] = block_energies.ravel()
-        rows[1:] = _expectations(terms, block_vectors)
-        block_vectors.setflags(write=False)
-        vectors.append(block_vectors)
-    table = table[:, layout.source]
-    table[1:1 + sites, layout.solved:] *= -1.0  # sz of the spin-flip images
+            energies, vectors = np.linalg.eigh(h)
+        vectors.setflags(write=False)
+        solved.append((energies, vectors))
+    return tuple(solved)
+
+
+@lru_cache(maxsize=_EIG_CACHE_SIZE)
+def _eigensystem(n_sites: int, boundary: str, field: float, zz: float, antiparallel: float,
+                 parallel: float) -> _Eigensystem:
+    """Energies and observable table of a chain, cached per coupling ray.
+
+    The key is the site count, the boundary and the four couplings of the
+    layers of :class:`_Terms`, -B, s Jz, s (Jx + Jy) and s (Jx - Jy), divided
+    by their scale (see :func:`_spectrum`). ``lru_cache`` serializes
+    insertion, so concurrent readers are safe and at worst two threads
+    diagonalize one key once each. A miss drops the latest solve's vectors
+    before it solves, so one chain's vectors are held at a time. Total-S^z
+    chains (parallel = 0) arrive here with B = 0 only, where sector N - k is
+    the spin-flip image of k: the same energies and table, with every sz
+    negated. The :class:`_Terms` of the chain's site and bond classes give
+    each group's table rows.
+    """
+    n = n_sites
+    order = n if boundary == BOUNDARY_PERIODIC else 1
+    conserve_sz = parallel == 0.0
+    layout = _layout(n, order, conserve_sz)
+    classes = _classes(n, order, bond_list(n, boundary))
+    key = (n, boundary, field, zz, antiparallel, parallel)
+    sites = len(classes.sites)
+    sums = np.empty((1 + sites + 3 * len(classes.bonds), layout.solved))
+    _solve.cache_clear()
+    for g, terms, (energies, vectors) in zip(
+            layout.groups, _terms(n, order, conserve_sz, classes.sites, classes.bonds),
+            _solve(*key)):
+        rows = sums[:, g.states]
+        rows[0] = energies.ravel()
+        rows[1:] = _expectations(terms, vectors)
+    sums = sums[:, layout.source]
+    z = sums[1:1 + sites]
+    z[:, layout.solved:] *= -1.0  # sz of the spin-flip images
+    table = np.concatenate((sums[:1], z.sum(axis=0, keepdims=True),
+                            z / np.array([[len(c)] for c in classes.sites]),
+                            _pair_means(sums[1 + sites:], [len(c) for c in classes.bonds])))
     table.setflags(write=False)
-    magnetization = table[1:1 + sites].sum(axis=0)
-    magnetization.setflags(write=False)
-    pair_layers = {bond: table[1 + sites + c::bonds] for c, bond in enumerate(classes.bonds)}
-    return _Eigensystem(layout, classes, table, magnetization, float(np.abs(table[0]).max()),
-                        tuple(vectors), pair_layers)
+    bonds = len(classes.bonds)
+    pair_layers = {bond: table[2 + sites + c::bonds] for c, bond in enumerate(classes.bonds)}
+    return _Eigensystem(layout, classes, key, table, float(np.abs(table[0]).max()), pair_layers)
 
 
 # ---------------------------------------------------------------------------
 # Public routines
 
 
-def _spectrum(vspec: ValidatedSpec):
-    """(the cached eigensystem, its energies at the spec's field, a bound on their spread).
+def _on_ray(n_sites: int, boundary: str, couplings: tuple, field: float, scale: float):
+    """:func:`_spectrum`'s result with the couplings divided by ``scale``, or None where the
+    float range does not hold the divided couplings, H or the spectrum."""
+    field_layer, zz, antiparallel, parallel = couplings
+    ray = (field_layer / scale, zz / scale, antiparallel / scale, parallel / scale)
+    # Every entry of a block, and every partial sum forming it, is at most
+    # 2 N^1.5 sum |c| (N terms per layer, each at most sqrt(4 N) |c|).
+    if not math.isfinite(4.0 * n_sites ** 2 * (abs(ray[0]) + abs(ray[1]) + abs(ray[2])
+                                               + abs(ray[3]))):
+        return None
+    eig = _eigensystem(n_sites, boundary, *ray)
+    shift = field / scale
+    spread = 2.0 * (eig.magnitude + abs(shift) * n_sites)
+    if not math.isfinite(spread * scale):
+        return None
+    energies = eig.energies - shift * eig.table[1] if shift else eig.energies
+    return eig, energies, scale, field, spread
 
-    Total-S^z chains (Jx = Jy) are keyed with B = 0, and their energies are
-    shifted by -B M, with |M| <= N. Raises FloatingPointError unless H and
-    twice the largest |E| fit the float range, so that no energy and no
-    difference of two overflows.
+
+def _spectrum(vspec: ValidatedSpec):
+    """(the cached eigensystem, its energies e at the spec's field, their scale, the field
+    that acts outside the cache, a bound on |e - e'|): the spectrum is scale * e.
+
+    H(lambda c) = lambda H(c) for the four couplings c of :func:`_eigensystem`,
+    so the cache is keyed on c / lambda with the scale lambda = s (Jx + Jy):
+    every XXX chain's key is exactly (0, 1/2, 1, 0) and every XX chain's
+    (0, 0, 1, 0). lambda = 1 where s (Jx + Jy) = 0, and also where the
+    divided couplings or the spectrum would leave the float range (a small
+    scale beside a large coupling or field). Total-S^z chains (Jx = Jy) are
+    keyed with B = 0, and their energies are shifted by -(B / lambda) M,
+    with |M| <= N.
+    Raises FloatingPointError unless H and twice the largest |E| fit the
+    float range, so that no energy and no difference of two overflows.
     """
     s = float(vspec.coupling_sign)
     conserve_sz = vspec.jx == vspec.jy
     couplings = (0.0 if conserve_sz else -vspec.b, s * vspec.jz, s * (vspec.jx + vspec.jy),
                  s * (vspec.jx - vspec.jy))
-    # Every entry of a block, and every partial sum forming it, is at most
-    # 2 N^1.5 sum |c| (N terms per layer, each at most sqrt(4 N) |c|).
-    if not math.isfinite(4.0 * vspec.n_sites ** 2 * sum(map(abs, couplings))):
+    field = vspec.b if conserve_sz else 0.0
+    n, boundary = vspec.n_sites, vspec.boundary
+    found = (_on_ray(n, boundary, couplings, field, couplings[2] or 1.0)
+             or _on_ray(n, boundary, couplings, field, 1.0))
+    if found is not None:
+        return found
+    if not math.isfinite(4.0 * n ** 2 * sum(map(abs, couplings))):
         raise FloatingPointError(f"the couplings (-B, s Jz, s (Jx + Jy), s (Jx - Jy)) = "
                                  f"{couplings} overflow the Hamiltonian")
-    eig = _eigensystem(vspec.n_sites, vspec.boundary, *couplings)
-    field = vspec.b if conserve_sz else 0.0
-    spread = 2.0 * (eig.scale + abs(field) * vspec.n_sites)
-    if not math.isfinite(spread):
-        raise FloatingPointError(f"the spectrum at B = {vspec.b} spans more than the float range")
-    if not conserve_sz:
-        return eig, eig.energies, spread
-    return eig, eig.energies - field * eig.magnetization, spread
+    raise FloatingPointError(f"the spectrum at B = {vspec.b} spans more than the float range")
 
 
 def thermal_observables(spec, kt: float) -> ThermalObservables:
@@ -798,16 +872,17 @@ def thermal_observables(spec, kt: float) -> ThermalObservables:
     vspec = validate_spec(spec)
     _require_finite(vspec)
     beta = ThermalPoint(float(kt)).beta
-    eig, energies, spread = _spectrum(vspec)
-    p, log_partition = _boltzmann(energies, beta, eig.layout.multiplicity, spread)
-    return _checked(*eig.observables(energies, p), log_partition)
+    eig, energies, scale, field, spread = _spectrum(vspec)
+    p, log_partition = _boltzmann(energies, beta, scale, eig.layout.multiplicity, spread)
+    return _checked(*eig.observables(p, scale, field), log_partition)
 
 
 def ground_state_energy(spec) -> float:
     """Lowest eigenvalue of the chain Hamiltonian."""
     vspec = validate_spec(spec)
     _require_finite(vspec)
-    return float(_spectrum(vspec)[1].min())
+    _, energies, scale, _, _ = _spectrum(vspec)
+    return scale * float(energies.min() if scale > 0.0 else energies.max())
 
 
 def ground_state_observables(spec) -> ThermalObservables:
@@ -818,9 +893,9 @@ def ground_state_observables(spec) -> ThermalObservables:
     """
     vspec = validate_spec(spec)
     _require_finite(vspec)
-    eig, energies, _ = _spectrum(vspec)
-    p = _ground_weights(energies, eig.layout.multiplicity)
-    return _checked(*eig.observables(energies, p))
+    eig, energies, scale, field, _ = _spectrum(vspec)
+    p = _ground_weights(energies, scale, eig.layout.multiplicity)
+    return _checked(*eig.observables(p, scale, field))
 
 
 def thermo_consistency(spec, kt: float) -> tuple[float, float]:
@@ -878,8 +953,8 @@ def reduced_pair_state(spec, kt: float, site_pair: tuple[int, int]) -> PairState
         raise SpecError("site pair must name two distinct sites")
 
     beta = ThermalPoint(float(kt)).beta
-    eig, energies, spread = _spectrum(vspec)
-    p, _ = _boltzmann(energies, beta, eig.layout.multiplicity, spread)
+    eig, energies, scale, _, spread = _spectrum(vspec)
+    p, _ = _boltzmann(energies, beta, scale, eig.layout.multiplicity, spread)
     return eig.pair_state(n, p, a, b)
 
 

@@ -528,7 +528,9 @@ def test_numerical_failures_exit_two(capsys, monkeypatch):
     ["--model", "xxx", "--n", "6", "--b=1e308", "--kt", "1"],
     ["--model", "xxx", "--n", "6", "--kt", "1e-320"],
     ["--model", "xx", "--j=1e308", "--n", "6", "--kt", "1"],
-    ["--model", "xyz", "--jx", "1", "--jy", "2", "--jz=1e308", "--n", "5", "--kt", "1"]])
+    ["--model", "xyz", "--jx", "1", "--jy", "2", "--jz=1e308", "--n", "5", "--kt", "1"],
+    # B / (2J) overflows, so the couplings are not scaled; ln Z then overflows.
+    ["--model", "xxx", "--n", "6", "--j=1e-300", "--b=1e300", "--kt=1e-300"]])
 def test_exact_diagonalization_overflow_exits_two(capsys, command, args):
     # An overflow is a numerical failure, never a NaN result or a usage
     # error; XYZ chains are not witness-eligible, which is a usage error.

@@ -858,6 +858,113 @@ def test_xx_coupling_reversal_keeps_u_and_m(boundary, sign, n, j, b, kt):
 
 
 # ---------------------------------------------------------------------------
+# One solve per coupling ray: H(lambda c) = lambda H(c)
+
+
+RAY_JS = (0.37, -1.3, 2.9)
+SIGNS = ("singlet-ground", "as-printed")
+
+
+def ray_specs(family, boundary, n, b=0.45):
+    """Every J of RAY_JS under both sign conventions. XYZ takes J (0.9, -0.4, 0.6), so that
+    s (Jx + Jy) < 0 for some, and J (0.8, -0.8, 0.5), where Jx + Jy = 0 keeps the scale 1."""
+    specs = []
+    for j in RAY_JS:
+        for sign in SIGNS:
+            if family == "xyz":
+                specs += [ModelSpec.xyz(x * j, y * j, z * j, b=b, n_sites=n, boundary=boundary,
+                                        sign_convention=sign)
+                          for x, y, z in ((0.9, -0.4, 0.6), (0.8, -0.8, 0.5))]
+            else:
+                make = ModelSpec.xxx if family == "xxx" else ModelSpec.xx
+                specs.append(make(j, b=b, n_sites=n, boundary=boundary, sign_convention=sign))
+    return specs
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("family", ["xxx", "xx", "xyz"])
+def test_coupling_rays_match_dense(family, boundary, n):
+    # Odd rings with J > 0 are frustrated, so -H is not unitarily equivalent
+    # to H there: the sign route is checked, not implied by a symmetry.
+    for spec in ray_specs(family, boundary, n):
+        ref, ref_pair = dense_reference(spec, 0.7)
+        assert_observables_close(thermal_observables(spec, 0.7), ref, 1e-11)
+        for pair in ((0, 1), (0, 2)):  # (0, 2) is a bond only on the 3-site ring
+            rho = reduced_pair_state(spec, 0.7, pair).matrix
+            assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11, (spec, pair)
+
+
+@pytest.mark.parametrize("family, boundary, n", [("xxx", "periodic", 7), ("xx", "open", 6)])
+def test_every_coupling_on_a_ray_costs_one_solve(monkeypatch, family, boundary, n):
+    # Every J, both sign conventions and every field share one eigensystem:
+    # the XXX ray (0, 1/2, 1, 0) and the XX ray (0, 0, 1, 0) are exact. On
+    # the frustrated 7-ring H(-J) = -H(J) is not unitarily equivalent to
+    # H(J), yet both read one solve; the dense-oracle test above checks both.
+    calls = count_eigh_calls(monkeypatch)
+    exactdiag._eigensystem.cache_clear()
+    for b in (0.0, 0.45, -1.7):
+        for spec in ray_specs(family, boundary, n, b=b):
+            thermal_observables(spec, 0.7)
+            ground_state_observables(spec)
+            ground_state_energy(spec)
+            reduced_pair_state(spec, 0.7, (0, 2))
+        if b == 0.0:
+            shapes = list(calls)
+    assert exactdiag._eigensystem.cache_info().misses == 1
+    assert calls == shapes and shapes
+
+
+EXTREME_SCALES = (1e-300, 1e-155, 1e150, 1e300)
+
+
+@pytest.mark.parametrize("j", EXTREME_SCALES)
+@pytest.mark.parametrize("sign", SIGNS)
+@pytest.mark.parametrize("chain", ["xxx-ring", "xyz-open"])
+def test_extreme_scales_give_a_value_or_floating_point_error(chain, sign, j):
+    # The scale divides the couplings and multiplies the energies back, so
+    # every J, B and kT gives finite values that match the dense oracle, or
+    # FloatingPointError where ln Z leaves the float range; never NaN. At
+    # B = 0.45 J and kT = 0.7 J the thermal state is the unit chain's,
+    # rescaled, so every average must match; elsewhere a tiny kT / J can pick
+    # one state of a multiplet that rounding splits, so M, the bonds and the
+    # pair state need only be finite. kT = 1e-300 makes beta (E - E0)
+    # overflow, for scales of either sign.
+    def spec_at(b):
+        if chain == "xxx-ring":
+            return ModelSpec.xxx(j, b=b, n_sites=6, sign_convention=sign)
+        return ModelSpec.xyz(0.9 * j, -0.4 * j, 0.6 * j, b=b, n_sites=5, boundary="open",
+                             sign_convention=sign)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (*EXTREME_SCALES, 0.0, 0.45 * j):
+            spec = spec_at(b)
+            e0 = np.linalg.eigvalsh(build_hamiltonian(spec))[0]
+            assert abs(ground_state_energy(spec) - e0) < 1e-11 * abs(e0)
+            # Below an energy scale of 1e-9 the whole spectrum is one multiplet.
+            ground = ground_state_observables(spec)
+            assert np.isfinite([ground.u, ground.m, *np.ravel(ground.bond_correlators)]).all()
+            for kt in (1.0, 0.7 * j, 1e-300):
+                with np.errstate(over="ignore"):
+                    ref, ref_pair = dense_reference(spec, kt)
+                rho = reduced_pair_state(spec, kt, (0, 2)).matrix
+                if not math.isfinite(ref.log_partition):
+                    with pytest.raises(FloatingPointError):
+                        thermal_observables(spec, kt)
+                    continue
+                obs = thermal_observables(spec, kt)
+                assert abs(obs.u - ref.u) < 1e-11 * max(abs(ref.u), abs(e0)), (b, kt)
+                assert abs(obs.log_partition - ref.log_partition) < (
+                    1e-11 * max(1.0, abs(ref.log_partition))), (b, kt)
+                if b == 0.45 * j and kt == 0.7 * j:
+                    assert_observables_close(obs, ref, 1e-11)
+                    assert np.max(np.abs(rho - ref_pair(0, 2))) < 1e-11
+                assert np.isfinite([obs.m, *np.ravel(obs.bond_correlators)]).all()
+                assert np.isfinite(rho).all()
+
+
+# ---------------------------------------------------------------------------
 # Real blocks and reflection halves
 
 
@@ -865,10 +972,11 @@ def test_xx_coupling_reversal_keeps_u_and_m(boundary, sign, n, j, b, kt):
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_every_eigensystem_is_real(family, boundary):
     for n in range(1 if boundary == "open" else 3, 11):
-        eig, energies, _ = exactdiag._spectrum(validate_spec(
+        eig, energies, *_ = exactdiag._spectrum(validate_spec(
             sector_case_spec(family, boundary, "singlet-ground", n)))
         assert eig.table.dtype == energies.dtype == np.float64
-        assert all(v.dtype == np.float64 for v in eig.vectors), n
+        # The latest solve's vectors, where a new pair orbit reads them.
+        assert all(v.dtype == np.float64 for _, v in exactdiag._solve(*eig.key)), n
 
 
 OPEN_MIRROR_SPECS = [sector_case_spec(family, "open", "singlet-ground", n)
