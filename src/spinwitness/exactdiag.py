@@ -166,6 +166,14 @@ class PairState:
             raise ValueError("pair state is not positive semidefinite")
         object.__setattr__(self, "matrix", rho)
 
+    @classmethod
+    def _of_reader(cls, rho: np.ndarray) -> "PairState":
+        """A complex 4x4 state built by the reader, a partial trace of a thermal
+        state, unchecked: the checks guard matrices passed in from outside."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", rho)
+        return state
+
 
 def bond_list(n_sites: int, boundary: str) -> tuple[tuple[int, int], ...]:
     """Nearest-neighbor site pairs: N-1 for open chains, N for rings."""
@@ -246,10 +254,15 @@ def _boltzmann(energies: np.ndarray, beta: float, scale: float, multiplicity, sp
 
 
 def _ground_weights(energies: np.ndarray, scale: float, multiplicity) -> np.ndarray:
-    """Uniform weights over the ground multiplet of E = scale * e (it may span several blocks)."""
-    e0 = float(energies.min() if scale > 0.0 else energies.max())
-    degenerate = _DEGENERACY_TOL * max(1.0, abs(scale * e0))
-    members = multiplicity * ((energies - e0) * scale < degenerate)
+    """Uniform weights over the ground multiplet of E = scale * e (it may span several blocks).
+
+    A state is in it when E - E0 <= tol (E_max - E0): a share of the spectrum's
+    own width, so the rule does not depend on the energy scale or its sign. A
+    flat spectrum is one multiplet.
+    """
+    lo, hi = float(energies.min()), float(energies.max())
+    e0 = lo if scale > 0.0 else hi
+    members = multiplicity * (np.abs(energies - e0) <= _DEGENERACY_TOL * (hi - lo))
     return members / members.sum()
 
 
@@ -274,7 +287,7 @@ def _pair_matrix(za: float, zb: float, zab: float, xx: float, yy: float) -> Pair
                    1.0 - za + zb - zab, 1.0 - za - zb + zab])
     rho[0, 3] = rho[3, 0] = xx - yy
     rho[1, 2] = rho[2, 1] = xx + yy
-    return PairState(rho / 4.0)
+    return PairState._of_reader(np.asarray(rho / 4.0, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,23 @@ def adaptive_quadrature(f, a, b, abs_tol=DEFAULT_ABS_TOL, max_panels=DEFAULT_MAX
     """Integrate ``f`` over [a, b] to absolute tolerance ``abs_tol``.
 
     ``seeds`` pre-split the interval; those outside (a, b) are ignored.
-    This is a one-row :func:`adaptive_quadrature_rows` call; it raises
-    :class:`QuadratureError` where that call would fail the row.
+    This is a one-row :func:`adaptive_quadrature_rows` call, with its first
+    panels cut by a Python sort; it raises :class:`QuadratureError` where
+    that call would fail the row.
     """
-    row = np.array([seeds], dtype=float).reshape(1, -1)
-    values, failures = adaptive_quadrature_rows(lambda rows, x: f(x), 1, a, b, abs_tol,
-                                                max_panels, seeds=row)
+    a, b = float(a), float(b)
+    if a == b:
+        return 0.0
+    lo, hi = min(a, b), max(a, b)
+    inner = {s for s in np.asarray(seeds, dtype=float).ravel().tolist() if lo < s < hi}
+    edges = np.array([a, *sorted(inner, reverse=b < a), b])
+    failures: dict[int, str] = {}
+    value = _integrate_block(lambda rows, x: f(x), 0, 1, a, b, edges[:-1], edges[1:],
+                             np.zeros(edges.size - 1, dtype=np.intp), abs_tol, max_panels,
+                             failures)
     if failures:
         raise QuadratureError(failures[0])
-    return float(values[0])
+    return float(value[0])
 
 
 def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL,
@@ -85,8 +93,9 @@ def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL,
     if a != b:
         for start in range(0, values.size, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            values[block] = _integrate_block(f, start, a, b, seeds[block], abs_tol, max_panels,
-                                             failures)
+            values[block] = _integrate_block(f, start, seeds[block].shape[0], a, b,
+                                             *_first_panels(a, b, seeds[block]), abs_tol,
+                                             max_panels, failures)
     return values, failures
 
 
@@ -116,47 +125,54 @@ def _panel_estimates(f, rows, pa, pb):
     return value, np.abs(value - half * np.add.reduce(fw[:, :_N_LO], axis=1)), mid, width
 
 
-def _integrate_block(f, first, a, b, seeds, abs_tol, max_panels, failures):
-    """Adaptive rounds for rows ``first`` onward, one per row of ``seeds``.
+def _integrate_block(f, first, n, a, b, pa, pb, prow, abs_tol, max_panels, failures):
+    """Adaptive rounds for rows ``first`` .. ``first + n - 1`` from first panels [pa, pb].
 
-    Records failed rows in ``failures``.
+    ``prow`` is each first panel's row within the block. Records failed
+    rows in ``failures``.
     """
     tol_per_width = abs_tol / (b - a)
-    n = seeds.shape[0]
     total = np.zeros(n)
-    failed = np.zeros(n, dtype=bool)  # a failed row's total is overwritten with NaN
-    pa, pb, prow = _first_panels(a, b, seeds)  # prow: index in block
+    failed = None  # per row, made at the first failure; a failed row's total becomes NaN
     # Panels per row (accepted + open) are ``panels`` plus the row's entries
     # in ``uncounted``. No row can be over budget before the whole block is,
     # so the per-row count waits until then.
-    panels, uncounted, block_panels = np.zeros(n, dtype=np.intp), [prow], prow.size
+    panels, uncounted, block_panels = 0, [prow], prow.size
     # Round k evaluates the first panels halved k times; each halving loses
     # at most one ulp of max(|a|, |b|) to rounding. Until this lower bound on
     # the panel widths falls to a few ulps no midpoint can round to an end.
     ulp = math.ulp(max(abs(a), abs(b)))
-    narrowest = float(np.min(np.abs(pb - pa))) - ulp if prow.size else 0.0
+    narrowest = float(np.minimum.reduce(np.abs(pb - pa))) - ulp if prow.size else 0.0
     while prow.size:
         n_failed = len(failures)
         value, err, mid, width = _panel_estimates(f, first + prow if first else prow, pa, pb)
-        # A panel whose midpoint rounds to one of its ends has no interior
-        # left to sample: its row is unresolved at floating-point resolution.
-        for i in ((mid == pa) | (mid == pb)).nonzero()[0] if narrowest <= 4.0 * ulp else ():
-            if not failed[prow[i]]:
-                failed[prow[i]] = True
-                failures[int(first + prow[i])] = (
-                    f"quadrature did not reach abs_tol={abs_tol:g}: a panel at "
-                    f"x={float(pa[i])!r} reached floating-point resolution")
+        if narrowest <= 4.0 * ulp:
+            # A panel whose midpoint rounds to one of its ends has no interior
+            # left to sample: its row is unresolved at floating-point resolution.
+            for i in ((mid == pa) | (mid == pb)).nonzero()[0]:
+                failed = np.zeros(n, dtype=bool) if failed is None else failed
+                if not failed[prow[i]]:
+                    failed[prow[i]] = True
+                    failures[int(first + prow[i])] = (
+                        f"quadrature did not reach abs_tol={abs_tol:g}: a panel at "
+                        f"x={float(pa[i])!r} reached floating-point resolution")
         narrowest = 0.5 * narrowest - ulp
         split = ~(err <= tol_per_width * width)  # a NaN estimate is split too
-        value[split] = 0.0  # only accepted panels add to their row's total
-        total += np.bincount(prow, weights=value, minlength=n)
-        pa, pb, mid, prow = pa[split], pb[split], mid[split], prow[split]
+        n_split = np.count_nonzero(split)
+        if n_split == 0:  # every panel accepted: the last round
+            total += np.bincount(prow, weights=value, minlength=n)
+            break
+        if n_split < split.size:  # only accepted panels add to their row's total
+            value[split] = 0.0
+            total += np.bincount(prow, weights=value, minlength=n)
+            pa, pb, mid, prow = pa[split], pb[split], mid[split], prow[split]
         uncounted.append(prow)
         block_panels += prow.size
         if block_panels > max_panels:
             panels += np.bincount(np.concatenate(uncounted), minlength=n)
             uncounted = []
             for i in (panels > max_panels).nonzero()[0]:
+                failed = np.zeros(n, dtype=bool) if failed is None else failed
                 if not failed[i]:
                     failed[i] = True
                     failures[int(first + i)] = (
@@ -168,5 +184,6 @@ def _integrate_block(f, first, a, b, seeds, abs_tol, max_panels, failures):
         # so each row's panels keep an order set by that row alone
         pa, pb = np.concatenate((pa, mid, mid, pb)).reshape(2, -1)
         prow = np.concatenate((prow, prow))
-    total[failed] = np.nan
+    if failed is not None:
+        total[failed] = np.nan
     return total

@@ -125,18 +125,18 @@ def _witness_integrand(k, c, omega):
 def _step_seeds(k, c):
     """Quadrature seeds around the zero w* = arccos(C/2K) of 2K cos w - C.
 
-    One row per (K, C): w* and w* +- {1, 4, 16} s, s = 1/max(2|K| sin w*,
-    sqrt|K|) the width of the tanh step there; NaN if there is no zero.
-    The quadrature drops seeds outside (0, pi) and repeats. A seed on w*
-    alone would let the step hide between a panel's edge and the first
-    nodes of both rules, which then agree and accept the panel.
+    Seven seeds per (K, C), along a last axis added to K and C (floats or
+    arrays): w* and w* +- {1, 4, 16} s, s = 1/max(2|K| sin w*, sqrt|K|)
+    the width of the tanh step there; NaN if there is no zero (callers of
+    arrays silence that warning). The quadrature drops seeds outside
+    (0, pi) and repeats. A seed on w* alone would let the step hide
+    between a panel's edge and the first nodes of both rules, which then
+    agree and accept the panel.
     """
-    k, c = np.array(k, dtype=float, ndmin=1), np.array(c, dtype=float, ndmin=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        star = np.arccos(c / (2.0 * k))  # NaN for |C/2K| > 1 and for K = 0
-        ak = np.abs(k)
-        width = 1.0 / np.maximum(2.0 * ak * np.sin(star), np.sqrt(ak))
-    return star[:, None] + width[:, None] * _SEED_OFFSETS
+    star = np.arccos(c / (2.0 * k))  # NaN for |C/2K| > 1 and for K = 0
+    ak = np.abs(k)
+    width = 1.0 / np.maximum(2.0 * ak * np.sin(star), np.sqrt(ak))
+    return star[..., None] + width[..., None] * _SEED_OFFSETS
 
 
 def _integrate(integrand, k, c, abs_tol, limit=_MAX_ARGUMENT):
@@ -151,7 +151,7 @@ def _integrate(integrand, k, c, abs_tol, limit=_MAX_ARGUMENT):
     # keeps the bits; the test is on the quotient arccos would see.
     has_step = k != 0.0 and abs(c / (2.0 * k)) <= 1.0
     return adaptive_quadrature(integrand, 0.0, math.pi, abs_tol=abs_tol,
-                               seeds=_step_seeds(k, c)[0] if has_step else ())
+                               seeds=_step_seeds(k, c) if has_step else ())
 
 
 def xx_log_partition_density(coupling_over_kt, field_over_kt,
@@ -291,20 +291,25 @@ class RegionGrid:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "kind": "region-grid",
-            "kT_over_J": np.asarray(self.kt_over_j, dtype=float).tolist(),
-            "B_over_J": np.asarray(self.b_over_j, dtype=float).tolist(),
-            "W": np.asarray(self.w, dtype=float).tolist(),
-            "entangled": np.asarray(self.entangled, dtype=bool).tolist(),
-            "cell_errors": [list(e) for e in self.cell_errors],
-            "metadata": {
+        """JSON object with one line per key, and per grid row of W and ``entangled``."""
+        def rows(grid):  # json's indenting encoder is pure Python; each row uses the C one
+            return "[\n    " + ",\n    ".join(map(json.dumps, grid.tolist())) + "\n  ]"
+
+        fields = {
+            "kind": json.dumps("region-grid"),
+            "kT_over_J": json.dumps(np.asarray(self.kt_over_j, dtype=float).tolist()),
+            "B_over_J": json.dumps(np.asarray(self.b_over_j, dtype=float).tolist()),
+            "W": rows(np.asarray(self.w, dtype=float)),
+            "entangled": rows(np.asarray(self.entangled, dtype=bool)),
+            "cell_errors": json.dumps([list(e) for e in self.cell_errors]),
+            "metadata": json.dumps({
                 "abs_tol": self.abs_tol,
                 "magnetization_form": self.magnetization_form,
                 "threshold": 1.0,
                 "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            },
-        }, indent=2) + "\n"
+            }),
+        }
+        return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields.items()) + "\n}\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,21 +364,26 @@ def _witness_rows(kt_over_j, b_over_j, abs_tol):
     failed points carry W = NaN and a message under their index. Points
     whose K or C would overflow fail so without being integrated.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         k = 1.0 / kt_over_j
         c = np.abs(b_over_j) / kt_over_j
-    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(c))):
-        raise SpecError("dimensionless couplings must be finite")
-    in_range = (k <= _MAX_ARGUMENT) & (c <= _MAX_ARGUMENT)
-    failures = {int(i): _out_of_range(k[i], c[i]) for i in np.flatnonzero(~in_range)}
-    rows = np.flatnonzero(in_range)
-    k, c = k[rows], c[rows]
+        if not (np.all(np.isfinite(k)) and np.all(np.isfinite(c))):
+            raise SpecError("dimensionless couplings must be finite")
+        in_range = (k <= _MAX_ARGUMENT) & (c <= _MAX_ARGUMENT)
+        failures, rows = {}, None
+        if not in_range.all():
+            failures = {int(i): _out_of_range(k[i], c[i]) for i in np.flatnonzero(~in_range)}
+            rows = np.flatnonzero(in_range)
+            k, c = k[rows], c[rows]
+        seeds = _step_seeds(k, c)
 
     def integrand(block_rows, omega):
         return _witness_integrand(k[block_rows, None], c[block_rows, None], omega)
 
     values, failed = adaptive_quadrature_rows(integrand, k.size, 0.0, math.pi,
-                                              abs_tol=abs_tol, seeds=_step_seeds(k, c))
+                                              abs_tol=abs_tol, seeds=seeds)
+    if rows is None:
+        return np.abs(2.0 * values / math.pi), failed
     w = np.full(kt_over_j.size, np.nan)
     w[rows] = np.abs(2.0 * values / math.pi)
     failures.update((int(rows[i]), message) for i, message in failed.items())

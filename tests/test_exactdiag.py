@@ -197,6 +197,25 @@ def test_ground_multiplet_is_averaged_uniformly():
     assert abs(obs.u + 3.0) < 1e-12
 
 
+@pytest.mark.parametrize("j", [1e-12, 1e-155, 1.0, 1e150])
+@pytest.mark.parametrize("spec_at", [lambda j: ModelSpec.xxx(j, n_sites=6),
+                                     lambda j: ModelSpec.xx(j, n_sites=5, boundary="open")],
+                         ids=["xxx-ring-6", "xx-open-5"])
+def test_ground_multiplet_does_not_depend_on_the_energy_scale(spec_at, j):
+    # The multiplet is E - E0 <= 1e-9 (E_max - E0); an absolute floor would
+    # average every state of a spectrum narrower than it.
+    spec = spec_at(j)
+    e0 = np.linalg.eigvalsh(build_hamiltonian(spec))[0]
+    assert abs(ground_state_observables(spec).u - e0) < 1e-11 * abs(e0)
+
+
+def test_a_flat_spectrum_is_one_multiplet():
+    p = exactdiag._ground_weights(np.zeros(5), 1.0, np.array([1.0, 2.0, 2.0, 1.0, 2.0]))
+    assert p.tolist() == [0.125, 0.25, 0.25, 0.125, 0.25]
+    obs = ground_state_observables(ModelSpec.xxx(0.0, n_sites=4))
+    assert obs.u == 0.0 and obs.m == 0.0
+
+
 def test_thermo_consistency_residuals_are_small():
     cases = [(ModelSpec.xxx(1.0, b=0.5, n_sites=6), 1.0),
              (ModelSpec.xx(0.8, b=0.3, n_sites=5, boundary="open"), 0.7),
@@ -208,7 +227,7 @@ def test_thermo_consistency_residuals_are_small():
 
 def test_reduced_pair_state_of_the_singlet():
     spec = ModelSpec.xxx(1.0, n_sites=2, boundary="open")
-    rho = reduced_pair_state(spec, 1e-6, (0, 1)).matrix
+    rho = reader_pair(spec, 1e-6, (0, 1))
     singlet = np.zeros(4)
     singlet[1], singlet[2] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
     assert np.max(np.abs(rho - np.outer(singlet, singlet))) < 1e-10
@@ -217,7 +236,7 @@ def test_reduced_pair_state_of_the_singlet():
 def test_reduced_pair_state_consistent_with_bond_correlators():
     spec = ModelSpec.xxx(1.0, b=0.3, n_sites=5)
     kt = 0.9
-    rho = reduced_pair_state(spec, kt, (0, 1)).matrix
+    rho = reader_pair(spec, kt, (0, 1))
     xx, yy, zz = thermal_observables(spec, kt).bond_correlators[0]
     for value, op in ((xx, SX), (yy, SY), (zz, SZ)):
         assert abs(np.trace(rho @ np.kron(op, op)).real - value) < 1e-12
@@ -226,7 +245,7 @@ def test_reduced_pair_state_consistent_with_bond_correlators():
 def test_nearest_neighbor_pair_of_xxx_ring_is_werner():
     """An SU(2)-invariant thermal state reduces to a Werner pair state."""
     spec = ModelSpec.xxx(1.0, b=0.0, n_sites=6)
-    rho = reduced_pair_state(spec, 0.5, (0, 1)).matrix
+    rho = reader_pair(spec, 0.5, (0, 1))
     singlet = np.zeros((4, 1))
     singlet[1, 0], singlet[2, 0] = 1.0, -1.0
     proj = (singlet @ singlet.T) / 2.0
@@ -331,6 +350,18 @@ def test_temperature_must_be_positive():
 # Symmetry sectors against one dense diagonalization of the whole space
 
 
+def reader_pair(spec, kt, site_pair):
+    """reduced_pair_state's matrix, after the four checks PairState runs on outside input.
+
+    The reader builds its states unchecked; PairState(rho) raises unless rho
+    is 4x4 with unit trace, Hermitian and positive semidefinite.
+    """
+    rho = reduced_pair_state(spec, kt, site_pair).matrix
+    assert rho.dtype == complex
+    PairState(rho)
+    return rho
+
+
 def dense_reference(spec, kt):
     """U, M, bond correlators, ln Z and a pair-state function from one dense eigh.
 
@@ -342,7 +373,7 @@ def dense_reference(spec, kt):
     energies, vectors = np.linalg.eigh(build_hamiltonian(vspec))
     shifted = energies - energies[0]
     if kt is None:
-        members = shifted < 1e-9 * max(1.0, abs(energies[0]))
+        members = shifted <= 1e-9 * (energies[-1] - energies[0])
         p, log_z = members / members.sum(), float("nan")
     else:
         w = np.exp(-shifted / kt)
@@ -405,7 +436,7 @@ def test_sectors_match_dense_diagonalization(family, boundary, sign, n):
             continue
         assert_observables_close(thermal_observables(spec, kt), ref, 1e-11)
         for a, b in {(0, 1), (0, n - 1), (n - 1, 0)} if n >= 2 else ():
-            rho = reduced_pair_state(spec, kt, (a, b)).matrix
+            rho = reader_pair(spec, kt, (a, b))
             assert np.max(np.abs(rho - ref_pair(a, b))) < 1e-11
 
 
@@ -544,7 +575,7 @@ def test_ring_pair_states_match_dense_at_every_distance(family, sign, n, b):
     for d in range(1, n):
         for a in (0, n - 1):
             pair = (a, (a + d) % n)
-            rho = reduced_pair_state(spec, 0.7, pair).matrix
+            rho = reader_pair(spec, 0.7, pair)
             assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11, (pair, d)
 
 
@@ -559,7 +590,7 @@ def test_ground_multiplet_spread_across_momenta():
         ref, ref_pair = dense_reference(spec, kt)
         assert_observables_close(thermal_observables(spec, kt), ref, 1e-12)
         for pair in ((0, 1), (2, 0)):
-            rho = reduced_pair_state(spec, kt, pair).matrix
+            rho = reader_pair(spec, kt, pair)
             assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-12
 
 
@@ -577,7 +608,7 @@ def test_rings_with_a_momentum_pi_block(family, n):
                 assert_observables_close(ground_state_observables(spec), ref, 1e-11)
                 continue
             assert_observables_close(thermal_observables(spec, kt), ref, 1e-11)
-            rho = reduced_pair_state(spec, kt, (1, 1 + n // 2)).matrix
+            rho = reader_pair(spec, kt, (1, 1 + n // 2))
             assert np.max(np.abs(rho - ref_pair(1, 1 + n // 2))) < 1e-11
 
 
@@ -611,7 +642,7 @@ def test_large_rings_match_dense(spec):
         # A bond, a pair at distance 2, a pair across the chain, a pair that
         # is its own mirror image on an open chain, and the middle bond.
         for pair in ((0, 1), (3, 1), (2, 2 + n // 2), (2, n - 3), (n // 2 - 1, n // 2)):
-            rho = reduced_pair_state(spec, kt, pair).matrix
+            rho = reader_pair(spec, kt, pair)
             assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11, pair
 
 
@@ -647,7 +678,7 @@ def test_flip_rows_across_chunk_edges_match_dense(tiny_gather_chunks, family, bo
     ref, ref_pair = dense_reference(spec, 0.7)
     assert_observables_close(thermal_observables(spec, 0.7), ref, 1e-11)
     for pair in ((0, 1), (1, n - 2)):  # a bond and a pair that is not one
-        rho = reduced_pair_state(spec, 0.7, pair).matrix
+        rho = reader_pair(spec, 0.7, pair)
         assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11, pair
 
 
@@ -788,7 +819,7 @@ def test_spin_inversion_halves_match_dense(family, boundary, sign, n, b):
         for d in range(1, n):
             for a in (0, n - 1) if boundary == "periodic" else (0,):
                 pair = (a, (a + d) % n)
-                rho = reduced_pair_state(spec, kt, pair).matrix
+                rho = reader_pair(spec, kt, pair)
                 assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11, (pair, kt)
 
 
@@ -891,7 +922,7 @@ def test_coupling_rays_match_dense(family, boundary, n):
         ref, ref_pair = dense_reference(spec, 0.7)
         assert_observables_close(thermal_observables(spec, 0.7), ref, 1e-11)
         for pair in ((0, 1), (0, 2)):  # (0, 2) is a bond only on the 3-site ring
-            rho = reduced_pair_state(spec, 0.7, pair).matrix
+            rho = reader_pair(spec, 0.7, pair)
             assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11, (spec, pair)
 
 
@@ -942,13 +973,14 @@ def test_extreme_scales_give_a_value_or_floating_point_error(chain, sign, j):
             spec = spec_at(b)
             e0 = np.linalg.eigvalsh(build_hamiltonian(spec))[0]
             assert abs(ground_state_energy(spec) - e0) < 1e-11 * abs(e0)
-            # Below an energy scale of 1e-9 the whole spectrum is one multiplet.
+            # The ground multiplet is a share of the spectrum's width at any scale.
             ground = ground_state_observables(spec)
+            assert abs(ground.u - e0) < 1e-11 * abs(e0), b
             assert np.isfinite([ground.u, ground.m, *np.ravel(ground.bond_correlators)]).all()
             for kt in (1.0, 0.7 * j, 1e-300):
                 with np.errstate(over="ignore"):
                     ref, ref_pair = dense_reference(spec, kt)
-                rho = reduced_pair_state(spec, kt, (0, 2)).matrix
+                rho = reader_pair(spec, kt, (0, 2))
                 if not math.isfinite(ref.log_partition):
                     with pytest.raises(FloatingPointError):
                         thermal_observables(spec, kt)
@@ -999,8 +1031,8 @@ def test_open_chain_reads_are_mirror_symmetric(spec):
         if kt is None:
             continue
         for a, b in ((0, 1), (0, 2), (1, 4), (4, 1), (0, n - 1), (2, 3)):
-            rho = reduced_pair_state(spec, kt, (a, b)).matrix
-            mirror = reduced_pair_state(spec, kt, (n - 1 - b, n - 1 - a)).matrix
+            rho = reader_pair(spec, kt, (a, b))
+            mirror = reader_pair(spec, kt, (n - 1 - b, n - 1 - a))
             assert np.max(np.abs(rho - swap @ mirror @ swap)) < 1e-12
             assert np.max(np.abs(rho - reduced_pair_state(spec, kt, (n - 1 - a, n - 1 - b))
                                  .matrix)) < 1e-12
@@ -1051,5 +1083,5 @@ def test_weights_beyond_the_float_range_are_zero():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="ln Z = inf"):
             thermal_observables(spec, 1e-308)
-        rho = reduced_pair_state(spec, 1e-308, (0, 1)).matrix
+        rho = reader_pair(spec, 1e-308, (0, 1))
     assert np.max(np.abs(rho - reduced_pair_state(spec, 8e-308, (0, 1)).matrix)) < 1e-15

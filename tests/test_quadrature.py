@@ -121,10 +121,13 @@ def test_rows_empty_and_reversed_intervals():
     assert np.max(np.abs(forward + backward)) < 1e-14
 
 
-@pytest.mark.parametrize("seeds", [(), (0.7,), (2.5, 0.7, 0.7, 9.0, -1.0), (1.0, 1.0 + 1e-17)])
+@pytest.mark.parametrize("seeds", [(), (0.7,), (2.5, 0.7, 0.7, 9.0, -1.0), (1.0, 1.0 + 1e-17),
+                                   (math.nan, 0.7, math.nan), (math.nan,),
+                                   (0.0, 5.0), (5.0, 2.5, 0.0, 2.5)])
 @pytest.mark.parametrize("a,b", [(0.0, 5.0), (5.0, 0.0)])
 def test_scalar_driver_is_a_one_row_rows_call(seeds, a, b):
-    # one acceptance rule, two drivers: the same bits, seeded or not, either direction
+    # one acceptance rule, two ways to cut the first panels: the same bits,
+    # seeded or not, either direction; NaN seeds and seeds at a or b cut nothing
     for f in ROW_FUNCS:
         row = np.array([seeds], dtype=float).reshape(1, -1)
         values, failures = adaptive_quadrature_rows(_rows_of([f]), 1, a, b, abs_tol=1e-12,

@@ -360,8 +360,9 @@ def _always_seeded(integrand, k, c, abs_tol, limit=thermolimit._MAX_ARGUMENT):
     reason = thermolimit._out_of_range(k, c, limit)
     if reason is not None:
         raise quadrature.QuadratureError(reason)
-    return quadrature.adaptive_quadrature(integrand, 0.0, math.pi, abs_tol=abs_tol,
-                                          seeds=thermolimit._step_seeds(k, c)[0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN seeds where there is no step
+        seeds = thermolimit._step_seeds(np.float64(k), np.float64(c))
+    return quadrature.adaptive_quadrature(integrand, 0.0, math.pi, abs_tol=abs_tol, seeds=seeds)
 
 
 def _scalar_limit_values(kt, b, j):
@@ -391,6 +392,67 @@ def test_scalar_integrals_seed_only_at_a_step_and_keep_the_bits(monkeypatch, kt,
         assert len(quotients) == len(values)
     monkeypatch.setattr(thermolimit, "_integrate", _always_seeded)
     assert _scalar_limit_values(kt, b, j) == values
+
+
+def test_scalar_routes_are_one_row_rows_calls(monkeypatch):
+    # Each scalar route's integral is a one-row adaptive_quadrature_rows call
+    # with the same integrand, seeded by its _step_seeds row (NaN without a
+    # step): the same bits, or QuadratureError with that call's message. The
+    # grid holds no-step rows (B > 2|J|), K = 0, deep seeded rows and rows
+    # that fail at kT <= 1e-7.
+    calls, integrate = [], thermolimit._integrate
+
+    def recorded(integrand, k, c, abs_tol, limit=thermolimit._MAX_ARGUMENT):
+        try:
+            outcome = integrate(integrand, k, c, abs_tol, limit)
+        except quadrature.QuadratureError as exc:
+            outcome = exc
+        calls.append((integrand, k, c, abs_tol, outcome))
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(thermolimit, "_integrate", recorded)
+    for kt in (1e-8, 1e-7, 1e-3, 0.051, 0.3, 3.0):
+        for b in (0.0, 1.2, 2.045, 2.5):
+            for j in (1.0, -1.0, 0.0):
+                for route in (xx_witness_single_integral, xx_internal_energy, xx_magnetization,
+                              functools.partial(xx_magnetization, as_printed=True),
+                              lambda kt, b, j: xx_log_partition_density(j / kt, b / kt)):
+                    try:
+                        route(kt, b, j)
+                    except quadrature.QuadratureError:
+                        pass
+    assert len(calls) == 6 * 4 * 3 * 5
+    kinds = set()
+    for integrand, k, c, abs_tol, outcome in calls:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            seeds = thermolimit._step_seeds(np.array([k]), np.array([c]))
+        values, failures = quadrature.adaptive_quadrature_rows(
+            lambda rows, x, integrand=integrand: integrand(x), 1, 0.0, math.pi,
+            abs_tol=abs_tol, seeds=seeds)
+        if failures:
+            assert isinstance(outcome, quadrature.QuadratureError), (k, c)
+            assert str(outcome) == failures[0]
+            kinds.add("failed")
+        else:
+            assert outcome == values[0], (k, c)
+            kinds.add("seeded" if np.isfinite(seeds).any() else "no step")
+    assert kinds == {"failed", "seeded", "no step"}
+
+
+def test_an_accepted_first_panel_is_the_only_evaluation(monkeypatch):
+    # At kT = 20 and B = 2.5 > 2|J| there is no step and [0, pi] is accepted
+    # at once: one evaluation of one panel, no further round.
+    shapes, witness_integrand = [], thermolimit._witness_integrand
+
+    def counted(k, c, omega):
+        shapes.append(omega.shape)
+        return witness_integrand(k, c, omega)
+
+    monkeypatch.setattr(thermolimit, "_witness_integrand", counted)
+    xx_witness_single_integral(20.0, 2.5, 1.0)
+    assert shapes == [(1, 30)]
 
 
 def test_a_zero_coupling_has_no_step_and_keeps_the_bits(monkeypatch):
