@@ -102,6 +102,7 @@ from .model import (
     SpecError,
     ThermalPoint,
     ValidatedSpec,
+    frozen_instance,
     validate_spec,
 )
 
@@ -166,14 +167,6 @@ class PairState:
             raise ValueError("pair state is not positive semidefinite")
         object.__setattr__(self, "matrix", rho)
 
-    @classmethod
-    def _of_reader(cls, rho: np.ndarray) -> "PairState":
-        """A complex 4x4 state built by the reader, a partial trace of a thermal
-        state, unchecked: the checks guard matrices passed in from outside."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "matrix", rho)
-        return state
-
 
 def bond_list(n_sites: int, boundary: str) -> tuple[tuple[int, int], ...]:
     """Nearest-neighbor site pairs: N-1 for open chains, N for rings."""
@@ -227,7 +220,8 @@ def build_hamiltonian(spec) -> np.ndarray:
     return h
 
 
-def _boltzmann(energies: np.ndarray, beta: float, scale: float, multiplicity, spread: float):
+def _boltzmann(energies: np.ndarray, e0: float, beta: float, scale: float, multiplicity,
+               spread: float):
     """Weights g exp(-beta (E - E0)) / Z' and ln Z of the energies E = scale * e.
 
     E0 = scale * e0 is the lowest energy: e0 is the smallest e, or the
@@ -237,7 +231,6 @@ def _boltzmann(energies: np.ndarray, beta: float, scale: float, multiplicity, sp
     """
     if not math.isfinite(beta):
         raise FloatingPointError(f"beta = 1/kT = {beta} is not finite")
-    e0 = float(energies.min() if scale > 0.0 else energies.max())
     w = energies - e0
     rate = beta * scale
     if math.isfinite(rate * spread):
@@ -266,19 +259,21 @@ def _ground_weights(energies: np.ndarray, scale: float, multiplicity) -> np.ndar
     return members / members.sum()
 
 
-def _checked(u: float, m: float, correlators, log_partition=None) -> ThermalObservables:
+def _checked(u: float, m: float, correlators, means, log_partition=None) -> ThermalObservables:
     """The observables, or FloatingPointError if U, M, a correlator or ln Z is not finite.
 
-    ``log_partition`` None marks a ground-multiplet average, whose ln Z is NaN.
-    Correlators lie in [-1, 1], so their sum is finite exactly when each is.
+    ``means`` are the bond classes' mean correlators, of which every bond's
+    are copies. ``log_partition`` None marks a ground-multiplet average, whose
+    ln Z is NaN. Correlators lie in [-1, 1], so their sum is finite exactly
+    when each is.
     """
-    if not (math.isfinite(u) and math.isfinite(m)
-            and math.isfinite(sum(chain.from_iterable(correlators)))
+    if not (math.isfinite(u) and math.isfinite(m) and math.isfinite(sum(means))
             and (log_partition is None or math.isfinite(log_partition))):
         raise FloatingPointError(f"non-finite thermal observables: U = {u}, M = {m}, "
                                  f"ln Z = {log_partition}, correlators {correlators[:1]}")
-    return ThermalObservables(u=u, m=m, bond_correlators=correlators,
-                              log_partition=math.nan if log_partition is None else log_partition)
+    return frozen_instance(ThermalObservables, {
+        "u": u, "m": m, "bond_correlators": correlators,
+        "log_partition": math.nan if log_partition is None else log_partition})
 
 
 def _pair_matrix(za: float, zb: float, zab: float, xx: float, yy: float) -> PairState:
@@ -287,7 +282,8 @@ def _pair_matrix(za: float, zb: float, zab: float, xx: float, yy: float) -> Pair
                    1.0 - za + zb - zab, 1.0 - za - zb + zab])
     rho[0, 3] = rho[3, 0] = xx - yy
     rho[1, 2] = rho[2, 1] = xx + yy
-    return PairState._of_reader(np.asarray(rho / 4.0, dtype=complex))
+    # a partial trace of a thermal state, unchecked: the checks guard matrices from outside
+    return frozen_instance(PairState, {"matrix": np.asarray(rho / 4.0, dtype=complex)})
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +376,8 @@ class _Eigensystem(NamedTuple):
     table: np.ndarray     # per eigenstate: its energy, sum_j <sz_j>, the mean <sz_j> over each
                           # site class, then the mean <xx>, <yy> and <zz> over each bond class
                           # (2 + S + 3 C rows: S site rows, C of each bond kind)
-    magnitude: float      # the largest |energy| in the table
+    lowest: float         # the smallest and the largest energy in the table
+    highest: float
     pair_layers: dict     # pair orbit -> its three rows (mean xx, yy, zz): the bond classes'
                           # table rows, other orbits added on first use
 
@@ -389,17 +386,21 @@ class _Eigensystem(NamedTuple):
         return self.table[0]
 
     def observables(self, p: np.ndarray, scale: float, field: float):
-        """(U, M, bond correlators) of sum_k p[k] |v_k><v_k|, E_k = scale e_k - field M_k.
+        """(U, M, bond correlators, the bond classes' mean xx, yy and zz) of
+        sum_k p[k] |v_k><v_k|, E_k = scale e_k - field M_k.
 
-        e_k is the table's energy. Each bond reads its class.
+        e_k is the table's energy. Each bond reads its class: on a ring, the one class.
         """
         values = (self.table @ p).tolist()
         classes = self.classes
         bonds = len(classes.bonds)
         means = values[2 + len(classes.sites):]
-        per_class = list(zip(means[:bonds], means[bonds:2 * bonds], means[2 * bonds:]))
-        return (scale * values[0] - field * values[1], values[1],
-                tuple(map(per_class.__getitem__, classes.bond_class)))
+        if bonds == 1:
+            correlators = (tuple(means),) * len(classes.bond_class)
+        else:
+            per_class = list(zip(means[:bonds], means[bonds:2 * bonds], means[2 * bonds:]))
+            correlators = tuple(map(per_class.__getitem__, classes.bond_class))
+        return scale * values[0] - field * values[1], values[1], correlators, means
 
     def pair_state(self, n_sites: int, p: np.ndarray, a: int, b: int) -> PairState:
         """The (a, b) pair state from the rows of its site classes and its pair orbit.
@@ -817,7 +818,8 @@ def _eigensystem(n_sites: int, boundary: str, field: float, zz: float, antiparal
     table.setflags(write=False)
     bonds = len(classes.bonds)
     pair_layers = {bond: table[2 + sites + c::bonds] for c, bond in enumerate(classes.bonds)}
-    return _Eigensystem(layout, classes, key, table, float(np.abs(table[0]).max()), pair_layers)
+    return _Eigensystem(layout, classes, key, table, float(table[0].min()),
+                        float(table[0].max()), pair_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -836,16 +838,21 @@ def _on_ray(n_sites: int, boundary: str, couplings: tuple, field: float, scale: 
         return None
     eig = _eigensystem(n_sites, boundary, *ray)
     shift = field / scale
-    spread = 2.0 * (eig.magnitude + abs(shift) * n_sites)
+    spread = 2.0 * (max(abs(eig.lowest), abs(eig.highest)) + abs(shift) * n_sites)
     if not math.isfinite(spread * scale):
         return None
-    energies = eig.energies - shift * eig.table[1] if shift else eig.energies
-    return eig, energies, scale, field, spread
+    if shift:
+        energies = eig.energies - shift * eig.table[1]
+        e0 = float(energies.min() if scale > 0.0 else energies.max())
+    else:
+        energies, e0 = eig.energies, eig.lowest if scale > 0.0 else eig.highest
+    return eig, energies, e0, scale, field, spread
 
 
 def _spectrum(vspec: ValidatedSpec):
-    """(the cached eigensystem, its energies e at the spec's field, their scale, the field
-    that acts outside the cache, a bound on |e - e'|): the spectrum is scale * e.
+    """(the cached eigensystem, its energies e at the spec's field, the e0 of the lowest
+    energy, their scale, the field that acts outside the cache, a bound on |e - e'|): the
+    spectrum is scale * e, and e0 is the smallest e, or the largest where the scale is < 0.
 
     H(lambda c) = lambda H(c) for the four couplings c of :func:`_eigensystem`,
     so the cache is keyed on c / lambda with the scale lambda = s (Jx + Jy):
@@ -885,8 +892,8 @@ def thermal_observables(spec, kt: float) -> ThermalObservables:
     vspec = validate_spec(spec)
     _require_finite(vspec)
     beta = ThermalPoint(float(kt)).beta
-    eig, energies, scale, field, spread = _spectrum(vspec)
-    p, log_partition = _boltzmann(energies, beta, scale, eig.layout.multiplicity, spread)
+    eig, energies, e0, scale, field, spread = _spectrum(vspec)
+    p, log_partition = _boltzmann(energies, e0, beta, scale, eig.layout.multiplicity, spread)
     return _checked(*eig.observables(p, scale, field), log_partition)
 
 
@@ -894,8 +901,8 @@ def ground_state_energy(spec) -> float:
     """Lowest eigenvalue of the chain Hamiltonian."""
     vspec = validate_spec(spec)
     _require_finite(vspec)
-    _, energies, scale, _, _ = _spectrum(vspec)
-    return scale * float(energies.min() if scale > 0.0 else energies.max())
+    _, _, e0, scale, _, _ = _spectrum(vspec)
+    return scale * e0
 
 
 def ground_state_observables(spec) -> ThermalObservables:
@@ -906,7 +913,7 @@ def ground_state_observables(spec) -> ThermalObservables:
     """
     vspec = validate_spec(spec)
     _require_finite(vspec)
-    eig, energies, scale, field, _ = _spectrum(vspec)
+    eig, energies, _, scale, field, _ = _spectrum(vspec)
     p = _ground_weights(energies, scale, eig.layout.multiplicity)
     return _checked(*eig.observables(p, scale, field))
 
@@ -966,8 +973,8 @@ def reduced_pair_state(spec, kt: float, site_pair: tuple[int, int]) -> PairState
         raise SpecError("site pair must name two distinct sites")
 
     beta = ThermalPoint(float(kt)).beta
-    eig, energies, scale, _, spread = _spectrum(vspec)
-    p, _ = _boltzmann(energies, beta, scale, eig.layout.multiplicity, spread)
+    eig, energies, e0, scale, _, spread = _spectrum(vspec)
+    p, _ = _boltzmann(energies, e0, beta, scale, eig.layout.multiplicity, spread)
     return eig.pair_state(n, p, a, b)
 
 

@@ -7,8 +7,8 @@ panel whose rules agree by chance across a sharp step cannot end the
 refinement; every other panel is bisected, breadth first. Optional seed
 points pre-split [a, b] where the integrand is steep. Needing more than
 ``max_panels`` panels, or halving a panel down to floating-point
-resolution, is a failure, never a silent partial answer. Integrands must
-accept and return numpy arrays.
+resolution, is a failure, never a silent partial answer. Both ends must be
+finite (ValueError otherwise). Integrands must accept and return numpy arrays.
 
 :func:`adaptive_quadrature_rows` integrates many rows of a parametric
 integrand at once, each round as one array, and fails rows alone;
@@ -52,7 +52,7 @@ def adaptive_quadrature(f, a, b, abs_tol=DEFAULT_ABS_TOL, max_panels=DEFAULT_MAX
     panels cut by a Python sort; it raises :class:`QuadratureError` where
     that call would fail the row.
     """
-    a, b = float(a), float(b)
+    a, b = _finite_bounds(a, b)
     if a == b:
         return 0.0
     lo, hi = min(a, b), max(a, b)
@@ -84,7 +84,7 @@ def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL,
     resolution, fails alone: its value is NaN and ``failures`` maps the row
     index to a message.
     """
-    a, b = float(a), float(b)
+    a, b = _finite_bounds(a, b)
     values = np.zeros(int(n_rows))
     failures: dict[int, str] = {}
     seeds = np.empty((values.size, 0)) if seeds is None else np.asarray(seeds, dtype=float)
@@ -99,6 +99,14 @@ def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL,
     return values, failures
 
 
+def _finite_bounds(a, b) -> tuple[float, float]:
+    """(a, b) as floats; ValueError unless both are finite."""
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
+    return a, b
+
+
 def _first_panels(a, b, seeds):
     """Initial panels of each row: [a, b] cut at its distinct seeds inside (a, b)."""
     edges = np.full((seeds.shape[0], seeds.shape[1] + 2), a)
@@ -107,7 +115,7 @@ def _first_panels(a, b, seeds):
     edges.sort(axis=1)  # NaN last
     if b < a:
         edges = edges[:, ::-1]  # from a to b, NaN first
-    # a NaN end or a repeated point (seeds outside repeat an end) makes no panel
+    # a NaN seed or a repeated point (seeds outside repeat an end) makes no panel
     keep = (edges[:, 1:] - edges[:, :-1]) * (b - a) > 0.0
     return edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
 

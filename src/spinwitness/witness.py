@@ -23,9 +23,11 @@ import numpy as np
 from .exactdiag import thermal_observables
 from .model import (
     BOUNDARY_PERIODIC,
+    FAMILY_XX,
     FAMILY_XXX,
     WITNESS_ELIGIBLE_FAMILIES,
     SpecError,
+    frozen_instance,
     require_count,
     validate_spec,
 )
@@ -97,6 +99,14 @@ def _finite_inputs(u, m, b) -> tuple[float, float, float]:
     return values
 
 
+def _report(u: float, m: float, b: float, j: float, n_sites, value: float,
+            source: str) -> WitnessReport:
+    inputs = frozen_instance(WitnessInputs, {"u": u, "m": m, "b": b, "j": j, "n_sites": n_sites})
+    return frozen_instance(WitnessReport, {"value": value, "entangled": value > THRESHOLD,
+                                           "source": source, "inputs": inputs,
+                                           "threshold": THRESHOLD})
+
+
 def witness_value(u, m, b, j, n_sites, source: str = SOURCE_EXTERNAL) -> WitnessReport:
     """Evaluate W = |U + B*M| / (N*|J|) from measured totals.
 
@@ -110,10 +120,10 @@ def witness_value(u, m, b, j, n_sites, source: str = SOURCE_EXTERNAL) -> Witness
     n = require_count(n_sites, "n_sites")
     if source not in SOURCES:
         raise SpecError(f"unknown witness source {source!r}")
-    u, m, b = _finite_inputs(u, m, b)
-    value = abs(u + b * m) / (n * abs(j))
-    return WitnessReport(value=value, entangled=value > THRESHOLD, source=source,
-                         inputs=WitnessInputs(u=u, m=m, b=b, j=j, n_sites=n))
+    u, m, b = float(u), float(m), float(b)
+    if not math.isfinite(u + m + b):  # or finite inputs whose sum overflows
+        _finite_inputs(u, m, b)
+    return _report(u, m, b, j, n, abs(u + b * m) / (n * abs(j)), source)
 
 
 def per_site_witness_report(u_per_site, m_per_site, b, j,
@@ -123,9 +133,7 @@ def per_site_witness_report(u_per_site, m_per_site, b, j,
     if j == 0.0 or not math.isfinite(j):
         raise SpecError("witness undefined for J = 0")
     u, m, b = _finite_inputs(u_per_site, m_per_site, b)
-    value = abs(u + b * m) / abs(j)
-    return WitnessReport(value=value, entangled=value > THRESHOLD, source=source,
-                         inputs=WitnessInputs(u=u, m=m, b=b, j=j, n_sites=None))
+    return _report(u, m, b, j, None, abs(u + b * m) / abs(j), source)
 
 
 def _eligible_family(family) -> str:
@@ -144,15 +152,16 @@ def witness_from_correlators(bond_correlators, n_sites, family) -> float:
     :func:`witness_value` on the same thermal state to near machine
     precision.
     """
-    family = _eligible_family(family)
+    with_zz = _eligible_family(family) == FAMILY_XXX
     n = require_count(n_sites, "n_sites")
+    bound = 1.0 + _CORRELATOR_SLOP
     total = 0.0
-    for triple in bond_correlators:
-        xx, yy, zz = (float(c) for c in triple)
-        for c in (xx, yy, zz):
-            if abs(c) > 1.0 + _CORRELATOR_SLOP:
-                raise SpecError(f"correlator component {c} outside [-1, 1]")
-        total += xx + yy + (zz if family == FAMILY_XXX else 0.0)
+    for xx, yy, zz in bond_correlators:
+        xx, yy, zz = float(xx), float(yy), float(zz)
+        if abs(xx) > bound or abs(yy) > bound or abs(zz) > bound:  # NaN passes
+            c = next(c for c in (xx, yy, zz) if abs(c) > bound)
+            raise SpecError(f"correlator component {c} outside [-1, 1]")
+        total += xx + yy + zz if with_zz else xx + yy
     return abs(total) / n
 
 
@@ -219,11 +228,21 @@ def separable_sweep(n_samples, n_sites, family, seed, include_corners: bool = Tr
     n = require_count(n_sites, "n_sites")
     if n < 3:
         raise SpecError(f"the sweep samples rings, which need n_sites >= 3, got {n}")
-    family = _eligible_family(family)
+    return _sweep_maxima(n_samples, n, (_eligible_family(family),), seed, include_corners)[0]
 
+
+def _largest_sum(dots: np.ndarray) -> float:
+    """The largest |row sum| of the (samples, bonds) ``dots``."""
+    return float(np.max(np.abs(dots.sum(axis=1))))
+
+
+def _sweep_maxima(n_samples: int, n: int, families: tuple, seed,
+                  include_corners: bool) -> list[float]:
+    """:func:`separable_sweep` of each of ``families`` (eligible, lowercase), all scored on
+    the same draws: the XX row sums are taken before the zz term is added."""
     rng = np.random.default_rng(seed)
     block = max(1, _SWEEP_BLOCK_SITES // n)
-    largest = 0.0
+    largest = dict.fromkeys(families, 0.0)
     for start in range(0, n_samples, block):
         m = min(block, n_samples - start)
         uniforms = rng.random((m, n, 2)).reshape(m * n, 2)
@@ -238,14 +257,14 @@ def separable_sweep(n_samples, n_sites, family, seed, include_corners: bool = Tr
         np.cos(dots, out=dots)
         pair = _ring_bonds(np.multiply, r, n, np.empty(m * n))
         dots *= pair
-        if family == FAMILY_XXX:
+        if FAMILY_XX in largest:
+            largest[FAMILY_XX] = max(largest[FAMILY_XX], _largest_sum(dots.reshape(m, n)))
+        if FAMILY_XXX in largest:
             dots += _ring_bonds(np.multiply, z, n, pair)
-        largest = max(largest, float(np.max(np.abs(dots.reshape(m, n).sum(axis=1)))))
-    best = largest / n
-    if include_corners:
-        for corner in _corner_states(n):
-            best = max(best, product_state_witness(corner, family))
-    return best
+            largest[FAMILY_XXX] = max(largest[FAMILY_XXX], _largest_sum(dots.reshape(m, n)))
+    corners = _corner_states(n) if include_corners else ()
+    return [max([largest[family] / n] + [product_state_witness(c, family) for c in corners])
+            for family in families]
 
 
 def concurrence_from_energy(u, n_sites, j, antiferromagnetic: bool = True) -> float:

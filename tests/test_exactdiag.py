@@ -1041,6 +1041,49 @@ def test_open_chain_reads_are_mirror_symmetric(spec):
 
 
 # ---------------------------------------------------------------------------
+# The warm read: class means, the stored e0 and the finiteness check
+
+
+READ_SPECS = [ModelSpec.xxx(1.1, n_sites=8), ModelSpec.xxx(-0.7, b=0.4, n_sites=7),
+              ModelSpec.xx(1.3, b=-0.2, n_sites=6, boundary="open"),
+              ModelSpec.xxx(0.9, b=0.3, n_sites=5, boundary="open", sign_convention="as-printed"),
+              ModelSpec.xyz(0.7, 1.2, 0.9, b=0.3, n_sites=6, boundary="open"),
+              ModelSpec.xyz(-0.6, 0.4, 1.1, n_sites=6)]
+
+
+@pytest.mark.parametrize("spec", READ_SPECS, ids=lambda s: f"{s.family}-{s.boundary}-n{s.n_sites}")
+def test_bond_correlators_repeat_the_class_means_and_e0_is_the_lowest(spec):
+    # _checked tests the class means for finiteness: every bond's triple is
+    # one of them, and every class is some bond's
+    eig, energies, e0, scale, field, spread = exactdiag._spectrum(validate_spec(spec))
+    assert e0 == (energies.min() if scale > 0.0 else energies.max())
+    p, _ = exactdiag._boltzmann(energies, e0, 1.3, scale, eig.layout.multiplicity, spread)
+    u, m, correlators, means = eig.observables(p, scale, field)
+    c = len(means) // 3
+    assert set(zip(means[:c], means[c:2 * c], means[2 * c:])) == set(correlators)
+    assert len(correlators) == len(bond_list(spec.n_sites, spec.boundary))
+
+
+def test_checked_reads_finiteness_off_the_class_means():
+    correlators = ((0.1, 0.2, 0.3),) * 4
+    obs = exactdiag._checked(-1.5, 0.25, correlators, [0.1, 0.2, 0.3], 0.5)
+    built = ThermalObservables(u=-1.5, m=0.25, bond_correlators=correlators, log_partition=0.5)
+    assert obs == built and hash(obs) == hash(built) and repr(obs) == repr(built)
+    assert replace(obs, u=2.0).u == 2.0
+    assert math.isnan(exactdiag._checked(-1.5, 0.25, correlators, [0.1, 0.2, 0.3]).log_partition)
+    message = ("non-finite thermal observables: U = -1.5, M = 0.25, ln Z = 0.5, "
+               "correlators ((0.1, 0.2, 0.3),)")
+    for means in ([0.1, math.nan, 0.3], [-math.inf, 0.2, 0.3], [0.1, 0.2, 0.3, math.nan]):
+        with pytest.raises(FloatingPointError) as caught:
+            exactdiag._checked(-1.5, 0.25, correlators, means, 0.5)
+        assert str(caught.value) == message
+    for u, m, log_partition in ((math.nan, 0.25, 0.5), (-1.5, math.inf, 0.5),
+                                (-1.5, 0.25, math.inf)):
+        with pytest.raises(FloatingPointError, match="non-finite thermal observables"):
+            exactdiag._checked(u, m, correlators, [0.1, 0.2, 0.3], log_partition)
+
+
+# ---------------------------------------------------------------------------
 # Overflow: an honest numerical failure, never a NaN result
 
 

@@ -1,6 +1,7 @@
 """Model spec construction, validation, and unit plumbing."""
 
 import math
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from spinwitness.model import (
     ModelSpec,
     SpecError,
     ThermalPoint,
+    ValidatedSpec,
     require_count,
     spec_from_config,
     to_dimensionless,
@@ -45,6 +47,29 @@ def test_validate_normalizes_and_is_idempotent():
 def test_validated_spec_is_hashable():
     v = validate_spec(ModelSpec.xxx(1.0, n_sites=4))
     assert {v: "cached"}[validate_spec(v)] == "cached"
+
+
+@pytest.mark.parametrize("spec", [ModelSpec.xxx(1.0, n_sites=4),
+                                  ModelSpec.xx(-2, b=1, n_sites=7, boundary="OPEN",
+                                               sign_convention="as-printed"),
+                                  ModelSpec.xyz(1.0, 0.5, 0.2, b=0.3)])
+def test_validated_spec_is_the_dataclass_its_constructor_builds(spec):
+    v = validate_spec(spec)
+    built = ValidatedSpec(**{f.name: getattr(v, f.name) for f in fields(ValidatedSpec)})
+    assert v == built and hash(v) == hash(built) and repr(v) == repr(built)
+    assert validate_spec(v) == v
+    assert validate_spec(replace(v, b=0.25)) == replace(built, b=0.25)
+    with pytest.raises(FrozenInstanceError):
+        v.b = 1.0
+
+
+def test_validate_names_the_first_non_finite_coupling():
+    for values, name in (((math.nan, 1.0, 1.0, 0.0), "jx"), ((1.0, 1.0, -math.inf, 0.0), "jz"),
+                         ((1.0, 1.0, 1.0, math.inf), "b")):
+        with pytest.raises(SpecError, match=f"^{name} must be finite"):
+            validate_spec(ModelSpec("xyz", *values))
+    # finite couplings whose sum overflows are finite
+    assert validate_spec(ModelSpec.xxx(1e308, b=1e308)).jx == 1e308
 
 
 def test_coupling_sign_per_convention():

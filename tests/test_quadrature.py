@@ -121,6 +121,18 @@ def test_rows_empty_and_reversed_intervals():
     assert np.max(np.abs(forward + backward)) < 1e-14
 
 
+@pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+def test_non_finite_bounds_are_rejected_up_front(end):
+    # A NaN end once gave zero rows with no failure, and the scalar routine
+    # refined to its panel budget before it raised QuadratureError.
+    f = _rows_of([np.cos])
+    for a, b in ((0.0, end), (end, 1.0), (end, end)):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            adaptive_quadrature(np.cos, a, b)
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            adaptive_quadrature_rows(f, 1, a, b)
+
+
 @pytest.mark.parametrize("seeds", [(), (0.7,), (2.5, 0.7, 0.7, 9.0, -1.0), (1.0, 1.0 + 1e-17),
                                    (math.nan, 0.7, math.nan), (math.nan,),
                                    (0.0, 5.0), (5.0, 2.5, 0.0, 2.5)])

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from scipy import stats
 
 from spinwitness import witness
 from spinwitness.exactdiag import concurrence, reduced_pair_state, thermal_observables
-from spinwitness.model import ModelSpec, SpecError
+from spinwitness.model import ModelSpec, SpecError, require_count
 from spinwitness.witness import (
     SOURCE_FINITE_EXACT,
+    SOURCES,
     THRESHOLD,
+    WitnessInputs,
+    WitnessReport,
     concurrence_from_energy,
     per_site_witness_report,
     product_state_witness,
@@ -98,6 +102,128 @@ def test_two_routes_agree_on_thermal_states():
         via_energy = witness_value(obs.u, obs.m, spec.b, spec.jx, spec.n_sites).value
         via_corr = witness_from_correlators(obs.bond_correlators, spec.n_sites, spec.family)
         assert abs(via_energy - via_corr) < 1e-12
+
+
+# The two witness routes as they read before their per-call overhead was
+# cut: the production routes must return the same bits and raise the same
+# exception, with the same message, on every input.
+
+
+def reference_witness_value(u, m, b, j, n_sites, source="external-measurement"):
+    j = float(j)
+    if j == 0.0 or not math.isfinite(j):
+        raise SpecError("witness undefined for J = 0")
+    n = require_count(n_sites, "n_sites")
+    if source not in SOURCES:
+        raise SpecError(f"unknown witness source {source!r}")
+    values = (float(u), float(m), float(b))
+    for name, value in zip(("U", "M", "B"), values):
+        if not math.isfinite(value):
+            raise SpecError(f"witness input {name} must be finite, got {value}")
+    u, m, b = values
+    value = abs(u + b * m) / (n * abs(j))
+    return WitnessReport(value=value, entangled=value > THRESHOLD, source=source,
+                         inputs=WitnessInputs(u=u, m=m, b=b, j=j, n_sites=n))
+
+
+def reference_witness_from_correlators(bond_correlators, n_sites, family):
+    family = str(family).lower()
+    if family not in ("xxx", "xx"):
+        raise SpecError(
+            f"family {family!r} is not witness-eligible (proofs cover ('xxx', 'xx'))")
+    n = require_count(n_sites, "n_sites")
+    total = 0.0
+    for triple in bond_correlators:
+        xx, yy, zz = (float(c) for c in triple)
+        for c in (xx, yy, zz):
+            if abs(c) > 1.0 + 1e-9:
+                raise SpecError(f"correlator component {c} outside [-1, 1]")
+        total += xx + yy + (zz if family == "xxx" else 0.0)
+    return abs(total) / n
+
+
+def outcome(route, *args):
+    """repr of the result (its bits, NaN aside), or the exception type and message."""
+    try:
+        return repr(route(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+
+
+COMPONENTS = st.one_of(
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+    st.sampled_from([math.nan, 1.0 + 1e-9, -1.0 - 1e-9, 1.0 + 2e-9, -1.5, math.inf, -0.0]))
+TRIPLES = st.tuples(COMPONENTS, COMPONENTS, COMPONENTS)
+CONTAINERS = st.sampled_from([tuple, list, lambda t: tuple(map(np.float64, t)), np.array])
+FAMILIES = st.sampled_from(["xxx", "xx", "XXX", "Xx", "xyz", "heisenberg"])
+COUNTS = st.one_of(st.integers(1, 40), st.sampled_from(
+    [0, -2, 2.5, True, "4", None, math.nan, np.int64(7), 12.0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), open_chain=st.booleans(),
+       family=st.sampled_from(["xxx", "xx"]), container=CONTAINERS,
+       outer=st.sampled_from([list, tuple]), nan_at=st.one_of(st.none(), st.integers(0, 119)))
+def test_correlator_route_keeps_the_reference_bits(seed, n, open_chain, family, container,
+                                                   outer, nan_at):
+    # generic components in [-1, 1], so a changed summation order shows
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n - open_chain, 3))
+    if nan_at is not None and nan_at < values.size:
+        values.flat[nan_at] = math.nan
+    bonds = outer(container(t) for t in values.tolist())
+    value = witness_from_correlators(bonds, n, family)
+    assert repr(value) == repr(reference_witness_from_correlators(bonds, n, family))
+    assert math.isnan(value) == (nan_at is not None and nan_at < values.size
+                                 and (family == "xxx" or nan_at % 3 != 2))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(bonds=st.lists(TRIPLES, min_size=1, max_size=40), container=CONTAINERS,
+       outer=st.sampled_from([list, tuple]), n=COUNTS, family=FAMILIES)
+def test_correlator_route_keeps_the_reference_errors(bonds, container, outer, n, family):
+    bonds = outer(container(t) for t in bonds)
+    assert (outcome(witness_from_correlators, bonds, n, family)
+            == outcome(reference_witness_from_correlators, bonds, n, family))
+
+
+@pytest.mark.parametrize("triple", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4), (), [0.5], np.zeros(4)])
+@pytest.mark.parametrize("family", ["xxx", "xx"])
+def test_correlator_triples_of_the_wrong_length_raise_as_before(triple, family):
+    bonds = [(0.1, -0.2, 0.3), triple]
+    expected = outcome(reference_witness_from_correlators, bonds, 2, family)
+    assert expected[0] is ValueError
+    assert outcome(witness_from_correlators, bonds, 2, family) == expected
+
+
+def test_correlator_route_names_the_first_component_out_of_range():
+    bonds = [(0.1, 0.2, 0.3), (0.4, -1.25, 1.5), (2.0, 0.0, 0.0)]
+    for family in ("xxx", "xx"):
+        with pytest.raises(SpecError, match=r"component -1.25 outside"):
+            witness_from_correlators(bonds, 3, family)
+    # a NaN component passes the bound test and makes W NaN
+    assert math.isnan(witness_from_correlators([(0.1, math.nan, 0.3)], 1, "xxx"))
+
+
+SCALARS = st.one_of(st.floats(-50.0, 50.0), st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308,
+                                     np.float64(0.75), np.float64(math.nan)]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(u=SCALARS, m=SCALARS, b=SCALARS, j=SCALARS, n=COUNTS,
+       source=st.sampled_from([*SOURCES, "hearsay"]))
+def test_totals_route_keeps_the_reference_bits_and_errors(u, m, b, j, n, source):
+    assert (outcome(witness_value, u, m, b, j, n, source)
+            == outcome(reference_witness_value, u, m, b, j, n, source))
+
+
+def test_totals_route_builds_the_same_report():
+    # finite inputs whose sum overflows are still finite inputs
+    for args in ((-3.0, 0.5, 0.7, 1.1, 10), (1e308, 1e308, 1e308, 2.0, 3)):
+        report, expected = witness_value(*args), reference_witness_value(*args)
+        assert report == expected and hash(report) == hash(expected)
+        assert report.to_dict() == expected.to_dict()
+        assert replace(report, source=SOURCE_FINITE_EXACT).inputs == expected.inputs
 
 
 def test_aligned_product_states_saturate_the_bound():
@@ -224,6 +350,23 @@ def test_blocked_sweep_is_bit_identical_to_the_unblocked_reference(monkeypatch, 
         for corners in (True, False):
             expected = unblocked_sweep(n_samples, n, family, n, corners)
             assert separable_sweep(n_samples, n, family, n, corners) == expected
+
+
+@pytest.mark.parametrize("n", sorted(SWEEP_SIZES))
+@pytest.mark.parametrize("per_block", [None, 1, 7, "all"])
+def test_one_sweep_scores_both_families_bit_for_bit(monkeypatch, n, per_block):
+    # validate scores the XXX and XX bounds on one sweep's draws
+    n_samples = SWEEP_SIZES[n]
+    if per_block is not None:
+        n_samples = min(n_samples, 300)
+        samples = n_samples + 1 if per_block == "all" else per_block
+        monkeypatch.setattr(witness, "_SWEEP_BLOCK_SITES", samples * n)
+    for corners in (True, False):
+        both = witness._sweep_maxima(n_samples, n, ("xxx", "xx"), n, corners)
+        assert both == [separable_sweep(n_samples, n, family, n, corners)
+                        for family in ("xxx", "xx")]
+        assert both == [unblocked_sweep(n_samples, n, family, n, corners)
+                        for family in ("xxx", "xx")]
 
 
 def test_xxx_bond_dots_are_uniform_on_minus_one_to_one():
