@@ -7,8 +7,9 @@ panel whose rules agree by chance across a sharp step cannot end the
 refinement; every other panel is bisected, breadth first. Optional seed
 points pre-split [a, b] where the integrand is steep. Needing more than
 ``max_panels`` panels, or halving a panel down to floating-point
-resolution, is a failure, never a silent partial answer. Both ends must be
-finite (ValueError otherwise). Integrands must accept and return numpy arrays.
+resolution, is a failure, never a silent partial answer. Both ends and
+every tolerance must be finite, and every tolerance > 0 (ValueError
+otherwise). Integrands must accept and return numpy arrays.
 
 :func:`adaptive_quadrature_rows` integrates many rows of a parametric
 integrand at once, each round as one array, and fails rows alone;
@@ -53,6 +54,7 @@ def adaptive_quadrature(f, a, b, abs_tol=DEFAULT_ABS_TOL, max_panels=DEFAULT_MAX
     that call would fail the row.
     """
     a, b = _finite_bounds(a, b)
+    abs_tol = _tolerance(abs_tol, 1)
     if a == b:
         return 0.0
     lo, hi = min(a, b), max(a, b)
@@ -74,7 +76,8 @@ def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL,
     ``f(rows, x)`` gets row indices ``rows`` of shape (P,) and nodes ``x``
     of shape (P, m) and returns row ``rows[i]``'s integrand at ``x[i]``.
     ``seeds``, an (n_rows, s) array padded with NaN, pre-splits each row
-    at its own points. Rows are taken in fixed blocks; each round evaluates
+    at its own points. ``abs_tol`` is one float, or an (n_rows,) array of
+    each row's own tolerance. Rows are taken in fixed blocks; each round evaluates
     a block's open panels as one array. Row sums are element-wise, never a
     matrix product, so a row's value is bit-identical whatever rows share
     its batch.
@@ -86,6 +89,7 @@ def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL,
     """
     a, b = _finite_bounds(a, b)
     values = np.zeros(int(n_rows))
+    abs_tol = _tolerance(abs_tol, values.size)
     failures: dict[int, str] = {}
     seeds = np.empty((values.size, 0)) if seeds is None else np.asarray(seeds, dtype=float)
     if seeds.ndim != 2 or seeds.shape[0] != values.size:
@@ -93,8 +97,9 @@ def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL,
     if a != b:
         for start in range(0, values.size, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
+            tol = abs_tol[block] if isinstance(abs_tol, np.ndarray) else abs_tol
             values[block] = _integrate_block(f, start, seeds[block].shape[0], a, b,
-                                             *_first_panels(a, b, seeds[block]), abs_tol,
+                                             *_first_panels(a, b, seeds[block]), tol,
                                              max_panels, failures)
     return values, failures
 
@@ -105,6 +110,24 @@ def _finite_bounds(a, b) -> tuple[float, float]:
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
     return a, b
+
+
+def _tolerance(abs_tol, n_rows):
+    """``abs_tol`` as a float, or as an (n_rows,) float array of row tolerances.
+
+    ValueError unless every tolerance is finite and > 0: any other one is
+    never met, and its rows would only run to the panel budget.
+    """
+    if isinstance(abs_tol, np.ndarray) and abs_tol.ndim:
+        tol = abs_tol.astype(float, copy=False)
+        if tol.shape == (n_rows,) and np.all((0.0 < tol) & (tol < math.inf)):
+            return tol
+    else:
+        tol = float(abs_tol)
+        if 0.0 < tol < math.inf:
+            return tol
+    raise ValueError(f"abs_tol must be finite and > 0, one float or one per row "
+                     f"({n_rows}), got {abs_tol!r}")
 
 
 def _first_panels(a, b, seeds):
@@ -136,12 +159,22 @@ def _panel_estimates(f, rows, pa, pb):
 def _integrate_block(f, first, n, a, b, pa, pb, prow, abs_tol, max_panels, failures):
     """Adaptive rounds for rows ``first`` .. ``first + n - 1`` from first panels [pa, pb].
 
-    ``prow`` is each first panel's row within the block. Records failed
-    rows in ``failures``.
+    ``prow`` is each first panel's row within the block, and ``abs_tol``
+    a float or the block's row tolerances. Records failed rows in ``failures``.
     """
+    per_row = isinstance(abs_tol, np.ndarray)
     tol_per_width = abs_tol / (b - a)
     total = np.zeros(n)
     failed = None  # per row, made at the first failure; a failed row's total becomes NaN
+
+    def fail(i, why):
+        nonlocal failed
+        failed = np.zeros(n, dtype=bool) if failed is None else failed
+        if not failed[i]:
+            failed[i] = True
+            tol = abs_tol[i] if per_row else abs_tol
+            failures[int(first + i)] = f"quadrature did not reach abs_tol={tol:g}{why}"
+
     # Panels per row (accepted + open) are ``panels`` plus the row's entries
     # in ``uncounted``. No row can be over budget before the whole block is,
     # so the per-row count waits until then.
@@ -158,14 +191,10 @@ def _integrate_block(f, first, n, a, b, pa, pb, prow, abs_tol, max_panels, failu
             # A panel whose midpoint rounds to one of its ends has no interior
             # left to sample: its row is unresolved at floating-point resolution.
             for i in ((mid == pa) | (mid == pb)).nonzero()[0]:
-                failed = np.zeros(n, dtype=bool) if failed is None else failed
-                if not failed[prow[i]]:
-                    failed[prow[i]] = True
-                    failures[int(first + prow[i])] = (
-                        f"quadrature did not reach abs_tol={abs_tol:g}: a panel at "
-                        f"x={float(pa[i])!r} reached floating-point resolution")
+                fail(prow[i], f": a panel at x={float(pa[i])!r} reached floating-point resolution")
         narrowest = 0.5 * narrowest - ulp
-        split = ~(err <= tol_per_width * width)  # a NaN estimate is split too
+        # a NaN estimate is split too
+        split = ~(err <= (tol_per_width[prow] if per_row else tol_per_width) * width)
         n_split = np.count_nonzero(split)
         if n_split == 0:  # every panel accepted: the last round
             total += np.bincount(prow, weights=value, minlength=n)
@@ -180,11 +209,7 @@ def _integrate_block(f, first, n, a, b, pa, pb, prow, abs_tol, max_panels, failu
             panels += np.bincount(np.concatenate(uncounted), minlength=n)
             uncounted = []
             for i in (panels > max_panels).nonzero()[0]:
-                failed = np.zeros(n, dtype=bool) if failed is None else failed
-                if not failed[i]:
-                    failed[i] = True
-                    failures[int(first + i)] = (
-                        f"quadrature did not reach abs_tol={abs_tol:g} within {max_panels} panels")
+                fail(i, f" within {max_panels} panels")
         if len(failures) > n_failed:  # failed rows refine no further
             keep = ~failed[prow]
             pa, pb, mid, prow = pa[keep], pb[keep], mid[keep], prow[keep]

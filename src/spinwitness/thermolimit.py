@@ -30,11 +30,11 @@ field B_c = 2 sqrt(1 - pi^2/16) |J| and B = 0 up to kT_c of order |J|.
 Routes: ``region_scan``, ``boundary_trace`` and the two endpoint root
 finders evaluate W by this one integral, batched over all cells or fields
 in one vectorized quadrature, and share one lockstep Illinois (modified
-regula falsi) root finder. Single points use the scalar routes:
-``xx_witness`` (U + B*M from two integrals; it also serves
-``region_scan(as_printed=True)``) and ``xx_witness_single_integral``,
-which returns the batched route's bits; the two are each other's
-cross-check in ``validate``.
+regula falsi) root finder. ``region_scan(as_printed=True)`` batches U
+and the printed magnetization the same way, one quadrature each. Single
+points use the scalar routes: ``xx_witness`` (U + B*M from two integrals)
+and ``xx_witness_single_integral``, which returns the batched route's
+bits; the two are each other's cross-check in ``validate``.
 
 Every integral is pre-split around the step of tanh(2K cos w - C) at
 w* = arccos(C/2K) (``_step_seeds``), so low-T steps are resolved.
@@ -103,6 +103,7 @@ _SEED_OFFSETS = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0])
 # and their panel sums stay well inside the float range; beyond it a point
 # is a numerical failure, raised before any arithmetic can overflow.
 _MAX_ARGUMENT = float(np.finfo(float).max) / 64.0
+_MAX_PRINTED_ARGUMENT = math.sqrt(_MAX_ARGUMENT) / 2.0  # 4K^2 must stay in range too
 
 
 def _out_of_range(k, c, limit=_MAX_ARGUMENT) -> str | None:
@@ -120,6 +121,18 @@ def _witness_integrand(k, c, omega):
     """
     cos = np.cos(omega)
     return cos * np.tanh(2.0 * k * cos - c)
+
+
+def _energy_integrand(k, c, omega):
+    """x tanh(x) with x = 2K cos w - C, U's integrand, like :func:`_witness_integrand`."""
+    x = 2.0 * k * np.cos(omega) - c
+    return x * np.tanh(x)
+
+
+def _printed_integrand(k, c, omega):
+    """-4K^2 cos^2 w tanh(f)/f with f = |2K cos w - C|, the printed M's integrand."""
+    cos = np.cos(omega)
+    return -4.0 * k * k * cos ** 2 * _tanh_over(np.abs(2.0 * k * cos - c))
 
 
 def _step_seeds(k, c):
@@ -188,12 +201,8 @@ def xx_internal_energy(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL) -> float:
     """
     point = to_dimensionless(j, b, kt)
     k, c = abs(point.coupling_over_kt), abs(point.field_over_kt)
-
-    def integrand(omega):
-        x = 2.0 * k * np.cos(omega) - c
-        return x * np.tanh(x)
-
-    return -float(kt) * _integrate(integrand, k, c, abs_tol * max(1.0, k, c)) / math.pi
+    integral = _integrate(partial(_energy_integrand, k, c), k, c, abs_tol * max(1.0, k, c))
+    return -float(kt) * integral / math.pi
 
 
 def xx_magnetization(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL,
@@ -213,15 +222,8 @@ def xx_magnetization(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL,
     point = to_dimensionless(j, b, kt)
     if as_printed:
         k, c = point.coupling_over_kt, point.field_over_kt
-
-        def printed_integrand(omega):
-            f = np.abs(2.0 * k * np.cos(omega) - c)
-            cos2 = np.cos(omega) ** 2
-            return -4.0 * k * k * cos2 * _tanh_over(f)
-
-        # 4K^2 must stay in range too
-        return _integrate(printed_integrand, k, c, abs_tol,
-                          limit=math.sqrt(_MAX_ARGUMENT) / 2.0) / math.pi
+        return _integrate(partial(_printed_integrand, k, c), k, c, abs_tol,
+                          limit=_MAX_PRINTED_ARGUMENT) / math.pi
 
     k, c = abs(point.coupling_over_kt), abs(point.field_over_kt)
 
@@ -235,11 +237,10 @@ def xx_magnetization(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL,
     return sign * value / math.pi
 
 
-def xx_witness(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL,
-               as_printed: bool = False) -> WitnessReport:
+def xx_witness(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL) -> WitnessReport:
     """Thermodynamic-limit witness W = |U + B*M| / |J| per site."""
     u = xx_internal_energy(kt, b, j, abs_tol=abs_tol)
-    m = xx_magnetization(kt, b, j, abs_tol=abs_tol, as_printed=as_printed)
+    m = xx_magnetization(kt, b, j, abs_tol=abs_tol)
     return per_site_witness_report(u, m, b, j)
 
 
@@ -357,37 +358,33 @@ class BoundaryCurve:
         }, indent=2) + "\n"
 
 
-def _witness_rows(kt_over_j, b_over_j, abs_tol):
-    """W at many (kT/|J|, B/|J|) points by the one-integral route, batched.
+def _rows(integrand, k, c, abs_tol, limit=_MAX_ARGUMENT):
+    """:func:`_integrate` at many (K, C), batched; ``abs_tol`` is a float or one per point.
 
-    Returns ``(w, failures)`` as :func:`adaptive_quadrature_rows` does:
-    failed points carry W = NaN and a message under their index. Points
-    whose K or C would overflow fail so without being integrated.
+    Returns ``(values, failures)`` as :func:`adaptive_quadrature_rows` does.
+    Points with |K| or |C| beyond ``limit`` fail with a range message; they
+    run only as placeholders at K = C = 0 and tolerance 1, where nothing overflows.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        k = 1.0 / kt_over_j
-        c = np.abs(b_over_j) / kt_over_j
-        if not (np.all(np.isfinite(k)) and np.all(np.isfinite(c))):
-            raise SpecError("dimensionless couplings must be finite")
-        in_range = (k <= _MAX_ARGUMENT) & (c <= _MAX_ARGUMENT)
-        failures, rows = {}, None
-        if not in_range.all():
-            failures = {int(i): _out_of_range(k[i], c[i]) for i in np.flatnonzero(~in_range)}
-            rows = np.flatnonzero(in_range)
-            k, c = k[rows], c[rows]
+    out, failures = np.maximum(np.abs(k), np.abs(c)) > limit, {}
+    if out.any():
+        failures = {int(i): _out_of_range(k[i], c[i], limit) for i in np.flatnonzero(out)}
+        k, c, abs_tol = np.where(out, 0.0, k), np.where(out, 0.0, c), np.where(out, 1.0, abs_tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
         seeds = _step_seeds(k, c)
+    values, failed = adaptive_quadrature_rows(
+        lambda block_rows, omega: integrand(k[block_rows, None], c[block_rows, None], omega),
+        k.size, 0.0, math.pi, abs_tol=abs_tol, seeds=seeds)
+    values[out] = np.nan
+    return values, {**failed, **failures}
 
-    def integrand(block_rows, omega):
-        return _witness_integrand(k[block_rows, None], c[block_rows, None], omega)
 
-    values, failed = adaptive_quadrature_rows(integrand, k.size, 0.0, math.pi,
-                                              abs_tol=abs_tol, seeds=seeds)
-    if rows is None:
-        return np.abs(2.0 * values / math.pi), failed
-    w = np.full(kt_over_j.size, np.nan)
-    w[rows] = np.abs(2.0 * values / math.pi)
-    failures.update((int(rows[i]), message) for i, message in failed.items())
-    return w, failures
+def _couplings(kt_over_j, b_over_j):
+    """(K, C) = (1, B/|J|) / (kT/|J|) at many points; SpecError unless all finite."""
+    with np.errstate(over="ignore", divide="ignore"):
+        k, c = 1.0 / kt_over_j, b_over_j / kt_over_j
+    if not (np.isfinite(k).all() and np.isfinite(c).all()):
+        raise SpecError("dimensionless couplings must be finite")
+    return k, c
 
 
 def region_scan(kt_over_j_values, b_over_j_values, abs_tol: float = DEFAULT_ABS_TOL,
@@ -397,9 +394,9 @@ def region_scan(kt_over_j_values, b_over_j_values, abs_tol: float = DEFAULT_ABS_
     All cells go through one batched quadrature of the one-integral route
     (2/pi)|int cos w tanh(2K cos w - C) dw|; a cell's value does not depend
     on the rest of the grid, so a 1x1 scan of a point reproduces its cell
-    bit for bit. ``as_printed=True`` evaluates each cell by the
-    two-integral U + B*M route with the printed magnetization instead.
-    Per-cell quadrature failures are recorded, not raised.
+    bit for bit. ``as_printed=True`` batches the two-integral U + B*M route
+    with the printed magnetization instead, each cell failing as
+    :func:`xx_witness` would. Per-cell quadrature failures are recorded, not raised.
     """
     kt_values = np.asarray(kt_over_j_values, dtype=float)
     b_values = np.asarray(b_over_j_values, dtype=float)
@@ -410,23 +407,20 @@ def region_scan(kt_over_j_values, b_over_j_values, abs_tol: float = DEFAULT_ABS_
     if np.any(kt_values <= 0.0):
         raise SpecError("kT/|J| axis must be strictly positive")
 
-    shape = (b_values.size, kt_values.size)
+    kt, b = np.tile(kt_values, b_values.size), np.repeat(b_values, kt_values.size)
+    k, c = _couplings(kt, b)
     if as_printed:
-        w = np.empty(shape)
-        errors = []
-        for ib, b in enumerate(b_values):
-            for ik, kt in enumerate(kt_values):
-                try:
-                    w[ib, ik] = xx_witness(float(kt), float(b), 1.0, abs_tol=abs_tol,
-                                           as_printed=True).value
-                except QuadratureError as exc:
-                    w[ib, ik] = float("nan")
-                    errors.append((ib, ik, str(exc)))
+        with np.errstate(over="ignore"):  # inf: out of range, or rejected as in xx_internal_energy
+            u_tol = abs_tol * np.maximum(1.0, np.maximum(k, np.abs(c)))
+        u, u_failures = _rows(_energy_integrand, k, np.abs(c), u_tol)
+        m, failures = _rows(_printed_integrand, k, c, abs_tol, limit=_MAX_PRINTED_ARGUMENT)
+        flat = np.abs(-kt * u / math.pi + b * (m / math.pi))
+        failures.update(u_failures)  # U's message wins, as U is evaluated first
     else:
-        flat, failures = _witness_rows(np.tile(kt_values, b_values.size),
-                                       np.repeat(b_values, kt_values.size), abs_tol)
-        w = flat.reshape(shape)
-        errors = [(*divmod(i, kt_values.size), failures[i]) for i in sorted(failures)]
+        integral, failures = _rows(_witness_integrand, k, np.abs(c), abs_tol)
+        flat = np.abs(2.0 * integral / math.pi)
+    w = flat.reshape(b_values.size, kt_values.size)
+    errors = [(*divmod(i, kt_values.size), failures[i]) for i in sorted(failures)]
     entangled = np.where(np.isnan(w), False, w > 1.0)
     form = MAGNETIZATION_AS_PRINTED if as_printed else MAGNETIZATION_LNZ_DERIVATIVE
     return RegionGrid(kt_over_j=kt_values, b_over_j=b_values, w=w, entangled=entangled,
@@ -444,7 +438,10 @@ def _illinois(g, n: int, lo: float, hi: float, residual_tol: float,
     (Illinois, Dowell & Jarratt, BIT 11, 168 (1971)), so a row whose one
     end is flat still closes in on the root. A row stops at |g(x)| <
     residual_tol, or gets NaN if its ends do not bracket a sign change.
+    SpecError, before any call, unless residual_tol is finite and > 0.
     """
+    if not 0.0 < residual_tol < math.inf:
+        raise SpecError(f"residual_tol must be finite and > 0, got {residual_tol!r}")
     rows = np.arange(n)
     lo_x, hi_x = np.full(n, float(lo)), np.full(n, float(hi))
     g_ends = g(np.concatenate((lo_x, hi_x)), np.concatenate((rows, rows)))
@@ -480,10 +477,11 @@ def _illinois(g, n: int, lo: float, hi: float, residual_tol: float,
 
 def _w_minus_one(kt_over_j, b_over_j, abs_tol):
     """Batched one-integral W - 1; any failed point raises its message."""
-    w, failures = _witness_rows(kt_over_j, b_over_j, abs_tol)
+    k, c = _couplings(kt_over_j, b_over_j)
+    integral, failures = _rows(_witness_integrand, k, np.abs(c), abs_tol)
     if failures:
         raise QuadratureError(failures[min(failures)])
-    return w - 1.0
+    return np.abs(2.0 * integral / math.pi) - 1.0
 
 
 def critical_field_zero_temperature(j: float = 1.0) -> float:

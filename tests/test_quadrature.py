@@ -133,6 +133,48 @@ def test_non_finite_bounds_are_rejected_up_front(end):
             adaptive_quadrature_rows(f, 1, a, b)
 
 
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-10, math.inf, np.array([1e-10, math.nan]),
+                                 np.array([1e-10, 0.0]), np.array([-1e-10, 1e-10]),
+                                 np.array([1e-10]), np.array([[1e-10, 1e-10]])])
+def test_tolerances_must_be_finite_and_positive(bad):
+    # such a tolerance is never met: every point once ran to the panel budget
+    # and then reported a numerical failure
+    for a, b in ((0.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="abs_tol"):
+            adaptive_quadrature_rows(_rows_of([np.cos, np.sin]), 2, a, b, abs_tol=bad)
+        if np.ndim(bad) == 0:
+            with pytest.raises(ValueError, match="abs_tol"):
+                adaptive_quadrature(np.cos, a, b, abs_tol=bad)
+
+
+def test_rows_take_their_own_tolerance_in_every_block():
+    # 300 rows span three blocks; each row equals its one-row call at its own tolerance
+    rng = np.random.default_rng(5)
+    scale = rng.uniform(0.5, 8.0, 300)
+    tols = 10.0 ** rng.uniform(-13.0, -4.0, 300)
+    f = lambda rows, x: np.exp(np.sin(scale[rows, None] * x))
+    values, failures = adaptive_quadrature_rows(f, 300, 0.0, 5.0, abs_tol=tols)
+    assert failures == {}
+    for i in range(300):
+        alone, _ = adaptive_quadrature_rows(lambda rows, x: np.exp(np.sin(scale[i] * x)),
+                                            1, 0.0, 5.0, abs_tol=float(tols[i]))
+        assert values[i] == alone[0]
+    shared, _ = adaptive_quadrature_rows(f, 300, 0.0, 5.0, abs_tol=1e-13)
+    assert np.count_nonzero(shared != values) > 150  # the tolerances do matter
+
+
+def test_failed_rows_name_their_own_tolerance():
+    singular = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / math.sqrt(2.0)) + 1e-300)
+    step = lambda x: np.where(x < 0.3, 0.0, 1.0)
+    values, failures = adaptive_quadrature_rows(_rows_of([singular, np.cos, step]), 3, 0.0, 1.0,
+                                                abs_tol=np.array([3e-12, 1e-3, 2e-9]),
+                                                max_panels=64)
+    assert failures[0] == "quadrature did not reach abs_tol=3e-12 within 64 panels"
+    assert set(failures) == {0, 2}
+    assert failures[2].startswith("quadrature did not reach abs_tol=2e-09")
+    assert np.isnan(values[[0, 2]]).all() and math.isfinite(values[1])
+
+
 @pytest.mark.parametrize("seeds", [(), (0.7,), (2.5, 0.7, 0.7, 9.0, -1.0), (1.0, 1.0 + 1e-17),
                                    (math.nan, 0.7, math.nan), (math.nan,),
                                    (0.0, 5.0), (5.0, 2.5, 0.0, 2.5)])

@@ -30,6 +30,7 @@ from spinwitness.thermolimit import (
     xx_witness,
     xx_witness_single_integral,
 )
+from spinwitness.witness import per_site_witness_report
 
 # root of W(kT, 0) = 1; cross-checked with scipy.integrate.quad + brentq
 KTC_ZERO_FIELD = 1.36683616383713
@@ -218,21 +219,21 @@ def test_boundary_fields_are_independent_of_the_batch():
     assert boundary_trace(np.array([2.0])).no_crossing == (2.0,)
 
 
-def _counting_witness_rows(monkeypatch):
-    """Patch the batched W so that each call records its point count."""
+def _counting_witness_calls(monkeypatch):
+    """Patch the root finders' batched W - 1 so that each call records its point count."""
     calls = []
-    original = thermolimit._witness_rows
+    original = thermolimit._w_minus_one
 
     def counted(kt_over_j, b_over_j, abs_tol):
         calls.append(np.size(kt_over_j))
         return original(kt_over_j, b_over_j, abs_tol)
 
-    monkeypatch.setattr(thermolimit, "_witness_rows", counted)
+    monkeypatch.setattr(thermolimit, "_w_minus_one", counted)
     return calls
 
 
 def test_root_searches_take_few_batched_witness_calls(monkeypatch):
-    calls = _counting_witness_rows(monkeypatch)
+    calls = _counting_witness_calls(monkeypatch)
     fields = np.linspace(0.0, 1.2, 13)
     curve = boundary_trace(fields)
     assert len(curve.points) == 13
@@ -244,6 +245,19 @@ def test_root_searches_take_few_batched_witness_calls(monkeypatch):
         calls.clear()
         endpoint()
         assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1e-6])
+def test_root_finders_reject_residual_tolerances_up_front(bad, monkeypatch):
+    # inf once returned kT_c = 1.538 at the first secant point (true 1.367);
+    # NaN, 0 or a negative value ran 200 steps and then raised
+    calls = _counting_witness_calls(monkeypatch)
+    for route in (lambda: boundary_trace([0.5], residual_tol=bad),
+                  lambda: critical_temperature_zero_field(residual_tol=bad),
+                  lambda: critical_field_low_temperature(residual_tol=bad)):
+        with pytest.raises(SpecError, match="residual_tol"):
+            route()
+    assert calls == []  # rejected before any W is evaluated
 
 
 def _plain_regula_falsi_steps(f, a, b, tol, max_steps):
@@ -664,6 +678,41 @@ def test_overflowing_scan_cells_fail_alone(as_printed):
     assert all("overflows" in error[2] for error in grid.cell_errors)
     alone = region_scan(np.array([0.5]), np.array([0.0, 0.5]), as_printed=as_printed)
     assert np.array_equal(grid.w[:, 1], alone.w[:, 0])
+
+
+def _printed_cell(kt, b, abs_tol):
+    """One printed-magnetization cell by the scalar routes: (W, None) or (NaN, message)."""
+    try:
+        u = xx_internal_energy(kt, b, 1.0, abs_tol=abs_tol)
+        m = xx_magnetization(kt, b, 1.0, abs_tol=abs_tol, as_printed=True)
+    except quadrature.QuadratureError as exc:
+        return math.nan, str(exc)
+    return per_site_witness_report(u, m, b, 1.0).value, None
+
+
+@pytest.mark.parametrize("kts, bs, abs_tol, n_errors", [
+    # rows with no tanh step (|B| > 2|J|), a deep step (kT = 0.02), negative fields
+    ([0.02, 0.3, 1.0, 2.5], [-2.6, -0.7, 0.0, 0.9, 2.5], 1e-10, 0),
+    # kT = 1e-308 fails in U (|K| beyond its range); kT = 1e-170 only in the
+    # printed M, whose range is smaller since it squares K
+    ([1e-308, 1e-170, 0.5], [-0.5, 0.0, 1.2], 1e-10, 6),
+    # both fail on the panel budget; U's message wins, with U's own
+    # tolerance abs_tol * max(1, K, C), not M's abs_tol
+    ([0.5, 0.25], [0.0, 0.3], 1e-17, 4),
+    # U's tolerance abs_tol * max(1, K, C) overflows only where K is out of range
+    ([1e-308, 0.5], [0.0, 1.5], 100.0, 2),
+])
+def test_printed_scan_is_the_scalar_route_cell_by_cell(kts, bs, abs_tol, n_errors):
+    grid = region_scan(np.array(kts), np.array(bs), abs_tol=abs_tol, as_printed=True)
+    errors = []
+    for ib, b in enumerate(bs):
+        for ik, kt in enumerate(kts):
+            w, message = _printed_cell(kt, b, abs_tol)
+            assert np.array_equal(grid.w[ib, ik], w, equal_nan=True), (kt, b, grid.w[ib, ik], w)
+            if message is not None:
+                errors.append((ib, ik, message))
+    assert grid.cell_errors == tuple(errors)
+    assert len(errors) == n_errors
 
 
 def test_couplings_just_inside_the_float_range():
