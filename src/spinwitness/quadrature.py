@@ -97,9 +97,8 @@ def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL,
     if a != b:
         for start in range(0, values.size, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            tol = abs_tol[block] if isinstance(abs_tol, np.ndarray) else abs_tol
             values[block] = _integrate_block(f, start, seeds[block].shape[0], a, b,
-                                             *_first_panels(a, b, seeds[block]), tol,
+                                             *_first_panels(a, b, seeds[block]), abs_tol[block],
                                              max_panels, failures)
     return values, failures
 
@@ -112,20 +111,19 @@ def _finite_bounds(a, b) -> tuple[float, float]:
     return a, b
 
 
-def _tolerance(abs_tol, n_rows):
-    """``abs_tol`` as a float, or as an (n_rows,) float array of row tolerances.
+def _tolerance(abs_tol, n_rows) -> np.ndarray:
+    """``abs_tol``, one float or one per row, as an (n_rows,) float array.
 
     ValueError unless every tolerance is finite and > 0: any other one is
     never met, and its rows would only run to the panel budget.
     """
     if isinstance(abs_tol, np.ndarray) and abs_tol.ndim:
-        tol = abs_tol.astype(float, copy=False)
-        if tol.shape == (n_rows,) and np.all((0.0 < tol) & (tol < math.inf)):
-            return tol
-    else:
-        tol = float(abs_tol)
-        if 0.0 < tol < math.inf:
-            return tol
+        valid = abs_tol.shape == (n_rows,) and np.all((0.0 < abs_tol) & (abs_tol < math.inf))
+    else:  # checked without numpy, a fixed cost of every short one-row call
+        abs_tol = float(abs_tol)
+        valid = 0.0 < abs_tol < math.inf
+    if valid:
+        return np.full(n_rows, abs_tol, dtype=float)
     raise ValueError(f"abs_tol must be finite and > 0, one float or one per row "
                      f"({n_rows}), got {abs_tol!r}")
 
@@ -160,9 +158,8 @@ def _integrate_block(f, first, n, a, b, pa, pb, prow, abs_tol, max_panels, failu
     """Adaptive rounds for rows ``first`` .. ``first + n - 1`` from first panels [pa, pb].
 
     ``prow`` is each first panel's row within the block, and ``abs_tol``
-    a float or the block's row tolerances. Records failed rows in ``failures``.
+    the block's row tolerances. Records failed rows in ``failures``.
     """
-    per_row = isinstance(abs_tol, np.ndarray)
     tol_per_width = abs_tol / (b - a)
     total = np.zeros(n)
     failed = None  # per row, made at the first failure; a failed row's total becomes NaN
@@ -172,8 +169,7 @@ def _integrate_block(f, first, n, a, b, pa, pb, prow, abs_tol, max_panels, failu
         failed = np.zeros(n, dtype=bool) if failed is None else failed
         if not failed[i]:
             failed[i] = True
-            tol = abs_tol[i] if per_row else abs_tol
-            failures[int(first + i)] = f"quadrature did not reach abs_tol={tol:g}{why}"
+            failures[int(first + i)] = f"quadrature did not reach abs_tol={abs_tol[i]:g}{why}"
 
     # Panels per row (accepted + open) are ``panels`` plus the row's entries
     # in ``uncounted``. No row can be over budget before the whole block is,
@@ -193,8 +189,7 @@ def _integrate_block(f, first, n, a, b, pa, pb, prow, abs_tol, max_panels, failu
             for i in ((mid == pa) | (mid == pb)).nonzero()[0]:
                 fail(prow[i], f": a panel at x={float(pa[i])!r} reached floating-point resolution")
         narrowest = 0.5 * narrowest - ulp
-        # a NaN estimate is split too
-        split = ~(err <= (tol_per_width[prow] if per_row else tol_per_width) * width)
+        split = ~(err <= tol_per_width[prow] * width)  # a NaN estimate is split too
         n_split = np.count_nonzero(split)
         if n_split == 0:  # every panel accepted: the last round
             total += np.bincount(prow, weights=value, minlength=n)

@@ -99,10 +99,11 @@ def _tanh_over(f):
 
 _SEED_OFFSETS = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0])
 
+_MAX_FLOAT = float(np.finfo(float).max)
 # Largest |K| and |C| integrated. Up to here 2K cos w - C, its integrands
 # and their panel sums stay well inside the float range; beyond it a point
 # is a numerical failure, raised before any arithmetic can overflow.
-_MAX_ARGUMENT = float(np.finfo(float).max) / 64.0
+_MAX_ARGUMENT = _MAX_FLOAT / 64.0
 _MAX_PRINTED_ARGUMENT = math.sqrt(_MAX_ARGUMENT) / 2.0  # 4K^2 must stay in range too
 
 
@@ -112,6 +113,19 @@ def _out_of_range(k, c, limit=_MAX_ARGUMENT) -> str | None:
         return None
     return (f"J/kT = {float(k):g}, B/kT = {float(c):g}: beyond |{limit:g}| "
             "the integrand overflows")
+
+
+def _scaled_tol(abs_tol, k, c):
+    """abs_tol * max(1, K, C) for K, C >= 0 (floats or arrays), at most the largest float.
+
+    Near the range limit an abs_tol above 64 takes the product past the
+    float range; the cap still accepts every first panel, as inf would.
+    ValueError, naming ``abs_tol``, unless it is finite and > 0.
+    """
+    if not 0.0 < abs_tol < math.inf:
+        raise ValueError(f"abs_tol must be finite and > 0, got {abs_tol!r}")
+    with np.errstate(over="ignore"):
+        return np.minimum(abs_tol * np.maximum(1.0, np.maximum(k, c)), _MAX_FLOAT)
 
 
 def _witness_integrand(k, c, omega):
@@ -185,7 +199,7 @@ def xx_log_partition_density(coupling_over_kt, field_over_kt,
     def integrand(omega):
         return _ln_2cosh(2.0 * k * np.cos(omega) - c)
 
-    return _integrate(integrand, k, c, abs_tol * max(1.0, k, c)) / math.pi
+    return _integrate(integrand, k, c, _scaled_tol(abs_tol, k, c)) / math.pi
 
 
 def xx_internal_energy(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL) -> float:
@@ -201,7 +215,7 @@ def xx_internal_energy(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL) -> float:
     """
     point = to_dimensionless(j, b, kt)
     k, c = abs(point.coupling_over_kt), abs(point.field_over_kt)
-    integral = _integrate(partial(_energy_integrand, k, c), k, c, abs_tol * max(1.0, k, c))
+    integral = _integrate(partial(_energy_integrand, k, c), k, c, _scaled_tol(abs_tol, k, c))
     return -float(kt) * integral / math.pi
 
 
@@ -410,8 +424,7 @@ def region_scan(kt_over_j_values, b_over_j_values, abs_tol: float = DEFAULT_ABS_
     kt, b = np.tile(kt_values, b_values.size), np.repeat(b_values, kt_values.size)
     k, c = _couplings(kt, b)
     if as_printed:
-        with np.errstate(over="ignore"):  # inf: out of range, or rejected as in xx_internal_energy
-            u_tol = abs_tol * np.maximum(1.0, np.maximum(k, np.abs(c)))
+        u_tol = _scaled_tol(abs_tol, k, np.abs(c))
         u, u_failures = _rows(_energy_integrand, k, np.abs(c), u_tol)
         m, failures = _rows(_printed_integrand, k, c, abs_tol, limit=_MAX_PRINTED_ARGUMENT)
         flat = np.abs(-kt * u / math.pi + b * (m / math.pi))

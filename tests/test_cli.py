@@ -90,6 +90,14 @@ def test_limit_witness_fails_numerically_where_the_integrand_overflows(capsys):
     assert "numerical failure" in err and "overflows" in err
 
 
+def test_limit_witness_takes_a_large_tolerance_near_the_range_limit(capsys):
+    # U's scaled tolerance 100 * max(1, K, C) is past the float range here
+    rc, out, _ = run(["witness", "--model", "xx", "--n", "thermodynamic-limit",
+                      "--b", "0.5", "--kt", "5e-307", "--tol", "100", "--out", "json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["W"] == xx_witness(5e-307, 0.5, 1.0, abs_tol=100.0).value
+
+
 def test_limit_witness_is_xx_only(capsys):
     rc, _, err = run(["witness", "--model", "xxx", "--n", "thermodynamic-limit",
                       "--kt", "1.0"], capsys)

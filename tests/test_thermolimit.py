@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -699,8 +700,9 @@ def _printed_cell(kt, b, abs_tol):
     # both fail on the panel budget; U's message wins, with U's own
     # tolerance abs_tol * max(1, K, C), not M's abs_tol
     ([0.5, 0.25], [0.0, 0.3], 1e-17, 4),
-    # U's tolerance abs_tol * max(1, K, C) overflows only where K is out of range
-    ([1e-308, 0.5], [0.0, 1.5], 100.0, 2),
+    # U's tolerance abs_tol * max(1, K, C) passes the float range at kT = 4e-307,
+    # where K is in U's range but not in the printed M's
+    ([1e-308, 4e-307, 0.5], [0.0, 1.5], 100.0, 4),
 ])
 def test_printed_scan_is_the_scalar_route_cell_by_cell(kts, bs, abs_tol, n_errors):
     grid = region_scan(np.array(kts), np.array(bs), abs_tol=abs_tol, as_printed=True)
@@ -713,6 +715,25 @@ def test_printed_scan_is_the_scalar_route_cell_by_cell(kts, bs, abs_tol, n_error
                 errors.append((ib, ik, message))
     assert grid.cell_errors == tuple(errors)
     assert len(errors) == n_errors
+
+
+def test_scaled_tolerances_are_capped_at_the_largest_float():
+    # abs_tol * max(1, K, C) = 100 * 2.5e306 is past the float range; capped,
+    # it accepts every first panel as the infinite product once did, and
+    # returns those values rather than rejecting the tolerance
+    for b, w in ((0.0, 1.2732395447351632), (0.5, 1.2328088881230002)):
+        assert xx_witness(4e-307, b, 1.0, abs_tol=100.0).value == w
+    assert xx_log_partition_density(2.5e306, 1.25e306, abs_tol=100.0) == 3.283098778445416e+306
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-10, math.inf])
+def test_scaled_tolerances_name_the_given_one(bad):
+    for route in (lambda: xx_internal_energy(0.5, 0.3, 1.0, abs_tol=bad),
+                  lambda: xx_log_partition_density(2.0, 0.6, abs_tol=bad),
+                  lambda: region_scan(np.array([0.5, 1.0]), np.array([0.3]), abs_tol=bad,
+                                      as_printed=True)):
+        with pytest.raises(ValueError, match=f"abs_tol .* got {re.escape(repr(bad))}$"):
+            route()
 
 
 def test_couplings_just_inside_the_float_range():
