@@ -29,13 +29,10 @@ from .model import (
     SIGN_AS_PRINTED,
     SIGN_SINGLET_GROUND,
     THERMODYNAMIC_LIMIT,
-    DimensionlessPoint,
     ModelSpec,
     SpecError,
-    ThermalPoint,
     ValidatedSpec,
     spec_from_config,
-    to_dimensionless,
     validate_spec,
 )
 from .quadrature import QuadratureError
@@ -73,11 +70,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOUNDARY_OPEN", "BOUNDARY_PERIODIC", "BoundaryCurve", "CheckResult",
-    "DimensionlessPoint", "FAMILY_XX", "FAMILY_XXX", "FAMILY_XYZ",
+    "FAMILY_XX", "FAMILY_XXX", "FAMILY_XYZ",
     "ModeSpectrum", "ModelSpec", "PairState",
     "QuadratureError", "RegionGrid", "SIGN_AS_PRINTED", "SIGN_SINGLET_GROUND",
     "SpecError", "THERMODYNAMIC_LIMIT", "THRESHOLD", "ThermalObservables",
-    "ThermalPoint", "ValidatedSpec", "WitnessInputs", "WitnessReport",
+    "ValidatedSpec", "WitnessInputs", "WitnessReport",
     "bond_list", "boundary_trace", "concurrence",
     "concurrence_from_energy", "critical_field_low_temperature",
     "critical_field_zero_temperature", "critical_temperature_zero_field",
@@ -87,7 +84,7 @@ __all__ = [
     "per_site_witness_report", "product_state_witness", "reduced_pair_state",
     "region_scan", "run_validation_suite", "separable_sweep",
     "spec_from_config", "thermal_observables", "thermo_consistency",
-    "to_dimensionless", "validate_spec", "witness_from_correlators",
+    "validate_spec", "witness_from_correlators",
     "witness_from_model", "witness_value", "xx_internal_energy",
     "xx_log_partition_density", "xx_magnetization", "xx_witness",
     "xx_witness_single_integral",

@@ -100,9 +100,9 @@ import numpy as np
 from .model import (
     BOUNDARY_PERIODIC,
     SpecError,
-    ThermalPoint,
     ValidatedSpec,
     frozen_instance,
+    require_kt,
     validate_spec,
 )
 
@@ -891,7 +891,7 @@ def thermal_observables(spec, kt: float) -> ThermalObservables:
     """
     vspec = validate_spec(spec)
     _require_finite(vspec)
-    beta = ThermalPoint(float(kt)).beta
+    beta = 1.0 / require_kt(kt)
     eig, energies, e0, scale, field, spread = _spectrum(vspec)
     p, log_partition = _boltzmann(energies, e0, beta, scale, eig.layout.multiplicity, spread)
     return _checked(*eig.observables(p, scale, field), log_partition)
@@ -927,7 +927,7 @@ def thermo_consistency(spec, kt: float) -> tuple[float, float]:
     """
     vspec = validate_spec(spec)
     _require_finite(vspec)
-    beta = ThermalPoint(float(kt)).beta
+    beta = 1.0 / require_kt(kt)
     obs = thermal_observables(vspec, kt)
 
     h_beta = 1e-4 * beta
@@ -972,7 +972,7 @@ def reduced_pair_state(spec, kt: float, site_pair: tuple[int, int]) -> PairState
     if a == b:
         raise SpecError("site pair must name two distinct sites")
 
-    beta = ThermalPoint(float(kt)).beta
+    beta = 1.0 / require_kt(kt)
     eig, energies, e0, scale, _, spread = _spectrum(vspec)
     p, _ = _boltzmann(energies, e0, beta, scale, eig.layout.multiplicity, spread)
     return eig.pair_state(n, p, a, b)

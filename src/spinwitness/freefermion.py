@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FAMILY_XX, ModelSpec, SpecError, ThermalPoint, require_count, validate_spec
+from .model import FAMILY_XX, ModelSpec, SpecError, require_count, require_kt, validate_spec
 
 __all__ = ["ModeSpectrum", "jw_modes", "jw_observables", "jw_observables_for_spec"]
 
@@ -60,11 +60,17 @@ def jw_observables(n_sites: int, kt: float, j: float, b: float = 0.0) -> tuple[f
     """Per-site (U/N, M/N) of the open XX chain from mode occupations.
 
     Fermi factors are computed as 0.5*(1 - tanh(beta*e/2)), which cannot
-    overflow; U = sum_k e_k f_k + offset and M = N - 2 sum_k f_k.
+    overflow: an argument past the float range is +-inf, and tanh(+-inf) =
+    +-1 is exact. U = sum_k e_k f_k + offset and M = N - 2 sum_k f_k.
+    Raises FloatingPointError where beta = 1/kT is not finite, as exact
+    diagonalization does: a zero mode energy would make beta*e NaN.
     """
-    beta = ThermalPoint(float(kt)).beta
+    beta = 1.0 / require_kt(kt)
     modes = jw_modes(n_sites, j, b)
-    occupation = 0.5 * (1.0 - np.tanh(0.5 * beta * modes.energies))
+    if not math.isfinite(beta):
+        raise FloatingPointError(f"beta = 1/kT = {beta} is not finite")
+    with np.errstate(over="ignore"):
+        occupation = 0.5 * (1.0 - np.tanh(0.5 * beta * modes.energies))
     u = float(modes.energies @ occupation) + modes.offset
     m = modes.n_sites - 2.0 * float(occupation.sum())
     return u / modes.n_sites, m / modes.n_sites

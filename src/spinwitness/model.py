@@ -19,6 +19,11 @@ The two conventions disagree about which sign of J is "antiferromagnetic";
 both are provided because common usage is inconsistent. Witness values are
 built from absolute values and do not depend on the choice; ground-state
 labelled statements do.
+
+Every route checks its temperature with :func:`require_kt`: a kT that is
+not finite and > 0 is bad input (:class:`SpecError`), like a non-finite J
+or B. A legal kT whose 1/kT, J/kT or B/kT leaves the float range is a
+numerical failure, raised by the route that meets it.
 """
 
 from __future__ import annotations
@@ -179,39 +184,12 @@ def validate_spec(spec) -> ValidatedSpec:
     })
 
 
-@dataclass(frozen=True)
-class ThermalPoint:
-    """A strictly positive temperature, carried as kT in energy units."""
-
-    kt: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.kt) and self.kt > 0.0):
-            raise SpecError(f"kT must be finite and > 0, got {self.kt}")
-
-    @property
-    def beta(self) -> float:
-        return 1.0 / self.kt
-
-
-@dataclass(frozen=True)
-class DimensionlessPoint:
-    """Reduced couplings J/kT and B/kT used by the infinite-chain formulas."""
-
-    coupling_over_kt: float
-    field_over_kt: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.coupling_over_kt) and math.isfinite(self.field_over_kt)):
-            raise SpecError("dimensionless couplings must be finite")
-
-
-def to_dimensionless(j, b, kt) -> DimensionlessPoint:
-    """Map (J, B, kT) to (J/kT, B/kT); invariant under a common rescaling."""
+def require_kt(kt) -> float:
+    """kT as a float; SpecError unless it is finite and > 0 (the one scalar kT check)."""
     kt = float(kt)
     if not (math.isfinite(kt) and kt > 0.0):
         raise SpecError(f"kT must be finite and > 0, got {kt}")
-    return DimensionlessPoint(float(j) / kt, float(b) / kt)
+    return kt
 
 
 _CONFIG_KEYS = ("family", "jx", "jy", "jz", "b", "n_sites", "boundary", "sign_convention")

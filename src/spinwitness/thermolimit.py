@@ -43,6 +43,13 @@ U is exactly even in both K and C, and M even in K and odd in C; all
 integrals are evaluated at (|K|, |C|) with M's sign restored afterwards,
 which makes W(J,B) = W(-J,B) = W(J,-B) hold bit-for-bit.
 
+Bad input is a kT that is not finite and > 0 (``model.require_kt``) or a
+J or B that is not finite: SpecError. A legal point whose |K| or |C|
+passes max_float/64 (the printed M: the square root of that, halved),
+or overflows to inf, is a numerical failure: a scalar route, root finder
+or endpoint raises QuadratureError ("... the integrand overflows"), and
+a scan records a NaN cell with that message.
+
 The ferromagnetic XXX chain's low-temperature closed forms
 (lowtemp_ferro_*) also live here; they exhibit W -> 1 from below as
 N -> infinity, i.e. the witness never fires on the ferromagnet.
@@ -58,13 +65,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import (
-    DimensionlessPoint,
-    SpecError,
-    ThermalPoint,
-    require_count,
-    to_dimensionless,
-)
+from .model import SpecError, require_count, require_kt
 from .quadrature import (
     DEFAULT_ABS_TOL,
     QuadratureError,
@@ -113,6 +114,17 @@ def _out_of_range(k, c, limit=_MAX_ARGUMENT) -> str | None:
         return None
     return (f"J/kT = {float(k):g}, B/kT = {float(c):g}: beyond |{limit:g}| "
             "the integrand overflows")
+
+
+def _ratios(j, b, kt):
+    """(J/kT, B/kT) of the scalar routes; SpecError unless kT, J and B are legal.
+
+    A ratio past the float range is inf, a numerical failure of :func:`_integrate`.
+    """
+    kt, j, b = require_kt(kt), float(j), float(b)
+    if not (math.isfinite(j) and math.isfinite(b)):
+        raise SpecError("dimensionless couplings must be finite")
+    return j / kt, b / kt
 
 
 def _scaled_tol(abs_tol, k, c):
@@ -193,8 +205,7 @@ def xx_log_partition_density(coupling_over_kt, field_over_kt,
     ``abs_tol * max(1, |K|, |C|)``, so lnZ's relative error is of order
     ``abs_tol`` at every temperature.
     """
-    point = DimensionlessPoint(float(coupling_over_kt), float(field_over_kt))
-    k, c = abs(point.coupling_over_kt), abs(point.field_over_kt)
+    k, c = map(abs, _ratios(coupling_over_kt, field_over_kt, 1.0))  # the ratios at kT = 1
 
     def integrand(omega):
         return _ln_2cosh(2.0 * k * np.cos(omega) - c)
@@ -213,8 +224,7 @@ def xx_internal_energy(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL) -> float:
     is off by at most ``abs_tol * max(kT, |J|, |B|) / pi``, a fixed share
     of the largest energy scale.
     """
-    point = to_dimensionless(j, b, kt)
-    k, c = abs(point.coupling_over_kt), abs(point.field_over_kt)
+    k, c = map(abs, _ratios(j, b, kt))
     integral = _integrate(partial(_energy_integrand, k, c), k, c, _scaled_tol(abs_tol, k, c))
     return -float(kt) * integral / math.pi
 
@@ -232,23 +242,23 @@ def xx_magnetization(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL,
     -(1/pi) int (4K^2 cos^2 w / f) tanh(f) dw at the given (K, C) with no
     symmetrization. It fails M(B=0) = 0 and the lnZ-derivative check and
     exists only so the discrepancy can be reported, never silently patched.
+    Its integrand grows like K, so as for U, ``abs_tol`` is then a
+    tolerance per unit of max(1, |K|, |C|).
     """
-    point = to_dimensionless(j, b, kt)
+    k, c = _ratios(j, b, kt)
     if as_printed:
-        k, c = point.coupling_over_kt, point.field_over_kt
-        return _integrate(partial(_printed_integrand, k, c), k, c, abs_tol,
+        return _integrate(partial(_printed_integrand, k, c), k, c,
+                          _scaled_tol(abs_tol, abs(k), abs(c)),
                           limit=_MAX_PRINTED_ARGUMENT) / math.pi
-
-    k, c = abs(point.coupling_over_kt), abs(point.field_over_kt)
+    sign = math.copysign(1.0, c) if c != 0.0 else 0.0
+    k, c = abs(k), abs(c)
 
     def integrand(omega):
         x = 2.0 * k * np.cos(omega) - c
         f = np.abs(x)
         return _tanh_over(f) * (-x)
 
-    value = _integrate(integrand, k, c, abs_tol)
-    sign = math.copysign(1.0, point.field_over_kt) if point.field_over_kt != 0.0 else 0.0
-    return sign * value / math.pi
+    return sign * _integrate(integrand, k, c, abs_tol) / math.pi
 
 
 def xx_witness(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL) -> WitnessReport:
@@ -266,8 +276,7 @@ def xx_witness_single_integral(kt, b, j, abs_tol: float = DEFAULT_ABS_TOL) -> fl
     assumption. Same integrand, seeds and rule as the batched route, so at
     J = 1 it returns a 1x1 :func:`region_scan`'s bits.
     """
-    point = to_dimensionless(j, b, kt)
-    k, c = abs(point.coupling_over_kt), abs(point.field_over_kt)
+    k, c = map(abs, _ratios(j, b, kt))
     return abs(2.0 * _integrate(partial(_witness_integrand, k, c), k, c, abs_tol) / math.pi)
 
 
@@ -393,12 +402,9 @@ def _rows(integrand, k, c, abs_tol, limit=_MAX_ARGUMENT):
 
 
 def _couplings(kt_over_j, b_over_j):
-    """(K, C) = (1, B/|J|) / (kT/|J|) at many points; SpecError unless all finite."""
-    with np.errstate(over="ignore", divide="ignore"):
-        k, c = 1.0 / kt_over_j, b_over_j / kt_over_j
-    if not (np.isfinite(k).all() and np.isfinite(c).all()):
-        raise SpecError("dimensionless couplings must be finite")
-    return k, c
+    """(K, C) = (1, B/|J|) / (kT/|J|) at many points; a ratio past the float range is inf."""
+    with np.errstate(over="ignore"):
+        return 1.0 / kt_over_j, b_over_j / kt_over_j
 
 
 def region_scan(kt_over_j_values, b_over_j_values, abs_tol: float = DEFAULT_ABS_TOL,
@@ -424,9 +430,9 @@ def region_scan(kt_over_j_values, b_over_j_values, abs_tol: float = DEFAULT_ABS_
     kt, b = np.tile(kt_values, b_values.size), np.repeat(b_values, kt_values.size)
     k, c = _couplings(kt, b)
     if as_printed:
-        u_tol = _scaled_tol(abs_tol, k, np.abs(c))
-        u, u_failures = _rows(_energy_integrand, k, np.abs(c), u_tol)
-        m, failures = _rows(_printed_integrand, k, c, abs_tol, limit=_MAX_PRINTED_ARGUMENT)
+        tol = _scaled_tol(abs_tol, k, np.abs(c))
+        u, u_failures = _rows(_energy_integrand, k, np.abs(c), tol)
+        m, failures = _rows(_printed_integrand, k, c, tol, limit=_MAX_PRINTED_ARGUMENT)
         flat = np.abs(-kt * u / math.pi + b * (m / math.pi))
         failures.update(u_failures)  # U's message wins, as U is evaluated first
     else:
@@ -525,7 +531,7 @@ def critical_field_low_temperature(kt_over_j: float = 1e-3, j: float = 1.0,
 
     Converges to :func:`critical_field_zero_temperature` as kt_over_j -> 0.
     """
-    kt = ThermalPoint(float(kt_over_j)).kt
+    kt = require_kt(kt_over_j)
     root = _illinois(lambda b, rows: _w_minus_one(np.full_like(b, kt), b, abs_tol),
                      1, 0.0, 2.0, residual_tol)[0]
     if math.isnan(root):
@@ -577,8 +583,10 @@ def _expit(x: float) -> float:
 def _lowtemp_args(n_sites, kt, b, j):
     """Validated (N, beta, B, J, ln h), h = N exp(-2 beta B)/sqrt(8 pi beta J)."""
     n = require_count(n_sites, "n_sites")
-    beta = ThermalPoint(float(kt)).beta
+    beta = 1.0 / require_kt(kt)
     b, j = float(b), float(j)
+    if not (math.isfinite(b) and math.isfinite(j)):
+        raise SpecError(f"B and J must be finite, got B = {b}, J = {j}")
     if j <= 0.0:
         raise SpecError("the low-temperature form needs a ferromagnetic coupling J > 0")
     if b <= 0.0:
@@ -595,7 +603,8 @@ def lowtemp_ferro_log_partition(n_sites, kt, b, j,
     beta J): the fully aligned ground state at energy -N(J+B) plus the
     one-magnon band integrated in the quadratic-dispersion approximation.
     h is handled in log space (h = e^{ln h}) so huge N or tiny kT cannot
-    overflow. Validity wants kT << J; this is advisory, not enforced.
+    overflow h; FloatingPointError where lnZ itself leaves the float range.
+    Validity wants kT << J; this is advisory, not enforced.
 
     ``printed_exponent=True`` swaps the leading term for B beta (J + B), a
     variant reading kept only for comparison: it loses the extensive
@@ -603,7 +612,10 @@ def lowtemp_ferro_log_partition(n_sites, kt, b, j,
     """
     n, beta, b, j, ln_h = _lowtemp_args(n_sites, kt, b, j)
     leading = (b if printed_exponent else n) * beta * (j + b)
-    return leading + float(np.logaddexp(0.0, ln_h))
+    log_partition = leading + float(np.logaddexp(0.0, ln_h))
+    if not math.isfinite(log_partition):
+        raise FloatingPointError(f"lnZ = {log_partition} is not finite")
+    return log_partition
 
 
 def lowtemp_ferro_witness(n_sites, kt, b, j,

@@ -1,6 +1,7 @@
 """Free-fermion XX solution: mode algebra, spectra, and the large-N bridge."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -94,3 +95,24 @@ def test_non_integral_site_counts_are_rejected(count):
     with pytest.raises(SpecError, match="n_sites must be an integer"):
         jw_modes(count, 1.0)
     assert jw_observables(10.0, 0.7, 1.0, 0.3) == jw_observables(10, 0.7, 1.0, 0.3)
+
+
+def test_infinite_beta_is_a_numerical_failure():
+    # kT = 1e-320 is legal, but 1/kT = inf and the k = 1 mode energy is exactly 0,
+    # so beta * e would be NaN: raise as exact diagonalization does
+    b = -2.0 * math.cos(math.pi / 3)
+    assert jw_modes(2, 1.0, b).energies[0] == 0.0
+    for route in (lambda: jw_observables(2, 1e-320, 1.0, b),
+                  lambda: thermal_observables(ModelSpec.xx(1.0, b=b, n_sites=2, boundary="open"),
+                                              1e-320)):
+        with pytest.raises(FloatingPointError, match=r"^beta = 1/kT = inf is not finite$"):
+            route()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_fermi_argument_is_exact():
+    # beta * e / 2 = +-1e600 overflows to +-inf, and tanh(+-inf) = +-1 exactly:
+    # the ground state, with the k = 2 mode (e = -2e300 + 0.6) filled
+    u, m = jw_observables(2, 1e-300, 1e300, 0.3)
+    energies = jw_modes(2, 1e300, 0.3).energies
+    assert (u, m) == ((energies[1] - 0.6) / 2, 0.0)

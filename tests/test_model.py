@@ -1,6 +1,7 @@
 """Model spec construction, validation, and unit plumbing."""
 
 import math
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -17,12 +18,31 @@ from spinwitness.model import (
     THERMODYNAMIC_LIMIT,
     ModelSpec,
     SpecError,
-    ThermalPoint,
     ValidatedSpec,
     require_count,
+    require_kt,
     spec_from_config,
-    to_dimensionless,
     validate_spec,
+)
+from spinwitness.exactdiag import (
+    ground_state_observables,
+    reduced_pair_state,
+    thermal_observables,
+)
+from spinwitness.freefermion import jw_observables
+from spinwitness.quadrature import QuadratureError
+from spinwitness.thermolimit import (
+    boundary_trace,
+    critical_field_low_temperature,
+    critical_temperature_zero_field,
+    lowtemp_ferro_log_partition,
+    lowtemp_ferro_witness,
+    region_scan,
+    xx_internal_energy,
+    xx_log_partition_density,
+    xx_magnetization,
+    xx_witness,
+    xx_witness_single_integral,
 )
 
 
@@ -138,23 +158,22 @@ def test_two_site_open_chain_is_fine():
     assert validate_spec(ModelSpec.xxx(1.0, n_sites=2, boundary=BOUNDARY_OPEN)).n_sites == 2
 
 
-def test_thermal_point():
-    assert ThermalPoint(0.5).beta == 2.0
+def test_require_kt():
+    assert require_kt(0.5) == 0.5
+    assert type(require_kt(np.float32(0.5))) is float
+    assert require_kt(1e-320) == 1e-320  # legal, though 1/kT overflows
     for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(SpecError, match=f"kT must be finite and > 0, got {bad}"):
+            require_kt(bad)
+
+
+def test_limit_witness_depends_only_on_the_ratios():
+    # (J/kT, B/kT) is unchanged, bit for bit, when kT, B and J are all scaled by 8
+    assert (xx_witness_single_integral(4.0, 0.5, 2.0)
+            == xx_witness_single_integral(4.0 * 8, 0.5 * 8, 2.0 * 8))
+    for bad_kt in (0.0, -2.0):
         with pytest.raises(SpecError):
-            ThermalPoint(bad)
-
-
-def test_to_dimensionless_values_and_scale_invariance():
-    point = to_dimensionless(2.0, 0.5, 4.0)
-    assert point.coupling_over_kt == 0.5
-    assert point.field_over_kt == 0.125
-    scaled = to_dimensionless(2.0 * 8, 0.5 * 8, 4.0 * 8)
-    assert scaled == point
-    with pytest.raises(SpecError):
-        to_dimensionless(1.0, 0.0, 0.0)
-    with pytest.raises(SpecError):
-        to_dimensionless(1.0, 0.0, -2.0)
+            xx_witness_single_integral(bad_kt, 0.0, 1.0)
 
 
 def test_config_roundtrip():
@@ -210,7 +229,76 @@ def test_config_validates_downstream():
         validate_spec(spec)
 
 
-def test_dimensionless_point_requires_finite():
-    assert math.isfinite(to_dimensionless(1.0, 0.0, 1e-300).coupling_over_kt)
-    with pytest.raises(SpecError):
-        to_dimensionless(1e300, 0.0, 1e-300)
+def test_overflowing_ratio_is_a_numerical_failure():
+    # J/kT = 1e300 integrates; J/kT past the float range is legal input that overflows
+    assert math.isfinite(xx_witness_single_integral(1e-300, 0.0, 1.0))
+    with pytest.raises(QuadratureError, match="overflows"):
+        xx_witness_single_integral(1e-300, 0.0, 1e300)
+
+
+# ---------------------------------------------------------------------------
+# One kT rule for every route: legal extremes are numbers or numerical failures
+
+
+def _ring(j, b):
+    return ModelSpec.xxx(j, b=b, n_sites=4)
+
+
+def _ratio(x, kt):
+    """x/kT (x > 0) capped at the largest float: lnZ takes the ratios, which must be finite."""
+    return min(x / kt, sys.float_info.max)
+
+
+def _scan_cells(kt, j, b, as_printed):
+    """A 1x1 scan's W; a NaN cell must carry an overflow cell error."""
+    grid = region_scan(np.array([kt / abs(j)]), np.array([b / abs(j)]), as_printed=as_printed)
+    for ib, ik, message in grid.cell_errors:
+        assert np.isnan(grid.w[ib, ik]) and "overflows" in message, message
+    return grid.w[~np.isnan(grid.w)]
+
+
+def _ed_thermal(kt, j, b):
+    obs = thermal_observables(_ring(j, b), kt)
+    return (obs.u, obs.m, obs.log_partition, *np.ravel(obs.bond_correlators))
+
+
+def _ed_ground(kt, j, b):
+    obs = ground_state_observables(_ring(j, b))  # no kT; its ln Z is NaN by definition
+    return (obs.u, obs.m, *np.ravel(obs.bond_correlators))
+
+
+_ROUTES = {
+    "ed-thermal": _ed_thermal,
+    "ed-ground": _ed_ground,
+    "ed-pair": lambda kt, j, b: reduced_pair_state(_ring(j, b), kt, (0, 1)).matrix,
+    "jw": lambda kt, j, b: jw_observables(6, kt, j, b),
+    "limit-u": lambda kt, j, b: xx_internal_energy(kt, b, j),
+    "limit-m": lambda kt, j, b: xx_magnetization(kt, b, j),
+    "limit-m-printed": lambda kt, j, b: xx_magnetization(kt, b, j, as_printed=True),
+    "limit-lnz": lambda kt, j, b: xx_log_partition_density(_ratio(j, kt), _ratio(b, kt)),
+    "limit-w": lambda kt, j, b: xx_witness(kt, b, j).value,
+    "limit-w-single-integral": lambda kt, j, b: xx_witness_single_integral(kt, b, j),
+    "scan": lambda kt, j, b: _scan_cells(kt, j, b, as_printed=False),
+    "scan-printed": lambda kt, j, b: _scan_cells(kt, j, b, as_printed=True),
+    "boundary": lambda kt, j, b: np.ravel(boundary_trace([b / abs(j)], kt_min=kt / abs(j)).points),
+    "endpoint-field": lambda kt, j, b: critical_field_low_temperature(kt / abs(j), j),
+    "endpoint-temperature": lambda kt, j, b: critical_temperature_zero_field(j),
+    "lowtemp-ferro-w": lambda kt, j, b: lowtemp_ferro_witness(10, kt, b, j).value,
+    "lowtemp-ferro-lnz": lambda kt, j, b: lowtemp_ferro_log_partition(10, kt, b, j),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kt, j, b", [
+    (1e-320, 1.0, 0.5),  # 1/kT and J/kT overflow
+    (1e-300, 1e9, 0.5),  # J/kT overflows
+    (1e-10, 1.0, 1e300),  # B/kT overflows
+], ids=["subnormal-kt", "overflowing-j-over-kt", "overflowing-b-over-kt"])
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_legal_extremes_are_numbers_or_numerical_failures(route, kt, j, b):
+    # never SpecError (the input is legal) and never a silent NaN
+    try:
+        values = _ROUTES[route](kt, j, b)
+    except (QuadratureError, FloatingPointError):
+        return
+    assert np.isfinite(np.asarray(values)).all(), values

@@ -486,6 +486,43 @@ def _reference_witness(kt, b):
         return float(2 / mpmath.pi * abs(value))
 
 
+def _reference_printed_witness(kt, b):
+    """|U + B M_printed| (J = 1) by mpmath's tanh-sinh rule, split around the kink."""
+    with mpmath.workdps(30):
+        kt, b = mpmath.mpf(kt), mpmath.mpf(b)
+        k, c = 1 / kt, b / kt
+        nodes = [mpmath.mpf(0), mpmath.pi]
+        if abs(c) <= 2 * k:  # the kink w* and +-{1, 16} step widths around it
+            star = mpmath.acos(c / (2 * k))
+            width = 1 / max(2 * k * mpmath.sin(star), mpmath.sqrt(k))
+            nodes = sorted({*nodes, *(min(max(star + s * width, 0), mpmath.pi)
+                                      for s in (-16, -1, 0, 1, 16))})
+
+        def energy(w):
+            x = 2 * k * mpmath.cos(w) - c
+            return x * mpmath.tanh(x)
+
+        def printed(w):
+            f = abs(2 * k * mpmath.cos(w) - c)
+            return 4 * k * k * mpmath.cos(w) ** 2 * (mpmath.tanh(f) / f if f else 1)
+
+        u = -kt * mpmath.quad(energy, nodes) / mpmath.pi
+        m = -mpmath.quad(printed, nodes) / mpmath.pi
+        return float(abs(u + b * m))
+
+
+def test_printed_scan_matches_the_reference():
+    # the printed M integrates to U's scaled tolerance abs_tol * max(1, K, C): with
+    # a bare abs_tol, the cell at kT = 1e-3, B = 0.9 ran out of panels
+    kts, bs = [1e-3, 5e-3, 0.05, 1.0], [0.0, 0.9, 2.5]
+    grid = region_scan(np.array(kts), np.array(bs), as_printed=True)
+    assert grid.cell_errors == ()
+    for ib, b in enumerate(bs):
+        for ik, kt in enumerate(kts):
+            reference = _reference_printed_witness(kt, b)
+            assert abs(grid.w[ib, ik] - reference) < 1e-8 * reference, (kt, b)
+
+
 @pytest.mark.parametrize("b", [1.2, 3.0])
 def test_batched_witness_is_accurate_at_low_temperature(b):
     # kT = 1e-3: the tanh step near the kink is ~5e-4 wide. The per-panel
@@ -571,8 +608,10 @@ def test_region_scan_axis_validation():
             region_scan(np.array([0.5, bad]), np.array([0.0]))
         with pytest.raises(SpecError):
             region_scan(np.array([0.5]), np.array([bad]))
-    with pytest.raises(SpecError):  # B/kT overflows
-        region_scan(np.array([1e-300]), np.array([1e10]))
+    # B/kT overflows: legal input, a numerical failure of its cell
+    grid = region_scan(np.array([1e-300]), np.array([1e10]))
+    assert np.isnan(grid.w[0, 0])
+    assert len(grid.cell_errors) == 1 and "overflows" in grid.cell_errors[0][2]
 
 
 def test_witness_report_source_is_the_limit():
@@ -635,6 +674,21 @@ def test_lowtemp_rejects_counts_that_are_not_integers(n):
         lowtemp_ferro_witness(n, 0.1, 0.5, 1.0)
     with pytest.raises(SpecError):
         lowtemp_ferro_log_partition(n, 0.1, 0.5, 1.0)
+
+
+def test_lowtemp_log_partition_past_the_float_range_raises():
+    # beta = 1/kT = inf: lnZ = N beta (J + B) is infinite, while W = 1 - sigma/(2 N beta J)
+    # is exactly 1, since sigma = 0
+    with pytest.raises(FloatingPointError, match="lnZ = inf is not finite"):
+        lowtemp_ferro_log_partition(10, 1e-320, 0.4, 1.0)
+    assert lowtemp_ferro_witness(10, 1e-320, 0.4, 1.0).value == 1.0
+
+
+@pytest.mark.parametrize("b, j", [(math.nan, 1.0), (0.4, math.inf), (math.inf, 1.0)])
+def test_lowtemp_rejects_non_finite_couplings(b, j):
+    for route in (lowtemp_ferro_witness, lowtemp_ferro_log_partition):
+        with pytest.raises(SpecError, match="B and J must be finite"):
+            route(10, 0.1, b, j)
 
 
 def test_huge_chains_do_not_overflow():
