@@ -12,9 +12,11 @@ every tolerance must be finite, and every tolerance > 0 (ValueError
 otherwise). Integrands must accept and return numpy arrays.
 
 :func:`adaptive_quadrature_rows` integrates many rows of a parametric
-integrand at once, each round as one array, and fails rows alone;
-:func:`adaptive_quadrature` is its one-row form for a plain ``f(x)`` and
-raises :class:`QuadratureError` instead.
+integrand at once, each round as one array, and fails rows alone.
+:func:`adaptive_quadrature` integrates one plain ``f(x)`` by its own loop
+of rounds over the same rules, without the rows driver's bookkeeping; it
+returns a one-row call's bits and raises :class:`QuadratureError` with the
+message that call would record.
 """
 
 from __future__ import annotations
@@ -49,24 +51,19 @@ def adaptive_quadrature(f, a, b, abs_tol=DEFAULT_ABS_TOL, max_panels=DEFAULT_MAX
     """Integrate ``f`` over [a, b] to absolute tolerance ``abs_tol``.
 
     ``seeds`` pre-split the interval; those outside (a, b) are ignored.
-    This is a one-row :func:`adaptive_quadrature_rows` call, with its first
-    panels cut by a Python sort; it raises :class:`QuadratureError` where
-    that call would fail the row.
+    A list of floats is taken as it is, anything else through numpy. The
+    value has the bits of a one-row :func:`adaptive_quadrature_rows` call;
+    :class:`QuadratureError` is raised where that call would fail the row.
     """
     a, b = _finite_bounds(a, b)
-    abs_tol = _tolerance(abs_tol, 1)
+    abs_tol = _row_tolerance(abs_tol)
     if a == b:
         return 0.0
+    if not (isinstance(seeds, list) and all(isinstance(s, float) for s in seeds)):
+        seeds = np.asarray(seeds, dtype=float).ravel().tolist()
     lo, hi = min(a, b), max(a, b)
-    inner = {s for s in np.asarray(seeds, dtype=float).ravel().tolist() if lo < s < hi}
-    edges = np.array([a, *sorted(inner, reverse=b < a), b])
-    failures: dict[int, str] = {}
-    value = _integrate_block(lambda rows, x: f(x), 0, 1, a, b, edges[:-1], edges[1:],
-                             np.zeros(edges.size - 1, dtype=np.intp), abs_tol, max_panels,
-                             failures)
-    if failures:
-        raise QuadratureError(failures[0])
-    return float(value[0])
+    edges = [a, *sorted({s for s in seeds if lo < s < hi}, reverse=b < a), b]
+    return _integrate_row(f, a, b, edges, abs_tol, max_panels)
 
 
 def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL,
@@ -119,13 +116,20 @@ def _tolerance(abs_tol, n_rows) -> np.ndarray:
     """
     if isinstance(abs_tol, np.ndarray) and abs_tol.ndim:
         valid = abs_tol.shape == (n_rows,) and np.all((0.0 < abs_tol) & (abs_tol < math.inf))
-    else:  # checked without numpy, a fixed cost of every short one-row call
+    else:  # a float is checked without numpy
         abs_tol = float(abs_tol)
         valid = 0.0 < abs_tol < math.inf
     if valid:
         return np.full(n_rows, abs_tol, dtype=float)
     raise ValueError(f"abs_tol must be finite and > 0, one float or one per row "
                      f"({n_rows}), got {abs_tol!r}")
+
+
+def _row_tolerance(abs_tol) -> float:
+    """One row's ``abs_tol`` as a float, checked as :func:`_tolerance` checks it."""
+    if isinstance(abs_tol, float) and 0.0 < abs_tol < math.inf:
+        return float(abs_tol)
+    return float(_tolerance(abs_tol, 1)[0])
 
 
 def _first_panels(a, b, seeds):
@@ -142,14 +146,19 @@ def _first_panels(a, b, seeds):
 
 
 def _panel_estimates(f, rows, pa, pb):
-    """20-node value, 10/20-node difference, midpoint and width of each panel [pa, pb]."""
+    """20-node value, 10/20-node difference, midpoint and width of each panel [pa, pb].
+
+    ``f(rows, x)`` gets each panel's row; with ``rows`` None it is ``f(x)``.
+    """
     if pa.size > _CHUNK_PANELS:  # caps the (panels x 30) temporaries of deep refinements
         chunks = [slice(i, i + _CHUNK_PANELS) for i in range(0, pa.size, _CHUNK_PANELS)]
-        parts = [_panel_estimates(f, rows[c], pa[c], pb[c]) for c in chunks]
+        parts = [_panel_estimates(f, None if rows is None else rows[c], pa[c], pb[c])
+                 for c in chunks]
         return tuple(np.concatenate(column) for column in zip(*parts))
     width = pb - pa
     half, mid = 0.5 * width, 0.5 * (pa + pb)
-    fw = f(rows, mid[:, None] + half[:, None] * _NODES) * _WEIGHTS
+    x = mid[:, None] + half[:, None] * _NODES
+    fw = (f(x) if rows is None else f(rows, x)) * _WEIGHTS
     value = half * np.add.reduce(fw[:, _N_LO:], axis=1)
     return value, np.abs(value - half * np.add.reduce(fw[:, :_N_LO], axis=1)), mid, width
 
@@ -215,3 +224,47 @@ def _integrate_block(f, first, n, a, b, pa, pb, prow, abs_tol, max_panels, failu
     if failed is not None:
         total[failed] = np.nan
     return total
+
+
+def _integrate_row(f, a, b, edges, abs_tol, max_panels):
+    """One row of :func:`_integrate_block` for a plain ``f(x)``, from its first panel ``edges``.
+
+    The same rounds, acceptance test, child order, panel budget,
+    resolution check and summation order, so the same bits and messages,
+    without the per-row indices, tolerance gather and counts.
+    """
+    tol_per_width = abs_tol / (b - a)
+    total = 0.0
+    panels = len(edges) - 1
+    ulp = math.ulp(max(abs(a), abs(b)))
+    narrowest = min(abs(hi - lo) for lo, hi in zip(edges, edges[1:])) - ulp
+    edges = np.array(edges)
+    pa, pb = edges[:-1], edges[1:]
+    while True:
+        value, err, mid, width = _panel_estimates(f, None, pa, pb)
+        if narrowest <= 4.0 * ulp:
+            stuck = ((mid == pa) | (mid == pb)).nonzero()[0]
+            if stuck.size:
+                raise QuadratureError(f"quadrature did not reach abs_tol={abs_tol:g}: a panel at "
+                                      f"x={float(pa[stuck[0]])!r} reached floating-point resolution")
+        narrowest = 0.5 * narrowest - ulp
+        accept = err <= tol_per_width * width  # a NaN estimate is split
+        flags = accept.tolist()
+        # each round's accepted values add up in panel order, then join the total
+        accepted = 0.0
+        for v, ok in zip(value.tolist(), flags):
+            if ok:
+                accepted += v
+        total += accepted
+        n_split = flags.count(False)
+        if n_split == 0:
+            return total
+        panels += n_split
+        if panels > max_panels:
+            raise QuadratureError(f"quadrature did not reach abs_tol={abs_tol:g} "
+                                  f"within {max_panels} panels")
+        # children in the rows driver's order, all left halves then all right halves
+        halves = np.concatenate((pa, mid, mid, pb)).reshape(4, -1)
+        if n_split < len(flags):
+            halves = halves[:, ~accept]
+        pa, pb = halves.reshape(2, -1)

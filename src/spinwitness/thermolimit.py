@@ -34,7 +34,10 @@ regula falsi) root finder. ``region_scan(as_printed=True)`` batches U
 and the printed magnetization the same way, one quadrature each. Single
 points use the scalar routes: ``xx_witness`` (U + B*M from two integrals)
 and ``xx_witness_single_integral``, which returns the batched route's
-bits; the two are each other's cross-check in ``validate``.
+bits; the two are each other's cross-check in ``validate``. A scalar
+route integrates one (K, C) by ``adaptive_quadrature``'s own one-row
+loop, seeded by float seeds with the batched seeds' bits, so each scalar
+integral equals its batched row.
 
 Every integral is pre-split around the step of tanh(2K cos w - C) at
 w* = arccos(C/2K) (``_step_seeds``), so low-T steps are resolved.
@@ -75,8 +78,8 @@ from .quadrature import (
 from .witness import (
     SOURCE_LOWTEMP_APPROX,
     WitnessReport,
+    _totals_report,
     per_site_witness_report,
-    witness_value,
 )
 
 MAGNETIZATION_LNZ_DERIVATIVE = "lnz-derivative"
@@ -99,6 +102,7 @@ def _tanh_over(f):
 
 
 _SEED_OFFSETS = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0])
+_FLOAT_SEED_OFFSETS = _SEED_OFFSETS.tolist()
 
 _MAX_FLOAT = float(np.finfo(float).max)
 # Largest |K| and |C| integrated. Up to here 2K cos w - C, its integrands
@@ -178,6 +182,23 @@ def _step_seeds(k, c):
     return star[..., None] + width[..., None] * _SEED_OFFSETS
 
 
+def _float_step_seeds(k, c):
+    """:func:`_step_seeds` of one float (K, C), as a list; [] if there is no step.
+
+    Float arithmetic with only arccos and sin from numpy, so the seeds keep
+    the bits of the array route whichever arccos and sin numpy was built
+    with. Without a step every seed is NaN and makes no panel, so the empty
+    list cuts the same first panels.
+    """
+    ratio = c / (2.0 * k) if k != 0.0 else math.nan
+    if not abs(ratio) <= 1.0:
+        return []
+    star = float(np.arccos(ratio))
+    ak = abs(k)
+    width = 1.0 / max(2.0 * ak * float(np.sin(star)), math.sqrt(ak))
+    return [star + width * offset for offset in _FLOAT_SEED_OFFSETS]
+
+
 def _integrate(integrand, k, c, abs_tol, limit=_MAX_ARGUMENT):
     """Integral of ``integrand`` over [0, pi], seeded at the step of (K, C).
 
@@ -186,11 +207,8 @@ def _integrate(integrand, k, c, abs_tol, limit=_MAX_ARGUMENT):
     reason = _out_of_range(k, c, limit)
     if reason is not None:
         raise QuadratureError(reason)
-    # Without a step every seed is NaN and makes no panel, so skipping them
-    # keeps the bits; the test is on the quotient arccos would see.
-    has_step = k != 0.0 and abs(c / (2.0 * k)) <= 1.0
     return adaptive_quadrature(integrand, 0.0, math.pi, abs_tol=abs_tol,
-                               seeds=_step_seeds(k, c) if has_step else ())
+                               seeds=_float_step_seeds(k, c))
 
 
 def xx_log_partition_density(coupling_over_kt, field_over_kt,
@@ -629,14 +647,22 @@ def lowtemp_ferro_witness(n_sites, kt, b, j,
     variant instead yields U + B M = B^2 + sigma/(2 beta), i.e. W -> 0 for
     large N, contradicting the W = 1 conclusion; it is reported for
     comparison only.
+
+    W is taken from these closed forms of U + B M, not from the sum of U
+    and B M, whose N B terms cancel and would cost (B/J) eps of accuracy.
     """
     n, beta, b, j, ln_h = _lowtemp_args(n_sites, kt, b, j)
     sigma = _expit(ln_h)
     band = sigma * (2.0 * b + 0.5 / beta)
+    thermal = sigma * (0.5 / beta)
     if printed_exponent:
         u = -b * (j + b) + band
         m = (j + 2.0 * b) - 2.0 * sigma
+        u_plus_bm = b * b + thermal
     else:
         u = -n * (j + b) + band
         m = n - 2.0 * sigma
-    return witness_value(u, m, b, j, n, source=SOURCE_LOWTEMP_APPROX)
+        u_plus_bm = -n * j + thermal
+    if not (math.isfinite(u) and math.isfinite(m)):
+        raise FloatingPointError(f"U = {u} or M = {m} is not finite")
+    return _totals_report(u, m, b, j, n, SOURCE_LOWTEMP_APPROX, u_plus_bm)

@@ -107,12 +107,31 @@ def _report(u: float, m: float, b: float, j: float, n_sites, value: float,
                                            "threshold": THRESHOLD})
 
 
+def _witness_ratio(u_plus_bm: float, scale: float) -> float:
+    """|U + B*M| / scale; FloatingPointError where finite inputs overflow it."""
+    value = abs(u_plus_bm) / scale
+    if value == math.inf:
+        raise FloatingPointError(f"W = |U + B*M|/(N|J|) = {abs(u_plus_bm):g}/{scale:g} "
+                                 "overflows the float range")
+    return value
+
+
 def witness_value(u, m, b, j, n_sites, source: str = SOURCE_EXTERNAL) -> WitnessReport:
     """Evaluate W = |U + B*M| / (N*|J|) from measured totals.
 
     U must be referenced to zero at infinite temperature (the natural
     convention here, since every Hamiltonian term is traceless). The
-    verdict is W > 1; anything else is merely "not detected".
+    verdict is W > 1; anything else is merely "not detected". Finite
+    inputs whose W overflows raise FloatingPointError.
+    """
+    return _totals_report(u, m, b, j, n_sites, source)
+
+
+def _totals_report(u, m, b, j, n_sites, source, u_plus_bm=None) -> WitnessReport:
+    """:func:`witness_value`, with U + B*M taken from ``u_plus_bm`` where it is given.
+
+    A closed form of U + B*M avoids the cancellation of the N*B terms in
+    the sum of U and B*M; the report still carries U and M.
     """
     j = float(j)
     if j == 0.0 or not math.isfinite(j):
@@ -123,7 +142,8 @@ def witness_value(u, m, b, j, n_sites, source: str = SOURCE_EXTERNAL) -> Witness
     u, m, b = float(u), float(m), float(b)
     if not math.isfinite(u + m + b):  # or finite inputs whose sum overflows
         _finite_inputs(u, m, b)
-    return _report(u, m, b, j, n, abs(u + b * m) / (n * abs(j)), source)
+    u_plus_bm = u + b * m if u_plus_bm is None else float(u_plus_bm)
+    return _report(u, m, b, j, n, _witness_ratio(u_plus_bm, n * abs(j)), source)
 
 
 def per_site_witness_report(u_per_site, m_per_site, b, j,
@@ -133,7 +153,7 @@ def per_site_witness_report(u_per_site, m_per_site, b, j,
     if j == 0.0 or not math.isfinite(j):
         raise SpecError("witness undefined for J = 0")
     u, m, b = _finite_inputs(u_per_site, m_per_site, b)
-    return _report(u, m, b, j, None, abs(u + b * m) / abs(j), source)
+    return _report(u, m, b, j, None, _witness_ratio(u + b * m, abs(j)), source)
 
 
 def _eligible_family(family) -> str:

@@ -61,6 +61,14 @@ def test_measured_witness_rejects_non_finite_inputs(capsys, flag, value):
     assert out == "" and "finite" in err
 
 
+def test_measured_witness_past_the_float_range_exits_2(capsys):
+    # legal input whose W overflows is a numerical failure, not W = inf "entangled"
+    rc, out, err = run(["witness", "--measured", "--u", "1e300", "--m", "0", "--j", "1e-10",
+                        "--n", "1"], capsys)
+    assert rc == 2
+    assert out == "" and "overflows the float range" in err
+
+
 def test_model_witness_matches_the_library(capsys):
     rc, out, _ = run(["witness", "--model", "xxx", "--n", "6", "--b", "0.5",
                       "--kt", "0.8", "--out", "json"], capsys)

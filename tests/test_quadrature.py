@@ -175,19 +175,73 @@ def test_failed_rows_name_their_own_tolerance():
     assert np.isnan(values[[0, 2]]).all() and math.isfinite(values[1])
 
 
+# Integrands that fail on [0, 5], each with the max_panels it runs under.
+FAILING_FUNCS = [
+    (lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / math.sqrt(2.0)) + 1e-300), 64),  # panel budget
+    (lambda x: np.where(x < 0.7, np.cos(x), np.nan), 4096),  # NaN estimates are always split
+]
+# A jump at x = 0.3: halved down to floating-point resolution for most first
+# panels, accepted where both rules' nodes fall on one side of it.
+JUMP = lambda x: np.where(x < 0.3, 0.0, 1.0)
+
+
+def _both_drivers(f, a, b, abs_tol=1e-12, max_panels=4096, seeds=()):
+    """(rows driver, scalar driver) outcomes: a value, or the failure message."""
+    row = np.array([seeds], dtype=float).reshape(1, -1)
+    values, failures = adaptive_quadrature_rows(_rows_of([f]), 1, a, b, abs_tol=abs_tol,
+                                                max_panels=max_panels, seeds=row)
+    assert set(failures) <= {0} and math.isnan(values[0]) == bool(failures)
+    try:
+        scalar = adaptive_quadrature(f, a, b, abs_tol=abs_tol, max_panels=max_panels,
+                                     seeds=seeds)
+    except QuadratureError as exc:
+        scalar = str(exc)
+    return failures.get(0, values[0]), scalar
+
+
 @pytest.mark.parametrize("seeds", [(), (0.7,), (2.5, 0.7, 0.7, 9.0, -1.0), (1.0, 1.0 + 1e-17),
                                    (math.nan, 0.7, math.nan), (math.nan,),
                                    (0.0, 5.0), (5.0, 2.5, 0.0, 2.5)])
 @pytest.mark.parametrize("a,b", [(0.0, 5.0), (5.0, 0.0)])
 def test_scalar_driver_is_a_one_row_rows_call(seeds, a, b):
-    # one acceptance rule, two ways to cut the first panels: the same bits,
-    # seeded or not, either direction; NaN seeds and seeds at a or b cut nothing
+    # one acceptance rule, two loops of rounds: the same bits, seeded or not,
+    # either direction (NaN seeds and seeds at a or b cut nothing), and where
+    # the row fails, the rows driver's message raised as QuadratureError
     for f in ROW_FUNCS:
-        row = np.array([seeds], dtype=float).reshape(1, -1)
-        values, failures = adaptive_quadrature_rows(_rows_of([f]), 1, a, b, abs_tol=1e-12,
-                                                    seeds=row)
-        assert failures == {}
-        assert adaptive_quadrature(f, a, b, abs_tol=1e-12, seeds=seeds) == values[0]
+        rows, scalar = _both_drivers(f, a, b, seeds=seeds)
+        assert isinstance(rows, float) and scalar == rows
+    for f, max_panels in FAILING_FUNCS:
+        rows, scalar = _both_drivers(f, a, b, max_panels=max_panels, seeds=seeds)
+        assert rows.endswith(f"within {max_panels} panels") and scalar == rows
+    rows, scalar = _both_drivers(JUMP, a, b, seeds=seeds)
+    assert scalar == rows
+    if (a, b, seeds) == (0.0, 5.0, (0.7,)):
+        assert "reached floating-point resolution" in rows
+    # a list of floats is taken as given, other seeds through numpy: the same cut
+    listed = [float(s) for s in seeds]
+    assert adaptive_quadrature(ROW_FUNCS[2], a, b, abs_tol=1e-12, seeds=listed) == \
+        adaptive_quadrature(ROW_FUNCS[2], a, b, abs_tol=1e-12, seeds=np.array(seeds))
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 1.0 + 1e-12), (1.0 + 1e-12, 1.0)])
+@pytest.mark.parametrize("abs_tol", [1e-13, 1e-10, 100.0])
+def test_scalar_driver_fails_at_floating_point_resolution_as_the_rows_driver(a, b, abs_tol):
+    # a tiny interval whose every panel misses the tolerance: halved down to one ulp
+    pole = a + (b - a) / 3.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows, scalar = _both_drivers(lambda x: 1.0 / (x - pole) ** 2, a, b, abs_tol=abs_tol)
+    assert "reached floating-point resolution" in rows and scalar == rows
+
+
+@pytest.mark.parametrize("max_panels", [1, 2, 3, 9, 40])
+@pytest.mark.parametrize("f, b, seeds", [(ROW_FUNCS[1], 5.0, ()),
+                                         (ROW_FUNCS[1], 5.0, (1.0, 2.0, 3.0, 4.0)),
+                                         (np.cos, 0.5, (0.1, 0.2, 0.3))])
+def test_scalar_driver_counts_panels_as_the_rows_driver(max_panels, f, b, seeds):
+    # first panels plus one per split: a budget below the first panels fails
+    # only once a panel is split, and then with the rows driver's message
+    rows, scalar = _both_drivers(f, 0.0, b, max_panels=max_panels, seeds=seeds)
+    assert scalar == rows
 
 
 def test_rows_take_their_own_nan_padded_seeds():

@@ -394,13 +394,15 @@ def _scalar_limit_values(kt, b, j):
 @pytest.mark.parametrize("j", [1.0, -1.0])
 def test_scalar_integrals_seed_only_at_a_step_and_keep_the_bits(monkeypatch, kt, b, j):
     values = _scalar_limit_values(kt, b, j)
-    step_seeds, quotients = thermolimit._step_seeds, []
+    float_step_seeds, quotients = thermolimit._float_step_seeds, []
 
     def recorded(k, c):
-        quotients.append(c / (2.0 * k))
-        return step_seeds(k, c)
+        seeds = float_step_seeds(k, c)
+        if seeds:
+            quotients.append(c / (2.0 * k))
+        return seeds
 
-    monkeypatch.setattr(thermolimit, "_step_seeds", recorded)
+    monkeypatch.setattr(thermolimit, "_float_step_seeds", recorded)
     assert _scalar_limit_values(kt, b, j) == values
     assert all(abs(q) <= 1.0 for q in quotients)
     if abs(b) <= 2.0:
@@ -454,6 +456,71 @@ def test_scalar_routes_are_one_row_rows_calls(monkeypatch):
             assert outcome == values[0], (k, c)
             kinds.add("seeded" if np.isfinite(seeds).any() else "no step")
     assert kinds == {"failed", "seeded", "no step"}
+
+
+def _scalar_or_message(route):
+    try:
+        return route()
+    except quadrature.QuadratureError as exc:
+        return str(exc)
+
+
+def _row_or_message(integrand, k, c, abs_tol, limit=thermolimit._MAX_ARGUMENT):
+    """One (K, C) through the batched ``_rows``: its integral, or its failure message."""
+    values, failures = thermolimit._rows(integrand, np.array([k]), np.array([c]),
+                                         np.array([abs_tol]), limit)
+    return failures.get(0, values[0])
+
+
+EDGE_FIELDS = [s * x for s in (1.0, -1.0)
+               for x in (math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kt=st.one_of(st.floats(-300.0, math.log10(40.0)).map(lambda e: 10.0 ** e),
+                    st.floats(0.02, 40.0), st.sampled_from([1e-300, 1e-8, 0.051, 40.0])),
+       b=st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, *EDGE_FIELDS])),
+       j=st.sampled_from([1.0, -1.0]),
+       abs_tol=st.sampled_from([1e-13, 1e-10, 1e-4, 100.0]))
+def test_scalar_routes_keep_the_bits_of_the_batched_rows(kt, b, j, abs_tol):
+    # The scalar loop and float seeds against the batched driver and _step_seeds:
+    # W equals a 1x1 scan cell, U and the printed M equal a one-point _rows call
+    # with the same integrand and tolerance, bit for bit or with the same message.
+    w = _scalar_or_message(lambda: xx_witness_single_integral(kt, b, j, abs_tol=abs_tol))
+    grid = region_scan(np.array([kt]), np.array([b]), abs_tol=abs_tol)
+    if isinstance(w, str):
+        assert math.isnan(grid.w[0, 0]) and grid.cell_errors == ((0, 0, w),)
+    else:
+        assert w == grid.w[0, 0] and grid.cell_errors == ()
+    k, c = j / kt, b / kt
+    tol = float(thermolimit._scaled_tol(abs_tol, abs(k), abs(c)))
+    u = _scalar_or_message(lambda: xx_internal_energy(kt, b, j, abs_tol=abs_tol))
+    row = _row_or_message(thermolimit._energy_integrand, abs(k), abs(c), tol)
+    assert u == (row if isinstance(row, str) else -kt * row / math.pi)
+    printed = _scalar_or_message(lambda: xx_magnetization(kt, b, j, abs_tol=abs_tol,
+                                                          as_printed=True))
+    row = _row_or_message(thermolimit._printed_integrand, k, c, tol,
+                          thermolimit._MAX_PRINTED_ARGUMENT)
+    assert printed == (row if isinstance(row, str) else row / math.pi)
+
+
+@pytest.mark.parametrize("k", [1e-300, 0.3, 1.0, 50.0, 1e8, 2.8e306, -1.0, -50.0])
+def test_float_step_seeds_are_the_step_seeds_row(k):
+    # the scalar routes' float seeds have the bits of the batched seeds, and
+    # there are none exactly where the batched row is all NaN
+    ratios = [0.0, 0.3, -0.7, 1.0, -1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+              1.5, -3.0, 1e-300]
+    for c in [2.0 * k * r for r in ratios] + [0.0, 1.0, math.inf]:
+        seeds = thermolimit._float_step_seeds(k, c)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            row = thermolimit._step_seeds(np.array([k]), np.array([c]))[0]
+        if np.isnan(row).all():
+            assert seeds == []
+        else:
+            assert all(isinstance(s, float) for s in seeds)
+            assert np.array(seeds).tobytes() == row.tobytes(), (k, c)
+    assert thermolimit._float_step_seeds(0.0, 0.0) == []
+    assert thermolimit._float_step_seeds(0.0, 1.0) == []
 
 
 def test_an_accepted_first_panel_is_the_only_evaluation(monkeypatch):
@@ -696,6 +763,41 @@ def test_huge_chains_do_not_overflow():
     report = lowtemp_ferro_witness(10 ** 12, 1e-3, 0.4, 1.0)
     assert math.isfinite(report.value)
     assert report.value <= 1.0
+
+
+def _lowtemp_sigma(n, kt, b, j):
+    """sigma = h/(1 + h), h = N exp(-2 beta B)/sqrt(8 pi beta J), in log space."""
+    beta = 1.0 / kt
+    ln_h = math.log(n) - 2.0 * beta * b - 0.5 * math.log(8.0 * math.pi * beta * j)
+    return 1.0 / (1.0 + math.exp(-ln_h)) if ln_h > -700.0 else 0.0
+
+
+@pytest.mark.parametrize("n,kt,b,j", [(10, 1e-10, 1e16, 1.0), (10, 1e-10, 1e20, 1.0),
+                                      (10, 1e-10, 1e300, 1.0), (10, 0.2, 1e16, 1.0),
+                                      (10, 10.0, 100.0, 1e-14), (10 ** 6, 0.2, 0.4, 1.0)])
+def test_lowtemp_witness_is_its_closed_form_at_any_field(n, kt, b, j):
+    # U + B M = -N J + sigma/(2 beta): the N B terms of U and B M cancel exactly, so
+    # W = |1 - sigma/(2 N beta J)| even where B/J reaches 1e16 and beyond (the sum of
+    # U and B M once returned 0.0 there); U and M are still reported
+    sigma = _lowtemp_sigma(n, kt, b, j)
+    report = lowtemp_ferro_witness(n, kt, b, j)
+    assert report.value == pytest.approx(abs(1.0 - sigma * kt / (2.0 * n * j)), rel=1e-14)
+    assert report.inputs.u == -n * (j + b) + sigma * (2.0 * b + 0.5 * kt)
+    assert report.inputs.m == n - 2.0 * sigma
+    printed = lowtemp_ferro_witness(n, kt, min(b, 1e100), j, printed_exponent=True)
+    assert printed.value == pytest.approx((min(b, 1e100) ** 2 + 0.5 * kt * sigma) / (n * j),
+                                          rel=1e-14)
+
+
+def test_lowtemp_witness_past_the_float_range_is_a_numerical_failure():
+    # legal input whose W, U or M leaves the float range: FloatingPointError, not
+    # W = inf "entangled" and not SpecError
+    with pytest.raises(FloatingPointError, match="overflows the float range"):
+        lowtemp_ferro_witness(10, 1e300, 0.4, 1e-20)
+    with pytest.raises(FloatingPointError, match="is not finite"):
+        lowtemp_ferro_witness(10, 1.0, 1e308, 1.0)
+    with pytest.raises(FloatingPointError, match="is not finite"):
+        lowtemp_ferro_witness(10, 1.0, 1e300, 1.0, printed_exponent=True)
 
 
 # ---------------------------------------------------------------------------

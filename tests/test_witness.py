@@ -66,6 +66,29 @@ def test_non_finite_measured_inputs_are_rejected(bad):
             per_site_witness_report(u, m, b, 1.0)
 
 
+def test_overflowing_witness_is_a_numerical_failure():
+    # finite inputs whose |U + B*M|/(N|J|) passes the float range once gave
+    # W = inf with the verdict "entangled"
+    with pytest.raises(FloatingPointError, match="overflows the float range"):
+        witness_value(1e300, 0.0, 0.0, 1e-10, 1)
+    with pytest.raises(FloatingPointError, match="overflows the float range"):
+        witness_value(0.0, 1e200, 1e200, 1.0, 1)  # B*M itself overflows
+    with pytest.raises(FloatingPointError, match="overflows the float range"):
+        per_site_witness_report(1e300, 0.0, 0.0, 1e-10)
+    with pytest.raises(FloatingPointError, match="overflows the float range"):
+        per_site_witness_report(-1e300, 1e300, 1e300, 1.0)
+    # just inside the range it is still a number
+    assert witness_value(1.7e308, 0.0, 0.0, 1.0, 1).value == 1.7e308
+
+
+@pytest.mark.parametrize("u, m, b, j, n", [(-3.0, 0.0, 0.0, 1.0, 2), (-2.0, 1.5, 2.0, -1.0, 4),
+                                           (-6.25, 0.3, -0.7, 0.45, 8), (1e-300, 0.0, 0.0, 1e-5, 3),
+                                           (1e300, 1.0, -1e300, 1.0, 1)])
+def test_ordinary_witness_inputs_keep_their_bits(u, m, b, j, n):
+    assert witness_value(u, m, b, j, n).value == abs(u + b * m) / (n * abs(j))
+    assert per_site_witness_report(u, m, b, j).value == abs(u + b * m) / abs(j)
+
+
 def test_report_to_dict_is_json_ready():
     report = witness_value(-3.0, 0.0, 0.0, 1.0, 2)
     payload = json.loads(json.dumps(report.to_dict()))
@@ -122,6 +145,9 @@ def reference_witness_value(u, m, b, j, n_sites, source="external-measurement"):
             raise SpecError(f"witness input {name} must be finite, got {value}")
     u, m, b = values
     value = abs(u + b * m) / (n * abs(j))
+    if value == math.inf:
+        raise FloatingPointError(f"W = |U + B*M|/(N|J|) = {abs(u + b * m):g}/{n * abs(j):g} "
+                                 "overflows the float range")
     return WitnessReport(value=value, entangled=value > THRESHOLD, source=source,
                          inputs=WitnessInputs(u=u, m=m, b=b, j=j, n_sites=n))
 
@@ -219,7 +245,7 @@ def test_totals_route_keeps_the_reference_bits_and_errors(u, m, b, j, n, source)
 
 def test_totals_route_builds_the_same_report():
     # finite inputs whose sum overflows are still finite inputs
-    for args in ((-3.0, 0.5, 0.7, 1.1, 10), (1e308, 1e308, 1e308, 2.0, 3)):
+    for args in ((-3.0, 0.5, 0.7, 1.1, 10), (1e308, 1e308, -1.0, 2.0, 3)):
         report, expected = witness_value(*args), reference_witness_value(*args)
         assert report == expected and hash(report) == hash(expected)
         assert report.to_dict() == expected.to_dict()
