@@ -23,7 +23,9 @@ labelled statements do.
 Every route checks its temperature with :func:`require_kt`: a kT that is
 not finite and > 0 is bad input (:class:`SpecError`), like a non-finite J
 or B. A legal kT whose 1/kT, J/kT or B/kT leaves the float range is a
-numerical failure, raised by the route that meets it.
+numerical failure, raised by the route that meets it. Every route that
+scales by |J| (the witness, the concurrence identity, the limit endpoints)
+checks J with :func:`require_coupling`: J = 0 or a non-finite J is bad input.
 """
 
 from __future__ import annotations
@@ -190,6 +192,17 @@ def require_kt(kt) -> float:
     if not (math.isfinite(kt) and kt > 0.0):
         raise SpecError(f"kT must be finite and > 0, got {kt}")
     return kt
+
+
+def require_coupling(j, what: str) -> float:
+    """J as a float; SpecError, naming ``what``, unless it is finite and nonzero.
+
+    The one J check of every route that divides by |J|.
+    """
+    j = float(j)
+    if j == 0.0 or not math.isfinite(j):
+        raise SpecError(f"{what} undefined for J = 0")
+    return j
 
 
 _CONFIG_KEYS = ("family", "jx", "jy", "jz", "b", "n_sites", "boundary", "sign_convention")

@@ -2,11 +2,14 @@
 
 Each panel is integrated with 10- and 20-node Gauss-Legendre rules; the
 difference is the panel's error estimate. A panel of [a, b] is accepted
-when its estimate is at most ``abs_tol * width / (b - a)``, so one wide
-panel whose rules agree by chance across a sharp step cannot end the
-refinement; every other panel is bisected, breadth first. Optional seed
-points pre-split [a, b] where the integrand is steep. Needing more than
-``max_panels`` panels, or halving a panel down to floating-point
+when its estimate is at most ``abs_tol * width / (b - a)``; every other
+panel is bisected, breadth first. Seed points pre-split [a, b]. The rule
+assumes the integrand is smooth on each panel between seeds: a jump, or
+a step steeper than the nodes resolve, strictly inside a panel is
+accepted unseen when both rules' nodes fall on one side of it (a unit
+step at 0.3 integrates over [0, 5] to 4.6875, not 4.7), so callers seed
+every such point, as the limit integrands seed their tanh step. Needing
+more than ``max_panels`` panels, or halving a panel down to floating-point
 resolution, is a failure, never a silent partial answer. Both ends and
 every tolerance must be finite, and every tolerance > 0 (ValueError
 otherwise). Integrands must accept and return numpy arrays.

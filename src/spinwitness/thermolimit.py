@@ -47,7 +47,9 @@ integrals are evaluated at (|K|, |C|) with M's sign restored afterwards,
 which makes W(J,B) = W(-J,B) = W(J,-B) hold bit-for-bit.
 
 Bad input is a kT that is not finite and > 0 (``model.require_kt``) or a
-J or B that is not finite: SpecError. A legal point whose |K| or |C|
+J or B that is not finite: SpecError. The endpoints, which scale by |J|,
+and the per-site witness report also reject J = 0
+(``model.require_coupling``). A legal point whose |K| or |C|
 passes max_float/64 (the printed M: the square root of that, halved),
 or overflows to inf, is a numerical failure: a scalar route, root finder
 or endpoint raises QuadratureError ("... the integrand overflows"), and
@@ -68,7 +70,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import SpecError, require_count, require_kt
+from .model import SpecError, require_count, require_coupling, require_kt
 from .quadrature import (
     DEFAULT_ABS_TOL,
     QuadratureError,
@@ -78,7 +80,7 @@ from .quadrature import (
 from .witness import (
     SOURCE_LOWTEMP_APPROX,
     WitnessReport,
-    _totals_report,
+    _report,
     per_site_witness_report,
 )
 
@@ -528,18 +530,19 @@ def critical_field_zero_temperature(j: float = 1.0) -> float:
     setting it to 1 gives this field, beyond which no entanglement is
     detected at any temperature.
     """
-    return 2.0 * abs(float(j)) * math.sqrt(1.0 - math.pi ** 2 / 16.0)
+    return 2.0 * abs(require_coupling(j, "witness")) * math.sqrt(1.0 - math.pi ** 2 / 16.0)
 
 
 def critical_temperature_zero_field(j: float = 1.0,
                                     residual_tol: float = DEFAULT_ROOT_RESIDUAL,
                                     abs_tol: float = DEFAULT_ABS_TOL) -> float:
     """kT_c at B = 0: the root of W(kT, 0) = 1, of order |J| (~1.367 |J|)."""
+    j = require_coupling(j, "witness")
     root = _illinois(lambda kt, rows: _w_minus_one(kt, np.zeros_like(kt), abs_tol),
                      1, 1e-3, 5.0, residual_tol)[0]
     if math.isnan(root):
         raise QuadratureError("W(kT, 0) = 1 not bracketed in kT/|J| within [1e-3, 5]")
-    return root * abs(float(j))
+    return float(root) * abs(j)
 
 
 def critical_field_low_temperature(kt_over_j: float = 1e-3, j: float = 1.0,
@@ -549,12 +552,12 @@ def critical_field_low_temperature(kt_over_j: float = 1e-3, j: float = 1.0,
 
     Converges to :func:`critical_field_zero_temperature` as kt_over_j -> 0.
     """
-    kt = require_kt(kt_over_j)
+    kt, j = require_kt(kt_over_j), require_coupling(j, "witness")
     root = _illinois(lambda b, rows: _w_minus_one(np.full_like(b, kt), b, abs_tol),
                      1, 0.0, 2.0, residual_tol)[0]
     if math.isnan(root):
         raise QuadratureError(f"W = 1 not bracketed in B/|J| at kT/|J| = {kt_over_j}")
-    return root * abs(float(j))
+    return float(root) * abs(j)
 
 
 def boundary_trace(b_over_j_values, kt_min: float = 1e-3, kt_max: float = 5.0,
@@ -665,4 +668,4 @@ def lowtemp_ferro_witness(n_sites, kt, b, j,
         u_plus_bm = -n * j + thermal
     if not (math.isfinite(u) and math.isfinite(m)):
         raise FloatingPointError(f"U = {u} or M = {m} is not finite")
-    return _totals_report(u, m, b, j, n, SOURCE_LOWTEMP_APPROX, u_plus_bm)
+    return _report(u, m, b, j, n, SOURCE_LOWTEMP_APPROX, u_plus_bm)

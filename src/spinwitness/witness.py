@@ -29,6 +29,7 @@ from .model import (
     SpecError,
     frozen_instance,
     require_count,
+    require_coupling,
     validate_spec,
 )
 
@@ -90,30 +91,32 @@ class WitnessReport:
         }
 
 
-def _finite_inputs(u, m, b) -> tuple[float, float, float]:
-    """(U, M, B) as floats; a NaN or infinite one would yield a meaningless verdict."""
-    values = (float(u), float(m), float(b))
-    for name, value in zip(("U", "M", "B"), values):
-        if not math.isfinite(value):
-            raise SpecError(f"witness input {name} must be finite, got {value}")
-    return values
+def _report(u, m, b, j: float, n: int | None, source: str, u_plus_bm=None) -> WitnessReport:
+    """The report of W = |U + B*M|/(N*|J|), or |u + B*m|/|J| per site where ``n`` is None.
 
-
-def _report(u: float, m: float, b: float, j: float, n_sites, value: float,
-            source: str) -> WitnessReport:
-    inputs = frozen_instance(WitnessInputs, {"u": u, "m": m, "b": b, "j": j, "n_sites": n_sites})
-    return frozen_instance(WitnessReport, {"value": value, "entangled": value > THRESHOLD,
-                                           "source": source, "inputs": inputs,
-                                           "threshold": THRESHOLD})
-
-
-def _witness_ratio(u_plus_bm: float, scale: float) -> float:
-    """|U + B*M| / scale; FloatingPointError where finite inputs overflow it."""
+    ``j`` and ``n`` come checked. A closed form of U + B*M (``u_plus_bm``)
+    avoids the cancellation of the N*B terms in the sum of U and B*M; the
+    report still carries U and M. A NaN or infinite U, M or B would yield a
+    meaningless verdict (SpecError); finite inputs whose W overflows raise
+    FloatingPointError.
+    """
+    if source not in SOURCES:
+        raise SpecError(f"unknown witness source {source!r}")
+    u, m, b = float(u), float(m), float(b)
+    if not math.isfinite(u + m + b):  # or finite inputs whose sum overflows
+        for name, value in (("U", u), ("M", m), ("B", b)):
+            if not math.isfinite(value):
+                raise SpecError(f"witness input {name} must be finite, got {value}")
+    u_plus_bm = u + b * m if u_plus_bm is None else float(u_plus_bm)
+    scale = abs(j) if n is None else n * abs(j)
     value = abs(u_plus_bm) / scale
     if value == math.inf:
         raise FloatingPointError(f"W = |U + B*M|/(N|J|) = {abs(u_plus_bm):g}/{scale:g} "
                                  "overflows the float range")
-    return value
+    inputs = frozen_instance(WitnessInputs, {"u": u, "m": m, "b": b, "j": j, "n_sites": n})
+    return frozen_instance(WitnessReport, {"value": value, "entangled": value > THRESHOLD,
+                                           "source": source, "inputs": inputs,
+                                           "threshold": THRESHOLD})
 
 
 def witness_value(u, m, b, j, n_sites, source: str = SOURCE_EXTERNAL) -> WitnessReport:
@@ -124,36 +127,14 @@ def witness_value(u, m, b, j, n_sites, source: str = SOURCE_EXTERNAL) -> Witness
     verdict is W > 1; anything else is merely "not detected". Finite
     inputs whose W overflows raise FloatingPointError.
     """
-    return _totals_report(u, m, b, j, n_sites, source)
-
-
-def _totals_report(u, m, b, j, n_sites, source, u_plus_bm=None) -> WitnessReport:
-    """:func:`witness_value`, with U + B*M taken from ``u_plus_bm`` where it is given.
-
-    A closed form of U + B*M avoids the cancellation of the N*B terms in
-    the sum of U and B*M; the report still carries U and M.
-    """
-    j = float(j)
-    if j == 0.0 or not math.isfinite(j):
-        raise SpecError("witness undefined for J = 0")
-    n = require_count(n_sites, "n_sites")
-    if source not in SOURCES:
-        raise SpecError(f"unknown witness source {source!r}")
-    u, m, b = float(u), float(m), float(b)
-    if not math.isfinite(u + m + b):  # or finite inputs whose sum overflows
-        _finite_inputs(u, m, b)
-    u_plus_bm = u + b * m if u_plus_bm is None else float(u_plus_bm)
-    return _report(u, m, b, j, n, _witness_ratio(u_plus_bm, n * abs(j)), source)
+    j = require_coupling(j, "witness")
+    return _report(u, m, b, j, require_count(n_sites, "n_sites"), source)
 
 
 def per_site_witness_report(u_per_site, m_per_site, b, j,
                             source: str = SOURCE_THERMODYNAMIC_LIMIT) -> WitnessReport:
     """Report W = |u + B*m| / |J| from per-site densities (N -> infinity)."""
-    j = float(j)
-    if j == 0.0 or not math.isfinite(j):
-        raise SpecError("witness undefined for J = 0")
-    u, m, b = _finite_inputs(u_per_site, m_per_site, b)
-    return _report(u, m, b, j, None, _witness_ratio(u + b * m, abs(j)), source)
+    return _report(u_per_site, m_per_site, b, require_coupling(j, "witness"), None, source)
 
 
 def _eligible_family(family) -> str:
@@ -178,8 +159,8 @@ def witness_from_correlators(bond_correlators, n_sites, family) -> float:
     total = 0.0
     for xx, yy, zz in bond_correlators:
         xx, yy, zz = float(xx), float(yy), float(zz)
-        if abs(xx) > bound or abs(yy) > bound or abs(zz) > bound:  # NaN passes
-            c = next(c for c in (xx, yy, zz) if abs(c) > bound)
+        if not (abs(xx) <= bound and abs(yy) <= bound and abs(zz) <= bound):  # NaN fails
+            c = next(c for c in (xx, yy, zz) if not abs(c) <= bound)
             raise SpecError(f"correlator component {c} outside [-1, 1]")
         total += xx + yy + zz if with_zz else xx + yy
     return abs(total) / n
@@ -195,7 +176,7 @@ def product_state_witness(bloch_vectors, family, boundary=BOUNDARY_PERIODIC) -> 
     if u.ndim != 2 or u.shape[1] != 3:
         raise SpecError(f"expected (n_sites, 3) Bloch vectors, got shape {u.shape}")
     norms = np.linalg.norm(u, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-9:
+    if not np.max(np.abs(norms - 1.0)) <= 1e-9:  # a NaN component fails too
         raise SpecError("Bloch vectors must be unit length")
     family = _eligible_family(family)
     v = u[:, :3 if family == FAMILY_XXX else 2]
@@ -294,13 +275,14 @@ def concurrence_from_energy(u, n_sites, j, antiferromagnetic: bool = True) -> fl
     thermal state carries no pair entanglement at any temperature, so the
     identity is replaced by C = 0 there.
     """
-    j = float(j)
-    if j == 0.0 or not math.isfinite(j):
-        raise SpecError("concurrence identity undefined for J = 0")
+    j = require_coupling(j, "concurrence identity")
     n = require_count(n_sites, "n_sites")
+    u = float(u)
+    if not math.isfinite(u):  # max(0.0, nan) would read as "no concurrence"
+        raise SpecError(f"concurrence input U must be finite, got {u}")
     if not antiferromagnetic:
         return 0.0
-    return 0.5 * max(0.0, abs(float(u)) / (n * abs(j)) - 1.0)
+    return 0.5 * max(0.0, abs(u) / (n * abs(j)) - 1.0)
 
 
 def witness_from_model(spec, kt: float) -> WitnessReport:

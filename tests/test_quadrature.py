@@ -244,6 +244,17 @@ def test_scalar_driver_counts_panels_as_the_rows_driver(max_panels, f, b, seeds)
     assert scalar == rows
 
 
+def test_a_jump_inside_a_panel_needs_a_seed_at_it():
+    # The rule assumes a smooth integrand between seeds: unseeded, the first
+    # panel's nodes all miss the jump and the two rules agree on 4.6875;
+    # seeded at the jump, each side is smooth and the integral is 4.7.
+    assert abs(adaptive_quadrature(JUMP, 0.0, 5.0, abs_tol=1e-12) - 4.6875) < 1e-12
+    for a, b in ((0.0, 5.0), (5.0, 0.0)):
+        rows, scalar = _both_drivers(JUMP, a, b, seeds=(0.3,))
+        assert scalar == rows
+        assert abs(scalar - math.copysign(4.7, b - a)) <= 1e-12
+
+
 def test_rows_take_their_own_nan_padded_seeds():
     seeds = np.array([[0.7, np.nan, np.nan], [np.nan, 4.0, 1.5], [1.5, 1.5, np.nan]])
     values, failures = adaptive_quadrature_rows(_rows_of(ROW_FUNCS), 3, 0.0, 5.0,

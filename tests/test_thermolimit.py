@@ -1,5 +1,6 @@
 """Infinite-chain integrals, the (kT, B) region, and the low-T ferromagnet."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -31,7 +32,13 @@ from spinwitness.thermolimit import (
     xx_witness,
     xx_witness_single_integral,
 )
-from spinwitness.witness import per_site_witness_report
+from spinwitness.witness import (
+    WitnessInputs,
+    WitnessReport,
+    concurrence_from_energy,
+    per_site_witness_report,
+    witness_value,
+)
 
 # root of W(kT, 0) = 1; cross-checked with scipy.integrate.quad + brentq
 KTC_ZERO_FIELD = 1.36683616383713
@@ -169,6 +176,77 @@ def test_critical_temperature_zero_field():
 def test_critical_field_at_low_temperature_nears_the_closed_form():
     bc = critical_field_low_temperature(kt_over_j=1e-3)
     assert abs(bc - BC_ZERO_TEMPERATURE) / BC_ZERO_TEMPERATURE < 2e-3
+
+
+BAD_COUPLINGS = [0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+def test_zero_temperature_critical_field_rejects_a_bad_coupling():
+    # J = NaN once returned B_c = nan
+    for j in BAD_COUPLINGS:
+        with pytest.raises(SpecError, match="^witness undefined for J = 0$"):
+            critical_field_zero_temperature(j)
+    assert type(critical_field_zero_temperature(-2.0)) is float
+
+
+def test_zero_field_critical_temperature_rejects_a_bad_coupling_first(monkeypatch):
+    # J = inf once returned kT_c = inf after a whole root search
+    calls = _counting_witness_calls(monkeypatch)
+    for j in BAD_COUPLINGS:
+        with pytest.raises(SpecError, match="^witness undefined for J = 0$"):
+            critical_temperature_zero_field(j=j)
+    assert calls == []  # rejected before any W is evaluated
+    root = critical_temperature_zero_field(j=1.0)
+    ktc = critical_temperature_zero_field(j=-2.0)
+    assert type(ktc) is float and ktc == root * 2.0
+
+
+def test_low_temperature_critical_field_rejects_a_bad_coupling_first(monkeypatch):
+    # J = 0 once returned B_c = 0.0 after a whole root search
+    calls = _counting_witness_calls(monkeypatch)
+    for j in BAD_COUPLINGS:
+        with pytest.raises(SpecError, match="^witness undefined for J = 0$"):
+            critical_field_low_temperature(1e-3, j=j)
+    with pytest.raises(SpecError, match="kT must be finite"):  # kT is checked first
+        critical_field_low_temperature(0.0, j=0.0)
+    assert calls == []
+    root = critical_field_low_temperature(1e-3, j=1.0)
+    bc = critical_field_low_temperature(1e-3, j=-0.5)
+    assert type(bc) is float and bc == root * 0.5
+
+
+_ROUTES_OVER_J = {
+    "witness_value": lambda j: witness_value(-3.0, 0.0, 0.0, j, 2),
+    "per_site_witness_report": lambda j: per_site_witness_report(-1.2, 0.3, 0.5, j),
+    "concurrence_from_energy": lambda j: concurrence_from_energy(-3.0, 2, j),
+    "critical_field_zero_temperature": critical_field_zero_temperature,
+    "critical_temperature_zero_field": lambda j: critical_temperature_zero_field(j=j),
+    "critical_field_low_temperature": lambda j: critical_field_low_temperature(1e-3, j=j),
+}
+
+
+@pytest.mark.parametrize("j", BAD_COUPLINGS)
+def test_every_route_scaled_by_j_rejects_the_same_couplings(j):
+    messages = {}
+    for name, route in _ROUTES_OVER_J.items():
+        with pytest.raises(SpecError) as error:
+            route(j)
+        messages[name] = str(error.value)
+    assert messages == dict.fromkeys(_ROUTES_OVER_J, "witness undefined for J = 0") | {
+        "concurrence_from_energy": "concurrence identity undefined for J = 0"}
+
+
+@pytest.mark.parametrize("kt, b, j", [(0.3, 0.7, 1.0), (1.5, -0.4, -2.0), (0.02, 2.5, 0.5),
+                                      (2.0, 0.0, 1e-3)])
+def test_limit_witness_is_the_per_site_report_of_its_own_u_and_m(kt, b, j):
+    u, m = xx_internal_energy(kt, b, j), xx_magnetization(kt, b, j)
+    report, expected = xx_witness(kt, b, j), per_site_witness_report(u, m, b, j)
+    for cls, got, want in ((WitnessReport, report, expected),
+                           (WitnessInputs, report.inputs, expected.inputs)):
+        for field in dataclasses.fields(cls):
+            assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
+    assert report.value == abs(u + b * m) / abs(j)
+    assert (report.source, report.inputs.n_sites) == ("thermodynamic-limit", None)
 
 
 def test_boundary_trace():

@@ -89,6 +89,14 @@ def test_ordinary_witness_inputs_keep_their_bits(u, m, b, j, n):
     assert per_site_witness_report(u, m, b, j).value == abs(u + b * m) / abs(j)
 
 
+def test_per_site_report_rejects_an_unknown_source():
+    # witness_value always did; the per-site report once labelled any string
+    with pytest.raises(SpecError, match="unknown witness source 'hearsay'"):
+        per_site_witness_report(-1.2, 0.3, 0.5, 1.0, source="hearsay")
+    for source in SOURCES:
+        assert per_site_witness_report(-1.2, 0.3, 0.5, 1.0, source=source).source == source
+
+
 def test_report_to_dict_is_json_ready():
     report = witness_value(-3.0, 0.0, 0.0, 1.0, 2)
     payload = json.loads(json.dumps(report.to_dict()))
@@ -162,7 +170,7 @@ def reference_witness_from_correlators(bond_correlators, n_sites, family):
     for triple in bond_correlators:
         xx, yy, zz = (float(c) for c in triple)
         for c in (xx, yy, zz):
-            if abs(c) > 1.0 + 1e-9:
+            if not abs(c) <= 1.0 + 1e-9:  # NaN included
                 raise SpecError(f"correlator component {c} outside [-1, 1]")
         total += xx + yy + (zz if family == "xxx" else 0.0)
     return abs(total) / n
@@ -197,10 +205,10 @@ def test_correlator_route_keeps_the_reference_bits(seed, n, open_chain, family, 
     if nan_at is not None and nan_at < values.size:
         values.flat[nan_at] = math.nan
     bonds = outer(container(t) for t in values.tolist())
-    value = witness_from_correlators(bonds, n, family)
-    assert repr(value) == repr(reference_witness_from_correlators(bonds, n, family))
-    assert math.isnan(value) == (nan_at is not None and nan_at < values.size
-                                 and (family == "xxx" or nan_at % 3 != 2))
+    expected = outcome(reference_witness_from_correlators, bonds, n, family)
+    assert outcome(witness_from_correlators, bonds, n, family) == expected
+    # a NaN component is rejected, an XX chain's unused zz included
+    assert isinstance(expected, tuple) == (nan_at is not None and nan_at < values.size)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -226,8 +234,9 @@ def test_correlator_route_names_the_first_component_out_of_range():
     for family in ("xxx", "xx"):
         with pytest.raises(SpecError, match=r"component -1.25 outside"):
             witness_from_correlators(bonds, 3, family)
-    # a NaN component passes the bound test and makes W NaN
-    assert math.isnan(witness_from_correlators([(0.1, math.nan, 0.3)], 1, "xxx"))
+    # a NaN component fails the bound test rather than making W NaN
+    with pytest.raises(SpecError, match=r"component nan outside"):
+        witness_from_correlators([(0.1, math.nan, 0.3)], 1, "xxx")
 
 
 SCALARS = st.one_of(st.floats(-50.0, 50.0), st.floats(allow_nan=True, allow_infinity=True),
@@ -302,6 +311,10 @@ def test_product_state_validation():
         product_state_witness(np.ones((4, 2)), "xxx")
     with pytest.raises(SpecError):
         product_state_witness(np.tile([0.0, 0.0, 1.0], (4, 1)), "xyz")
+    with_nan = np.tile([0.0, 0.0, 1.0], (4, 1))
+    with_nan[2, 0] = math.nan  # once passed the unit-norm test and made W NaN
+    with pytest.raises(SpecError, match="unit length"):
+        product_state_witness(with_nan, "xxx")
 
 
 def test_xx_sum_is_two_thirds_on_isotropic_ground_state():
@@ -465,6 +478,14 @@ def test_concurrence_from_energy_values():
         concurrence_from_energy(-3.0, 2, 0.0)
     with pytest.raises(SpecError):
         concurrence_from_energy(-3.0, 0, 1.0)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("antiferromagnetic", [True, False])
+def test_concurrence_from_energy_rejects_a_non_finite_energy(u, antiferromagnetic):
+    # max(0.0, nan) once read as C = 0, and U = inf gave C = inf
+    with pytest.raises(SpecError, match="concurrence input U must be finite"):
+        concurrence_from_energy(u, 4, 1.0, antiferromagnetic)
 
 
 def test_concurrence_from_energy_matches_wootters():
