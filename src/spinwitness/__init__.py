@@ -31,7 +31,6 @@ from .model import (
     THERMODYNAMIC_LIMIT,
     ModelSpec,
     SpecError,
-    ValidatedSpec,
     spec_from_config,
     validate_spec,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "ModeSpectrum", "ModelSpec", "PairState",
     "QuadratureError", "RegionGrid", "SIGN_AS_PRINTED", "SIGN_SINGLET_GROUND",
     "SpecError", "THERMODYNAMIC_LIMIT", "THRESHOLD", "ThermalObservables",
-    "ValidatedSpec", "WitnessInputs", "WitnessReport",
+    "WitnessInputs", "WitnessReport",
     "bond_list", "boundary_trace", "concurrence",
     "concurrence_from_energy", "critical_field_low_temperature",
     "critical_field_zero_temperature", "critical_temperature_zero_field",

@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from .model import (
     THERMODYNAMIC_LIMIT_LABEL,
     ModelSpec,
     SpecError,
+    parse_site_count,
     spec_from_config,
     validate_spec,
 )
@@ -156,28 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_n(raw):
-    if raw is None:
-        return None
-    text = str(raw).strip().lower()
-    if text == THERMODYNAMIC_LIMIT_LABEL:
-        return None
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise SpecError(
-            f"--n expects an integer or '{THERMODYNAMIC_LIMIT_LABEL}', got {raw!r}") from exc
-
-
 def _resolve_spec(args) -> ModelSpec:
     """Merge config file, flags, and defaults (flags win over the file)."""
     fields = {"family": FAMILY_XXX, "jx": None, "jy": None, "jz": None, "b": 0.0,
               "n_sites": None, "boundary": "periodic", "sign_convention": "singlet-ground"}
     if args.config:
-        config = spec_from_config(Path(args.config).read_text())
-        fields.update(family=config.family, jx=config.jx, jy=config.jy, jz=config.jz,
-                      b=config.b, n_sites=config.n_sites, boundary=config.boundary,
-                      sign_convention=config.sign_convention)
+        fields.update(asdict(spec_from_config(Path(args.config).read_text())))
     if args.model:
         fields["family"] = args.model
     if args.j is not None:
@@ -191,7 +177,7 @@ def _resolve_spec(args) -> ModelSpec:
     if args.b is not None:
         fields["b"] = args.b
     if args.n is not None:
-        fields["n_sites"] = _parse_n(args.n)
+        fields["n_sites"] = parse_site_count(args.n, "--n")
     if args.boundary:
         fields["boundary"] = args.boundary
     if args.sign:
@@ -225,7 +211,7 @@ def cmd_witness(args) -> int:
             raise SpecError("--measured needs --u and --m")
         if args.n is None:
             raise SpecError("--measured needs --n (the site count the totals refer to)")
-        n = _parse_n(args.n)
+        n = parse_site_count(args.n, "--n")
         if n is None:
             raise SpecError("--measured needs a finite --n")
         report = witness_value(args.u, args.m,
@@ -259,10 +245,7 @@ def cmd_exact(args) -> int:
             "U": obs.u, "M": obs.m, "log_partition": obs.log_partition,
             "bond_correlators": [list(t) for t in obs.bond_correlators],
             "kT": args.kt,
-            "spec": {"family": vspec.family, "jx": vspec.jx, "jy": vspec.jy,
-                     "jz": vspec.jz, "b": vspec.b, "n_sites": vspec.n_sites,
-                     "boundary": vspec.boundary,
-                     "sign_convention": vspec.sign_convention},
+            "spec": asdict(vspec),
         }, indent=2))
         return EXIT_OK
     print(f"U = {obs.u:.12g}")

@@ -99,8 +99,9 @@ import numpy as np
 
 from .model import (
     BOUNDARY_PERIODIC,
+    SIGN_SINGLET_GROUND,
+    ModelSpec,
     SpecError,
-    ValidatedSpec,
     frozen_instance,
     require_kt,
     validate_spec,
@@ -176,7 +177,7 @@ def bond_list(n_sites: int, boundary: str) -> tuple[tuple[int, int], ...]:
     return tuple(bonds)
 
 
-def _require_finite(vspec: ValidatedSpec) -> int:
+def _require_finite(vspec: ModelSpec) -> int:
     if vspec.n_sites is None:
         raise SpecError("exact diagonalization requires a finite n_sites")
     if vspec.n_sites > SITE_CAP:
@@ -207,7 +208,7 @@ def build_hamiltonian(spec) -> np.ndarray:
     """
     vspec = validate_spec(spec)
     n = _require_finite(vspec)
-    s = float(vspec.coupling_sign)
+    s = 1.0 if vspec.sign_convention == SIGN_SINGLET_GROUND else -1.0
     dim = 1 << n
     r = np.arange(dim, dtype=np.int64)
 
@@ -849,7 +850,7 @@ def _on_ray(n_sites: int, boundary: str, couplings: tuple, field: float, scale: 
     return eig, energies, e0, scale, field, spread
 
 
-def _spectrum(vspec: ValidatedSpec):
+def _spectrum(vspec: ModelSpec):
     """(the cached eigensystem, its energies e at the spec's field, the e0 of the lowest
     energy, their scale, the field that acts outside the cache, a bound on |e - e'|): the
     spectrum is scale * e, and e0 is the smallest e, or the largest where the scale is < 0.
@@ -865,7 +866,7 @@ def _spectrum(vspec: ValidatedSpec):
     Raises FloatingPointError unless H and twice the largest |E| fit the
     float range, so that no energy and no difference of two overflows.
     """
-    s = float(vspec.coupling_sign)
+    s = 1.0 if vspec.sign_convention == SIGN_SINGLET_GROUND else -1.0
     conserve_sz = vspec.jx == vspec.jy
     couplings = (0.0 if conserve_sz else -vspec.b, s * vspec.jz, s * (vspec.jx + vspec.jy),
                  s * (vspec.jx - vspec.jy))

@@ -60,7 +60,7 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Unvalidated chain description.
+    """Chain description; :func:`validate_spec` returns it normalized (hashable, a cache key).
 
     ``n_sites`` is a positive integer for finite chains or ``None``
     (:data:`THERMODYNAMIC_LIMIT`) for the infinite chain.
@@ -91,26 +91,6 @@ class ModelSpec:
         return cls(FAMILY_XYZ, jx, jy, jz, b, n_sites, boundary, sign_convention)
 
 
-@dataclass(frozen=True)
-class ValidatedSpec:
-    """Normalized spec with derived flags; hashable, safe as a cache key."""
-
-    family: str
-    jx: float
-    jy: float
-    jz: float
-    b: float
-    n_sites: int | None
-    boundary: str
-    sign_convention: str
-    witness_eligible: bool
-    coupling_sign: int
-
-    @property
-    def is_finite(self) -> bool:
-        return self.n_sites is not None
-
-
 def frozen_instance(cls, fields: dict):
     """The frozen dataclass ``cls`` holding ``fields`` (every field), built without its __init__:
     no object.__setattr__ per field (about 0.2 us each) and no __post_init__."""
@@ -136,16 +116,14 @@ def require_count(value, name: str) -> int:
     return count
 
 
-def validate_spec(spec) -> ValidatedSpec:
-    """Normalize and check a :class:`ModelSpec`; idempotent on valid input.
+def validate_spec(spec) -> ModelSpec:
+    """The :class:`ModelSpec` ``spec`` normalized and checked; idempotent on valid input.
 
     Rejects family/coupling mismatches, non-positive site counts, and
     periodic chains with fewer than three sites (a two-site ring would
-    double-count its single bond). The witness-eligibility flag is set only
-    for the XXX and XX families, whose separable bound is proven.
+    double-count its single bond).
     """
-    # a ValidatedSpec is checked again from the eight ModelSpec fields it shares
-    if not isinstance(spec, (ModelSpec, ValidatedSpec)):
+    if not isinstance(spec, ModelSpec):
         raise SpecError(f"expected ModelSpec, got {type(spec).__name__}")
 
     family = str(spec.family).lower()
@@ -178,12 +156,9 @@ def validate_spec(spec) -> ValidatedSpec:
                 f"periodic boundary requires n_sites >= 3 (got {n_sites}); "
                 "a 2-site ring double-counts its only bond")
 
-    return frozen_instance(ValidatedSpec, {
+    return frozen_instance(ModelSpec, {
         "family": family, "jx": jx, "jy": jy, "jz": jz, "b": b, "n_sites": n_sites,
-        "boundary": boundary, "sign_convention": sign,
-        "witness_eligible": family in WITNESS_ELIGIBLE_FAMILIES,
-        "coupling_sign": +1 if sign == SIGN_SINGLET_GROUND else -1,
-    })
+        "boundary": boundary, "sign_convention": sign})
 
 
 def require_kt(kt) -> float:
@@ -203,6 +178,21 @@ def require_coupling(j, what: str) -> float:
     if j == 0.0 or not math.isfinite(j):
         raise SpecError(f"{what} undefined for J = 0")
     return j
+
+
+def parse_site_count(text, what: str) -> int | None:
+    """The site count ``text`` (config file or CLI) as an int, or THERMODYNAMIC_LIMIT for
+    the label (any case) or None; SpecError naming ``what`` otherwise."""
+    if text is None:
+        return THERMODYNAMIC_LIMIT
+    label = str(text).strip().lower()
+    if label == THERMODYNAMIC_LIMIT_LABEL:
+        return THERMODYNAMIC_LIMIT
+    try:
+        return int(label)
+    except ValueError as exc:
+        raise SpecError(f"{what} expects an integer or {THERMODYNAMIC_LIMIT_LABEL!r}, "
+                        f"got {text!r}") from exc
 
 
 _CONFIG_KEYS = ("family", "jx", "jy", "jz", "b", "n_sites", "boundary", "sign_convention")
@@ -253,20 +243,9 @@ def spec_from_config(text: str) -> ModelSpec:
     else:
         jy, jz = as_float("jy"), as_float("jz")
 
-    n_sites: int | None = THERMODYNAMIC_LIMIT
-    if "n_sites" in values:
-        raw_n = values["n_sites"].lower()
-        if raw_n != THERMODYNAMIC_LIMIT_LABEL:
-            try:
-                n_sites = int(raw_n)
-            except ValueError as exc:
-                raise SpecError(
-                    f"config key 'n_sites': expected integer or "
-                    f"{THERMODYNAMIC_LIMIT_LABEL!r}, got {values['n_sites']!r}") from exc
-
     return ModelSpec(
         family=family, jx=jx, jy=jy, jz=jz, b=as_float("b", 0.0),
-        n_sites=n_sites,
+        n_sites=parse_site_count(values.get("n_sites"), "config key 'n_sites'"),
         boundary=values.get("boundary", BOUNDARY_PERIODIC).lower(),
         sign_convention=values.get("sign_convention", SIGN_SINGLET_GROUND).lower(),
     )

@@ -23,6 +23,7 @@ _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 78, 22, 34, 58
 _REGION_FILL = "#9ecae1"
 _CONTOUR_STROKE = "#1f4e79"
 _AXIS_COLOR = "#222222"
+_TITLE = "Entangled region: W > 1"
 
 
 def _column_crossing(b_values: list[float], w_column: list[float]) -> float | None:
@@ -86,7 +87,7 @@ def _ticks(lo: float, hi: float, count: int = 5):
     return [float(v) for v in np.linspace(lo, hi, count)]
 
 
-def render_region_svg(grid: RegionGrid, title: str = "Entangled region: W > 1") -> str:
+def render_region_svg(grid: RegionGrid) -> str:
     """Render the W > 1 region and the W = 1 contour to an SVG string."""
     kt_values = np.asarray(grid.kt_over_j, dtype=float)
     b_values = np.asarray(grid.b_over_j, dtype=float)
@@ -113,7 +114,7 @@ def render_region_svg(grid: RegionGrid, title: str = "Entangled region: W > 1") 
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2}" y="20" font-size="15" text-anchor="middle" '
-        f'fill="{_AXIS_COLOR}">{title}</text>',
+        f'fill="{_AXIS_COLOR}">{_TITLE}</text>',
         f'<g id="data-space" transform="translate({tx!r},{ty!r}) scale({sx!r},{-sy!r})">',
         f'<polygon id="entangled-region" points="{_points_attr(polygon)}" '
         f'fill="{_REGION_FILL}" stroke="none"/>',

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactdiag, freefermion, thermolimit, witness
-from .model import BOUNDARY_OPEN, BOUNDARY_PERIODIC, FAMILY_XX, FAMILY_XXX, ModelSpec
+from .model import BOUNDARY_OPEN, BOUNDARY_PERIODIC, FAMILY_XX, FAMILY_XXX, ModelSpec, SpecError
 
 _SEED = 20240811
 
@@ -205,11 +205,18 @@ def _check_lowtemp_ferro(tol):
 def run_validation_suite(tol_override: float | None = None,
                          as_printed: bool = False,
                          seed: int | None = None) -> list[CheckResult]:
-    """Run every cross-check; returns one :class:`CheckResult` per check."""
+    """Run every cross-check; returns one :class:`CheckResult` per check.
+
+    SpecError unless ``tol_override`` is None or finite and > 0.
+    """
+    if tol_override is not None:
+        tol_override = float(tol_override)
+        if not (math.isfinite(tol_override) and tol_override > 0.0):
+            raise SpecError(f"tolerance override must be finite and > 0, got {tol_override}")
 
     def tol_for(name, default):
         if tol_override is not None and name in TOL_OVERRIDE_CHECKS:
-            return float(tol_override), default
+            return tol_override, default
         return default, default
 
     # both separable bounds score the product states of one sweep

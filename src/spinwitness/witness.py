@@ -175,6 +175,8 @@ def product_state_witness(bloch_vectors, family, boundary=BOUNDARY_PERIODIC) -> 
     u = np.asarray(bloch_vectors, dtype=float)
     if u.ndim != 2 or u.shape[1] != 3:
         raise SpecError(f"expected (n_sites, 3) Bloch vectors, got shape {u.shape}")
+    if u.shape[0] == 0:
+        raise SpecError("expected at least one Bloch vector, got an empty (0, 3) array")
     norms = np.linalg.norm(u, axis=1)
     if not np.max(np.abs(norms - 1.0)) <= 1e-9:  # a NaN component fails too
         raise SpecError("Bloch vectors must be unit length")
@@ -273,7 +275,8 @@ def concurrence_from_energy(u, n_sites, j, antiferromagnetic: bool = True) -> fl
 
     C = (1/2) max(0, |U|/(N|J|) - 1). In the ferromagnetic regime the
     thermal state carries no pair entanglement at any temperature, so the
-    identity is replaced by C = 0 there.
+    identity is replaced by C = 0 there. Finite inputs whose |U|/(N|J|)
+    overflows raise FloatingPointError.
     """
     j = require_coupling(j, "concurrence identity")
     n = require_count(n_sites, "n_sites")
@@ -282,15 +285,16 @@ def concurrence_from_energy(u, n_sites, j, antiferromagnetic: bool = True) -> fl
         raise SpecError(f"concurrence input U must be finite, got {u}")
     if not antiferromagnetic:
         return 0.0
-    return 0.5 * max(0.0, abs(u) / (n * abs(j)) - 1.0)
+    ratio = abs(u) / (n * abs(j))
+    if ratio == math.inf:
+        raise FloatingPointError(f"|U|/(N|J|) = {abs(u):g}/{n * abs(j):g} overflows the float range")
+    return 0.5 * max(0.0, ratio - 1.0)
 
 
 def witness_from_model(spec, kt: float) -> WitnessReport:
     """Evaluate the witness on a finite chain's exact thermal state."""
     vspec = validate_spec(spec)
-    if not vspec.witness_eligible:
-        raise SpecError(
-            f"family {vspec.family!r} is not witness-eligible (only XXX and XX are)")
+    _eligible_family(vspec.family)
     if vspec.n_sites is None:
         raise SpecError(
             "finite n_sites required; use thermolimit.xx_witness for the N -> infinity XX chain")

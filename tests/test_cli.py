@@ -16,7 +16,7 @@ from spinwitness.quadrature import QuadratureError
 from spinwitness.svgfig import region_geometry
 from spinwitness.thermolimit import region_scan, xx_witness
 from spinwitness.witness import witness_from_model
-from spinwitness.model import ModelSpec
+from spinwitness.model import ModelSpec, SpecError, spec_from_config
 
 
 def run(argv, capsys):
@@ -214,6 +214,27 @@ def test_config_can_request_the_limit(tmp_path, capsys):
                       "--out", "json"], capsys)
     assert rc == 0
     assert json.loads(out)["source"] == "thermodynamic-limit"
+
+
+def _site_count_outcome(parse):
+    """The parsed n_sites, or the error kind and the message after the source's name."""
+    try:
+        return parse().n_sites
+    except SpecError as exc:
+        return SpecError, str(exc).split(" expects ", 1)[1]
+
+
+@pytest.mark.parametrize("text", ["8", " 12 ", "+7", "0", "-3", "thermodynamic-limit",
+                                  "Thermodynamic-Limit", "8.5", "eight", "1e3", "inf", ""])
+def test_site_count_text_means_the_same_in_a_flag_and_a_config(text):
+    # --n and a config file's n_sites share one parser: same count, or same error
+    flag = _site_count_outcome(lambda: cli._resolve_spec(
+        cli.build_parser().parse_args(["exact", f"--n={text}", "--kt", "1"])))
+    config = _site_count_outcome(
+        lambda: spec_from_config(f"family = xxx\njx = 1\nn_sites = {text}"))
+    assert flag == config
+    if text.strip() in ("8", "12", "+7", "0", "-3"):
+        assert flag == int(text)
 
 
 def test_missing_config_file(capsys):

@@ -47,7 +47,7 @@ def op_at(op, site, n):
 def kron_hamiltonian(spec):
     vspec = validate_spec(spec)
     n = vspec.n_sites
-    s = vspec.coupling_sign
+    s = 1 if vspec.sign_convention == "singlet-ground" else -1
     h = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for i, j in bond_list(n, vspec.boundary):
         for coupling, op in ((vspec.jx, SX), (vspec.jy, SY), (vspec.jz, SZ)):

@@ -2,7 +2,9 @@
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import FrozenInstanceError, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,11 +16,9 @@ from spinwitness.model import (
     FAMILY_XXX,
     FAMILY_XYZ,
     SIGN_AS_PRINTED,
-    SIGN_SINGLET_GROUND,
     THERMODYNAMIC_LIMIT,
     ModelSpec,
     SpecError,
-    ValidatedSpec,
     require_count,
     require_kt,
     spec_from_config,
@@ -30,6 +30,7 @@ from spinwitness.exactdiag import (
     thermal_observables,
 )
 from spinwitness.freefermion import jw_observables
+from spinwitness.witness import witness_from_model
 from spinwitness.quadrature import QuadratureError
 from spinwitness.thermolimit import (
     boundary_trace,
@@ -74,8 +75,10 @@ def test_validated_spec_is_hashable():
                                                sign_convention="as-printed"),
                                   ModelSpec.xyz(1.0, 0.5, 0.2, b=0.3)])
 def test_validated_spec_is_the_dataclass_its_constructor_builds(spec):
+    # validate_spec builds its ModelSpec without __init__; it must be the same object
     v = validate_spec(spec)
-    built = ValidatedSpec(**{f.name: getattr(v, f.name) for f in fields(ValidatedSpec)})
+    assert type(v) is ModelSpec
+    built = ModelSpec(**{f.name: getattr(v, f.name) for f in fields(ModelSpec)})
     assert v == built and hash(v) == hash(built) and repr(v) == repr(built)
     assert validate_spec(v) == v
     assert validate_spec(replace(v, b=0.25)) == replace(built, b=0.25)
@@ -92,24 +95,16 @@ def test_validate_names_the_first_non_finite_coupling():
     assert validate_spec(ModelSpec.xxx(1e308, b=1e308)).jx == 1e308
 
 
-def test_coupling_sign_per_convention():
-    assert validate_spec(ModelSpec.xxx(1.0, n_sites=2, boundary=BOUNDARY_OPEN,
-                                       sign_convention=SIGN_SINGLET_GROUND)).coupling_sign == 1
-    assert validate_spec(ModelSpec.xxx(1.0, n_sites=2, boundary=BOUNDARY_OPEN,
-                                       sign_convention=SIGN_AS_PRINTED)).coupling_sign == -1
+def test_witness_from_model_takes_only_the_eligible_families():
+    for spec in (ModelSpec.xxx(1.0, n_sites=4), ModelSpec.xx(1.0, n_sites=4)):
+        assert witness_from_model(spec, 1.0).inputs.n_sites == 4
+    with pytest.raises(SpecError, match=r"^family 'xyz' is not witness-eligible "
+                                        r"\(proofs cover \('xxx', 'xx'\)\)$"):
+        witness_from_model(ModelSpec.xyz(1.0, 0.5, 0.2, n_sites=4), 1.0)
 
 
-def test_witness_eligibility_flags():
-    assert validate_spec(ModelSpec.xxx(1.0)).witness_eligible
-    assert validate_spec(ModelSpec.xx(1.0)).witness_eligible
-    assert not validate_spec(ModelSpec.xyz(1.0, 0.5, 0.2)).witness_eligible
-
-
-def test_finite_flag_and_limit_marker():
-    assert validate_spec(ModelSpec.xxx(1.0, n_sites=5)).is_finite
-    limit = validate_spec(ModelSpec.xx(1.0, n_sites=THERMODYNAMIC_LIMIT))
-    assert not limit.is_finite
-    assert limit.n_sites is None
+def test_limit_marker():
+    assert validate_spec(ModelSpec.xx(1.0, n_sites=THERMODYNAMIC_LIMIT)).n_sites is None
 
 
 @pytest.mark.parametrize("bad", [
@@ -149,9 +144,18 @@ def test_require_count_rejections(value, fragment):
         require_count(value, "n_widgets")
 
 
-def test_validate_rejects_non_specs():
-    with pytest.raises(SpecError):
-        validate_spec({"family": "xxx"})
+_SPEC_FIELDS = dict(family="xxx", jx=1.0, jy=1.0, jz=1.0, b=0.0, n_sites=4,
+                    boundary="periodic", sign_convention="singlet-ground")
+
+
+@pytest.mark.parametrize("not_a_spec", [
+    None, "xxx", _SPEC_FIELDS, SimpleNamespace(**_SPEC_FIELDS),
+    namedtuple("SpecLike", _SPEC_FIELDS)(**_SPEC_FIELDS),
+], ids=["none", "str", "dict", "namespace", "namedtuple"])
+def test_validate_rejects_non_specs(not_a_spec):
+    # an object with all eight fields is still not a ModelSpec
+    with pytest.raises(SpecError, match="^expected ModelSpec, got "):
+        validate_spec(not_a_spec)
 
 
 def test_two_site_open_chain_is_fine():

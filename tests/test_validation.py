@@ -1,7 +1,11 @@
 """The cross-check suite: all green by default, honest notes when forced red."""
 
 import json
+import math
 
+import pytest
+
+from spinwitness.model import SpecError
 from spinwitness.validation import TOL_OVERRIDE_CHECKS, run_validation_suite
 
 EXPECTED_CHECKS = {
@@ -48,6 +52,13 @@ def test_tolerance_override_only_touches_the_quadrature_checks():
     assert not lnz.passed
     assert "tolerance-induced" in lnz.note
     assert lnz.tolerance == 1e-14
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+def test_tolerance_override_must_be_finite_and_positive(bad):
+    # NaN, 0 and -1 once failed every overridden check, inf passed them all
+    with pytest.raises(SpecError, match=f"tolerance override must be finite and > 0, got {bad}"):
+        run_validation_suite(tol_override=bad)
 
 
 def test_as_printed_magnetization_fails_with_a_note():

@@ -315,6 +315,8 @@ def test_product_state_validation():
     with_nan[2, 0] = math.nan  # once passed the unit-norm test and made W NaN
     with pytest.raises(SpecError, match="unit length"):
         product_state_witness(with_nan, "xxx")
+    with pytest.raises(SpecError, match="empty"):  # not numpy's zero-size reduction error
+        product_state_witness(np.empty((0, 3)), "xxx")
 
 
 def test_xx_sum_is_two_thirds_on_isotropic_ground_state():
@@ -478,6 +480,9 @@ def test_concurrence_from_energy_values():
         concurrence_from_energy(-3.0, 2, 0.0)
     with pytest.raises(SpecError):
         concurrence_from_energy(-3.0, 0, 1.0)
+    # legal input whose |U|/(N|J|) = 1e310 overflows: a numerical failure, not C = inf
+    with pytest.raises(FloatingPointError, match="overflows the float range"):
+        concurrence_from_energy(1e300, 1, 1e-10)
 
 
 @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
