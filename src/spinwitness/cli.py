@@ -13,7 +13,7 @@ Exit codes: 0 success (verdicts are data, never errors), 1 usage or
 validation errors, 2 numerical failures, 3 validation-suite failure.
 
 Model fields may come from a ``key = value`` config file (--config);
-explicit flags beat the file, built-in defaults fill anything left. All
+explicit flags beat the file, and model's one rule fills anything left. All
 inputs are reduced units per |J| when --j is left at its default 1.0;
 pass an explicit --j for absolute energy units.
 """
@@ -40,15 +40,18 @@ from .model import (
     THERMODYNAMIC_LIMIT_LABEL,
     ModelSpec,
     SpecError,
+    config_fields,
+    integer_text,
     parse_site_count,
-    spec_from_config,
+    spec_from_fields,
     validate_spec,
 )
 from .quadrature import DEFAULT_ABS_TOL, QuadratureError
 from .svgfig import render_region_svg
-from .thermolimit import DEFAULT_ROOT_RESIDUAL, boundary_trace, region_scan, xx_witness
+from .thermolimit import (DEFAULT_ROOT_RESIDUAL, ZERO_FIELD_KT_WINDOW, boundary_trace,
+                          region_scan, xx_witness)
 from .validation import run_validation_suite
-from .witness import SOURCE_EXTERNAL, witness_from_model, witness_value
+from .witness import witness_from_model, witness_value
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,13 +78,21 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _steps(text: str) -> int:
+    """argparse type of --kt-steps and --b-steps: an integer by the site count's digit rule."""
+    steps = integer_text(text)
+    if steps is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")  # argparse's int wording
+    return steps
+
+
 def _add_model_flags(p):
     p.add_argument("--model", choices=FAMILIES, help="chain family")
     p.add_argument("--n", help=f"site count or '{THERMODYNAMIC_LIMIT_LABEL}'")
     p.add_argument("--j", type=float, help="coupling J (sets Jx=Jy[=Jz]); default 1.0")
     p.add_argument("--jx", type=float, help="Jx for the xyz family")
-    p.add_argument("--jy", type=float, help="Jy for the xyz family")
-    p.add_argument("--jz", type=float, help="Jz for the xyz family")
+    p.add_argument("--jy", type=float, help="Jy for the xyz family (required there without --j)")
+    p.add_argument("--jz", type=float, help="Jz for the xyz family (required there without --j)")
     p.add_argument("--b", type=float, help="field B; default 0.0")
     p.add_argument("--boundary", choices=BOUNDARIES)
     p.add_argument("--sign", choices=SIGN_CONVENTIONS, dest="sign")
@@ -122,10 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="witness surface over the (kT/|J|, B/|J|) plane")
     p.add_argument("--kt-min", type=float, default=0.05)
     p.add_argument("--kt-max", type=float, default=3.0)
-    p.add_argument("--kt-steps", type=int, default=60)
+    p.add_argument("--kt-steps", type=_steps, default=60)
     p.add_argument("--b-min", type=float, default=0.0)
     p.add_argument("--b-max", type=float, default=3.0)
-    p.add_argument("--b-steps", type=int, default=60)
+    p.add_argument("--b-steps", type=_steps, default=60)
     _add_out_flags(p, "region")
     p.add_argument("--svg", help="also render the region figure to this path")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_ABS_TOL,
@@ -137,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boundary", help="trace the W = 1 contour kT_c(B)")
     p.add_argument("--b-min", type=float, default=0.0)
     p.add_argument("--b-max", type=float, default=1.2)
-    p.add_argument("--b-steps", type=int, default=13)
-    p.add_argument("--kt-min", type=float, default=1e-3)
-    p.add_argument("--kt-max", type=float, default=5.0)
+    p.add_argument("--b-steps", type=_steps, default=13)
+    p.add_argument("--kt-min", type=float, default=ZERO_FIELD_KT_WINDOW[0])
+    p.add_argument("--kt-max", type=float, default=ZERO_FIELD_KT_WINDOW[1])
     _add_out_flags(p, "boundary")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_ROOT_RESIDUAL,
                    help=f"root-finder residual |W - 1| target (default {DEFAULT_ROOT_RESIDUAL:g})")
@@ -159,38 +170,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_spec(args) -> ModelSpec:
-    """Merge config file, flags, and defaults (flags win over the file)."""
-    fields = {"family": FAMILY_XXX, "jx": None, "jy": None, "jz": None, "b": 0.0,
-              "n_sites": None, "boundary": "periodic", "sign_convention": "singlet-ground"}
+    """Family xxx and Jx = 1, then the config file's fields, then the flags: spec_from_fields."""
+    fields = {"family": FAMILY_XXX, "jx": 1.0}
     if args.config:
-        fields.update(asdict(spec_from_config(Path(args.config).read_text())))
+        fields.update(config_fields(Path(args.config).read_text()))
     if args.model:
         fields["family"] = args.model
-    if args.j is not None:
-        fields["jx"] = fields["jy"] = fields["jz"] = args.j
-        if fields["family"] == FAMILY_XX:
-            fields["jz"] = 0.0
-    for name in ("jx", "jy", "jz"):
-        value = getattr(args, name)
-        if value is not None:
-            fields[name] = value
-    if args.b is not None:
-        fields["b"] = args.b
-    if args.n is not None:
-        fields["n_sites"] = parse_site_count(args.n, "--n")
-    if args.boundary:
-        fields["boundary"] = args.boundary
-    if args.sign:
-        fields["sign_convention"] = args.sign
-
-    if fields["jx"] is None:
-        fields["jx"] = 1.0
-    family = fields["family"]
-    if fields["jy"] is None:
-        fields["jy"] = fields["jx"]
-    if fields["jz"] is None:
-        fields["jz"] = 0.0 if family == FAMILY_XX else fields["jx"]
-    return ModelSpec(**fields)
+    if args.j is not None:  # Jx = Jy = Jz = J, and Jz = 0 for xx
+        xx = str(fields["family"]).lower() == FAMILY_XX
+        fields.update(jx=args.j, jy=args.j, jz=0.0 if xx else args.j)
+    flags = {"jx": args.jx, "jy": args.jy, "jz": args.jz, "b": args.b, "n_sites": args.n,
+             "boundary": args.boundary, "sign_convention": args.sign}
+    fields.update((key, value) for key, value in flags.items() if value is not None)
+    return spec_from_fields(fields)
 
 
 def _render_report(report, out_format):
@@ -199,7 +191,7 @@ def _render_report(report, out_format):
         return
     verdict = "entangled" if report.entangled else "not detected"
     i = report.inputs
-    n_text = "thermodynamic-limit" if i.n_sites is None else str(i.n_sites)
+    n_text = THERMODYNAMIC_LIMIT_LABEL if i.n_sites is None else str(i.n_sites)
     print(f"W = {report.value:.12g} (threshold {report.threshold:g}) -> {verdict}")
     print(f"source: {report.source}")
     print(f"inputs: U={i.u:.12g} M={i.m:.12g} B={i.b:g} J={i.j:g} N={n_text}")
@@ -216,8 +208,7 @@ def cmd_witness(args) -> int:
             raise SpecError("--measured needs a finite --n")
         report = witness_value(args.u, args.m,
                                args.b if args.b is not None else 0.0,
-                               args.j if args.j is not None else 1.0,
-                               n, source=SOURCE_EXTERNAL)
+                               args.j if args.j is not None else 1.0, n)
         _render_report(report, args.out)
         return EXIT_OK
 
@@ -237,8 +228,6 @@ def cmd_witness(args) -> int:
 
 def cmd_exact(args) -> int:
     vspec = validate_spec(_resolve_spec(args))
-    if vspec.n_sites is None:
-        raise SpecError("exact diagonalization needs a finite --n")
     obs = thermal_observables(vspec, args.kt)
     if args.out == "json":
         print(json.dumps({
@@ -259,7 +248,7 @@ def cmd_exact(args) -> int:
 
 
 def _axis(lo, hi, steps, name):
-    lo, hi, steps = float(lo), float(hi), int(steps)
+    lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise SpecError(f"{name} range must be finite, got [{lo}, {hi}]")
     if steps < 1:

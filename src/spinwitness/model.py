@@ -31,6 +31,7 @@ checks J with :func:`require_coupling`: J = 0 or a non-finite J is bad input.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 FAMILY_XXX = "xxx"
@@ -180,32 +181,32 @@ def require_coupling(j, what: str) -> float:
     return j
 
 
+def integer_text(text) -> int | None:
+    """``text`` as an int if, blanks stripped, it is an optional sign and ASCII digits, else
+    None (int() alone also takes digit-group underscores and non-ASCII digits)."""
+    text = str(text).strip()
+    return int(text) if re.fullmatch(r"[+-]?[0-9]+", text) else None
+
+
 def parse_site_count(text, what: str) -> int | None:
     """The site count ``text`` (config file or CLI) as an int, or THERMODYNAMIC_LIMIT for
     the label (any case) or None; SpecError naming ``what`` otherwise."""
-    if text is None:
+    if text is None or str(text).strip().lower() == THERMODYNAMIC_LIMIT_LABEL:
         return THERMODYNAMIC_LIMIT
-    label = str(text).strip().lower()
-    if label == THERMODYNAMIC_LIMIT_LABEL:
-        return THERMODYNAMIC_LIMIT
-    try:
-        return int(label)
-    except ValueError as exc:
+    count = integer_text(text)
+    if count is None:
         raise SpecError(f"{what} expects an integer or {THERMODYNAMIC_LIMIT_LABEL!r}, "
-                        f"got {text!r}") from exc
+                        f"got {text!r}")
+    return count
 
 
-_CONFIG_KEYS = ("family", "jx", "jy", "jz", "b", "n_sites", "boundary", "sign_convention")
+# Each ModelSpec field, which is also its config key, and the CLI flag that sets it.
+_FIELD_FLAGS = {"family": "--model", "jx": "--jx", "jy": "--jy", "jz": "--jz", "b": "--b",
+               "n_sites": "--n", "boundary": "--boundary", "sign_convention": "--sign"}
 
 
-def spec_from_config(text: str) -> ModelSpec:
-    """Build a :class:`ModelSpec` from ``key = value`` lines.
-
-    Keys mirror the ModelSpec fields: family, jx, jy, jz, b, n_sites,
-    boundary, sign_convention. ``#`` starts a comment. ``n_sites`` accepts
-    an integer or the marker string ``thermodynamic-limit``. Missing jy/jz
-    default from the family (xxx: jy = jz = jx; xx: jy = jx, jz = 0).
-    """
+def config_fields(text: str) -> dict[str, str]:
+    """The raw values of ``key = value`` lines (``#`` starts a comment) by ModelSpec field."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -215,37 +216,42 @@ def spec_from_config(text: str) -> ModelSpec:
             raise SpecError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELD_FLAGS:
             raise SpecError(f"config line {lineno}: unknown key {key!r}")
         values[key] = value.strip()
+    return values
 
-    if "family" not in values:
-        raise SpecError("config is missing required key 'family'")
-    family = values["family"].lower()
-    if "jx" not in values:
-        raise SpecError("config is missing required key 'jx'")
 
-    def as_float(key, default=None):
-        if key not in values:
-            if default is None:
-                raise SpecError(f"config is missing required key {key!r}")
-            return default
+def spec_from_fields(fields: dict) -> ModelSpec:
+    """The :class:`ModelSpec` of ``fields``, config text or flag values by field name.
+
+    The one rule for fields left out: family and jx are required; jy and jz
+    default from the family (xxx: jy = jz = jx; xx: jy = jx, jz = 0; xyz:
+    required); the rest default as ModelSpec's fields do.
+    """
+    def given(key, default=None):
+        if key not in fields and default is None:
+            raise SpecError(f"missing required field {key!r}: give config key {key!r} "
+                            f"or flag {_FIELD_FLAGS[key]}")
+        return fields.get(key, default)
+
+    def number(key, default=None):
+        value = given(key, default)
         try:
-            return float(values[key])
+            return float(value)
         except ValueError as exc:
-            raise SpecError(f"config key {key!r}: not a number: {values[key]!r}") from exc
+            raise SpecError(f"config key {key!r}: not a number: {value!r}") from exc
 
-    jx = as_float("jx")
-    if family == FAMILY_XXX:
-        jy, jz = as_float("jy", jx), as_float("jz", jx)
-    elif family == FAMILY_XX:
-        jy, jz = as_float("jy", jx), as_float("jz", 0.0)
-    else:
-        jy, jz = as_float("jy"), as_float("jz")
-
+    family, jx = str(given("family")).lower(), number("jx")
+    jy, jz = {FAMILY_XXX: (jx, jx), FAMILY_XX: (jx, 0.0)}.get(family, (None, None))
     return ModelSpec(
-        family=family, jx=jx, jy=jy, jz=jz, b=as_float("b", 0.0),
-        n_sites=parse_site_count(values.get("n_sites"), "config key 'n_sites'"),
-        boundary=values.get("boundary", BOUNDARY_PERIODIC).lower(),
-        sign_convention=values.get("sign_convention", SIGN_SINGLET_GROUND).lower(),
+        family=family, jx=jx, jy=number("jy", jy), jz=number("jz", jz), b=number("b", 0.0),
+        n_sites=parse_site_count(fields.get("n_sites"), "config key 'n_sites' or flag --n"),
+        boundary=str(given("boundary", BOUNDARY_PERIODIC)).lower(),
+        sign_convention=str(given("sign_convention", SIGN_SINGLET_GROUND)).lower(),
     )
+
+
+def spec_from_config(text: str) -> ModelSpec:
+    """The :class:`ModelSpec` of ``key = value`` lines (see :func:`spec_from_fields`)."""
+    return spec_from_fields(config_fields(text))

@@ -9,7 +9,7 @@ a step steeper than the nodes resolve, strictly inside a panel is
 accepted unseen when both rules' nodes fall on one side of it (a unit
 step at 0.3 integrates over [0, 5] to 4.6875, not 4.7), so callers seed
 every such point, as the limit integrands seed their tanh step. Needing
-more than ``max_panels`` panels, or halving a panel down to floating-point
+more than ``MAX_PANELS`` panels, or halving a panel down to floating-point
 resolution, is a failure, never a silent partial answer. Both ends and
 every tolerance must be finite, and every tolerance > 0 (ValueError
 otherwise). Integrands must accept and return numpy arrays.
@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 DEFAULT_ABS_TOL = 1e-10
-DEFAULT_MAX_PANELS = 4096
+MAX_PANELS = 4096  # panels of one integral (row); each loop of rounds reads it once per call
 
 _LO_NODES, _LO_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _HI_NODES, _HI_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -49,8 +49,7 @@ class QuadratureError(RuntimeError):
     """Tolerance not met within the subdivision budget."""
 
 
-def adaptive_quadrature(f, a, b, abs_tol=DEFAULT_ABS_TOL, max_panels=DEFAULT_MAX_PANELS,
-                        seeds=()):
+def adaptive_quadrature(f, a, b, abs_tol=DEFAULT_ABS_TOL, seeds=()):
     """Integrate ``f`` over [a, b] to absolute tolerance ``abs_tol``.
 
     ``seeds`` pre-split the interval; those outside (a, b) are ignored.
@@ -66,11 +65,10 @@ def adaptive_quadrature(f, a, b, abs_tol=DEFAULT_ABS_TOL, max_panels=DEFAULT_MAX
         seeds = np.asarray(seeds, dtype=float).ravel().tolist()
     lo, hi = min(a, b), max(a, b)
     edges = [a, *sorted({s for s in seeds if lo < s < hi}, reverse=b < a), b]
-    return _integrate_row(f, a, b, edges, abs_tol, max_panels)
+    return _integrate_row(f, a, b, edges, abs_tol)
 
 
-def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL,
-                             max_panels=DEFAULT_MAX_PANELS, seeds=None):
+def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL, seeds=None):
     """Integrate rows 0 .. n_rows-1 of a parametric integrand over [a, b].
 
     ``f(rows, x)`` gets row indices ``rows`` of shape (P,) and nodes ``x``
@@ -83,7 +81,7 @@ def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL,
     its batch.
 
     Returns ``(values, failures)``. A row that would need more than
-    ``max_panels`` panels, or whose panel halves down to floating-point
+    ``MAX_PANELS`` panels, or whose panel halves down to floating-point
     resolution, fails alone: its value is NaN and ``failures`` maps the row
     index to a message.
     """
@@ -99,7 +97,7 @@ def adaptive_quadrature_rows(f, n_rows, a, b, abs_tol=DEFAULT_ABS_TOL,
             block = slice(start, start + _BLOCK_ROWS)
             values[block] = _integrate_block(f, start, seeds[block].shape[0], a, b,
                                              *_first_panels(a, b, seeds[block]), abs_tol[block],
-                                             max_panels, failures)
+                                             failures)
     return values, failures
 
 
@@ -166,13 +164,13 @@ def _panel_estimates(f, rows, pa, pb):
     return value, np.abs(value - half * np.add.reduce(fw[:, :_N_LO], axis=1)), mid, width
 
 
-def _integrate_block(f, first, n, a, b, pa, pb, prow, abs_tol, max_panels, failures):
+def _integrate_block(f, first, n, a, b, pa, pb, prow, abs_tol, failures):
     """Adaptive rounds for rows ``first`` .. ``first + n - 1`` from first panels [pa, pb].
 
     ``prow`` is each first panel's row within the block, and ``abs_tol``
     the block's row tolerances. Records failed rows in ``failures``.
     """
-    tol_per_width = abs_tol / (b - a)
+    tol_per_width, max_panels = abs_tol / (b - a), MAX_PANELS
     total = np.zeros(n)
     failed = None  # per row, made at the first failure; a failed row's total becomes NaN
 
@@ -229,14 +227,14 @@ def _integrate_block(f, first, n, a, b, pa, pb, prow, abs_tol, max_panels, failu
     return total
 
 
-def _integrate_row(f, a, b, edges, abs_tol, max_panels):
+def _integrate_row(f, a, b, edges, abs_tol):
     """One row of :func:`_integrate_block` for a plain ``f(x)``, from its first panel ``edges``.
 
     The same rounds, acceptance test, child order, panel budget,
     resolution check and summation order, so the same bits and messages,
     without the per-row indices, tolerance gather and counts.
     """
-    tol_per_width = abs_tol / (b - a)
+    tol_per_width, max_panels = abs_tol / (b - a), MAX_PANELS
     total = 0.0
     panels = len(edges) - 1
     ulp = math.ulp(max(abs(a), abs(b)))

@@ -88,6 +88,8 @@ MAGNETIZATION_LNZ_DERIVATIVE = "lnz-derivative"
 MAGNETIZATION_AS_PRINTED = "as-printed"
 
 DEFAULT_ROOT_RESIDUAL = 1e-6
+ZERO_FIELD_KT_WINDOW = (1e-3, 5.0)  # kT/|J| searched for W(kT, 0) = 1; the trace's default
+_MAX_ROOT_STEPS = 200  # Illinois steps before the root finder gives up
 
 
 def _ln_2cosh(x):
@@ -466,8 +468,7 @@ def region_scan(kt_over_j_values, b_over_j_values, abs_tol: float = DEFAULT_ABS_
                       cell_errors=tuple(errors), abs_tol=abs_tol, magnetization_form=form)
 
 
-def _illinois(g, n: int, lo: float, hi: float, residual_tol: float,
-              max_iter: int = 200) -> np.ndarray:
+def _illinois(g, n: int, lo: float, hi: float, residual_tol: float) -> np.ndarray:
     """Roots of g(x, row) = 0 on [lo, hi] for rows 0 .. n-1, in lockstep.
 
     ``g(x, rows)`` returns row ``rows[i]``'s residual at ``x[i]``; each step
@@ -490,7 +491,7 @@ def _illinois(g, n: int, lo: float, hi: float, residual_tol: float,
                             & (np.signbit(g_lo) != np.signbit(g_hi)))
     kept_lo = np.zeros(n, dtype=bool)  # which end the last step kept
     kept_hi = np.zeros(n, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ROOT_STEPS):
         if active.size == 0:
             return roots
         a, b, ga, gb = lo_x[active], hi_x[active], g_lo[active], g_hi[active]
@@ -509,15 +510,15 @@ def _illinois(g, n: int, lo: float, hi: float, residual_tol: float,
         kept_hi[active], kept_lo[active] = up, ~up
         active = active[~done]
     if active.size:
-        raise QuadratureError(
-            f"Illinois root finder did not reach residual {residual_tol:g} in {max_iter} steps")
+        raise QuadratureError(f"Illinois root finder did not reach residual {residual_tol:g} "
+                              f"in {_MAX_ROOT_STEPS} steps")
     return roots
 
 
-def _w_minus_one(kt_over_j, b_over_j, abs_tol):
-    """Batched one-integral W - 1; any failed point raises its message."""
+def _w_minus_one(kt_over_j, b_over_j):
+    """Batched one-integral W - 1 at the default tolerance; any failed point raises its message."""
     k, c = _couplings(kt_over_j, b_over_j)
-    integral, failures = _rows(_witness_integrand, k, np.abs(c), abs_tol)
+    integral, failures = _rows(_witness_integrand, k, np.abs(c), DEFAULT_ABS_TOL)
     if failures:
         raise QuadratureError(failures[min(failures)])
     return np.abs(2.0 * integral / math.pi) - 1.0
@@ -534,35 +535,34 @@ def critical_field_zero_temperature(j: float = 1.0) -> float:
 
 
 def critical_temperature_zero_field(j: float = 1.0,
-                                    residual_tol: float = DEFAULT_ROOT_RESIDUAL,
-                                    abs_tol: float = DEFAULT_ABS_TOL) -> float:
+                                    residual_tol: float = DEFAULT_ROOT_RESIDUAL) -> float:
     """kT_c at B = 0: the root of W(kT, 0) = 1, of order |J| (~1.367 |J|)."""
     j = require_coupling(j, "witness")
-    root = _illinois(lambda kt, rows: _w_minus_one(kt, np.zeros_like(kt), abs_tol),
-                     1, 1e-3, 5.0, residual_tol)[0]
+    root = _illinois(lambda kt, rows: _w_minus_one(kt, np.zeros_like(kt)),
+                     1, *ZERO_FIELD_KT_WINDOW, residual_tol)[0]
     if math.isnan(root):
-        raise QuadratureError("W(kT, 0) = 1 not bracketed in kT/|J| within [1e-3, 5]")
+        raise QuadratureError("W(kT, 0) = 1 not bracketed in kT/|J| within "
+                              f"{list(ZERO_FIELD_KT_WINDOW)}")
     return float(root) * abs(j)
 
 
 def critical_field_low_temperature(kt_over_j: float = 1e-3, j: float = 1.0,
-                                   residual_tol: float = DEFAULT_ROOT_RESIDUAL,
-                                   abs_tol: float = DEFAULT_ABS_TOL) -> float:
+                                   residual_tol: float = DEFAULT_ROOT_RESIDUAL) -> float:
     """Field where W crosses 1 at a small fixed kT (T -> 0 is approached).
 
     Converges to :func:`critical_field_zero_temperature` as kt_over_j -> 0.
     """
     kt, j = require_kt(kt_over_j), require_coupling(j, "witness")
-    root = _illinois(lambda b, rows: _w_minus_one(np.full_like(b, kt), b, abs_tol),
+    root = _illinois(lambda b, rows: _w_minus_one(np.full_like(b, kt), b),
                      1, 0.0, 2.0, residual_tol)[0]
     if math.isnan(root):
         raise QuadratureError(f"W = 1 not bracketed in B/|J| at kT/|J| = {kt_over_j}")
     return float(root) * abs(j)
 
 
-def boundary_trace(b_over_j_values, kt_min: float = 1e-3, kt_max: float = 5.0,
-                   residual_tol: float = DEFAULT_ROOT_RESIDUAL,
-                   abs_tol: float = DEFAULT_ABS_TOL) -> BoundaryCurve:
+def boundary_trace(b_over_j_values, kt_min: float = ZERO_FIELD_KT_WINDOW[0],
+                   kt_max: float = ZERO_FIELD_KT_WINDOW[1],
+                   residual_tol: float = DEFAULT_ROOT_RESIDUAL) -> BoundaryCurve:
     """Trace kT_c(B) by an Illinois root search in kT at each requested field.
 
     All fields, plus B = 0 for the zero-field endpoint unless it is among
@@ -579,7 +579,7 @@ def boundary_trace(b_over_j_values, kt_min: float = 1e-3, kt_max: float = 5.0,
         raise SpecError("fields must be finite")
     zero_at = next((i for i, b in enumerate(fields) if b == 0.0), len(fields))
     solve = np.array(fields if zero_at < len(fields) else [*fields, 0.0])
-    roots = _illinois(lambda kt, rows: _w_minus_one(kt, solve[rows], abs_tol),
+    roots = _illinois(lambda kt, rows: _w_minus_one(kt, solve[rows]),
                       solve.size, kt_min, kt_max, residual_tol)
     points = [(b, float(t)) for b, t in zip(fields, roots) if not math.isnan(t)]
     no_crossing = [b for b, t in zip(fields, roots) if math.isnan(t)]

@@ -2,18 +2,20 @@
 
 Each check compares two routes to the same physics (witness identity,
 free-fermion oracle vs exact diagonalization, quadrature vs derivative,
-symmetry pairs) and records the worst residual. The CLI ``validate``
-subcommand renders these results and fails its exit code if any check
-fails. A user-supplied tolerance override applies to the quadrature
-identity checks only; failures induced purely by tightening below what
-quadrature can deliver are flagged as such rather than left looking like
-physics bugs.
+symmetry pairs) and returns the worst residual, with its note if it has
+one; :func:`run_validation_suite` applies every tolerance in one loop and
+reports a note with a failure only.
+The CLI ``validate`` subcommand fails its exit code if any check fails.
+A user-supplied tolerance override applies to the quadrature identity
+checks only; failures induced purely by tightening below what quadrature
+can deliver are flagged as such rather than left looking like physics bugs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,15 +42,6 @@ class CheckResult:
     note: str = ""
 
 
-def _result(name, residual, tolerance, default_tolerance, note=""):
-    passed = bool(residual < tolerance)
-    if not passed and not note and residual < default_tolerance:
-        note = (f"tolerance-induced: residual passes the default "
-                f"{default_tolerance:g}")
-    return CheckResult(name=name, passed=passed, residual=float(residual),
-                       tolerance=float(tolerance), note=note)
-
-
 def _random_eligible_specs(rng, count):
     specs = []
     while len(specs) < count:
@@ -63,7 +56,7 @@ def _random_eligible_specs(rng, count):
     return specs
 
 
-def _check_eq2_identity(tol, seed):
+def _check_eq2_identity(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for spec, kt in _random_eligible_specs(rng, 12):
@@ -72,18 +65,17 @@ def _check_eq2_identity(tol, seed):
         via_corr = witness.witness_from_correlators(obs.bond_correlators, spec.n_sites,
                                                     spec.family)
         worst = max(worst, abs(via_energy - via_corr))
-    return _result("eq2-identity", worst, tol, tol)
+    return worst
 
 
-def _check_separable_bound(family, best, tol):
+def _check_separable_bound(family, best):
     aligned = witness.product_state_witness(
         np.tile([1.0, 0.0, 0.0] if family == FAMILY_XX else [0.0, 0.0, 1.0], (8, 1)), family)
     residual = max(best - 1.0, abs(aligned - 1.0))
-    return _result(f"separable-bound-{family}", residual, tol, tol,
-                   note="" if aligned == 1.0 else "aligned state did not saturate exactly")
+    return residual, "" if aligned == 1.0 else "aligned state did not saturate exactly"
 
 
-def _check_concurrence_identity(tol):
+def _check_concurrence_identity():
     worst = 0.0
     for n in (4, 6):
         spec = ModelSpec.xxx(j=1.0, b=0.0, n_sites=n, boundary=BOUNDARY_PERIODIC)
@@ -93,10 +85,10 @@ def _check_concurrence_identity(tol):
             c_pair = exactdiag.concurrence(pair)
             c_energy = witness.concurrence_from_energy(obs.u, n, 1.0)
             worst = max(worst, abs(c_pair - c_energy))
-    return _result("concurrence-identity", worst, tol, tol)
+    return worst
 
 
-def _check_jw_vs_exactdiag(tol):
+def _check_jw_vs_exactdiag():
     worst = 0.0
     for b in (0.0, 0.7):
         spec = ModelSpec.xx(j=1.0, b=b, n_sites=8, boundary=BOUNDARY_OPEN)
@@ -106,10 +98,10 @@ def _check_jw_vs_exactdiag(tol):
             worst = max(worst,
                         abs(u_jw - obs.u / 8) / max(1.0, abs(obs.u / 8)),
                         abs(m_jw - obs.m / 8) / max(1.0, abs(obs.m / 8)))
-    return _result("jw-vs-exactdiag", worst, tol, tol)
+    return worst
 
 
-def _check_katsura_vs_jw(tol):
+def _check_katsura_vs_jw():
     worst = 0.0
     for kt in (0.5, 1.0, 2.0):
         for b in (0.0, 1.0, 2.0):
@@ -117,10 +109,10 @@ def _check_katsura_vs_jw(tol):
             worst = max(worst,
                         abs(thermolimit.xx_internal_energy(kt, b, 1.0) - u_jw),
                         abs(thermolimit.xx_magnetization(kt, b, 1.0) - m_jw))
-    return _result("katsura-vs-jw", worst, tol, tol)
+    return worst
 
 
-def _check_magnetization_lnz(tol, default_tol, as_printed):
+def _check_magnetization_lnz(as_printed):
     worst = 0.0
     h = 1e-3
     for k in (0.5, 1.0, 2.0):
@@ -130,21 +122,18 @@ def _check_magnetization_lnz(tol, default_tol, as_printed):
             fd = (lnz_up - lnz_dn) / (2.0 * h)
             m = thermolimit.xx_magnetization(1.0, c, k, as_printed=as_printed)
             worst = max(worst, abs(m - fd))
-    note = ""
-    if as_printed and worst >= tol:
-        note = ("documented discrepancy: the as-printed integrand is not the "
-                "lnZ field-derivative (nonzero magnetization at B = 0)")
-    result = _result("magnetization-lnz-derivative", worst, tol, default_tol, note=note)
-    return result
+    if as_printed:
+        return worst, ("documented discrepancy: the as-printed integrand is not the "
+                       "lnZ field-derivative (nonzero magnetization at B = 0)")
+    return worst
 
 
-def _check_thermo_consistency_finite(tol):
+def _check_thermo_consistency_finite():
     spec = ModelSpec.xxx(j=1.0, b=0.5, n_sites=6, boundary=BOUNDARY_PERIODIC)
-    u_res, m_res = exactdiag.thermo_consistency(spec, 1.0)
-    return _result("thermo-consistency-finite", max(u_res, m_res), tol, tol)
+    return max(exactdiag.thermo_consistency(spec, 1.0))
 
 
-def _check_thermo_consistency_limit(tol):
+def _check_thermo_consistency_limit():
     worst = 0.0
     j = 1.0
     for kt in (0.5, 1.0, 2.0):
@@ -158,20 +147,20 @@ def _check_thermo_consistency_limit(tol):
             u_fd = -(lnz_up - lnz_dn) / (2.0 * h)
             u = thermolimit.xx_internal_energy(kt, b, j)
             worst = max(worst, abs(u - u_fd) / max(1.0, abs(u)))
-    return _result("thermo-consistency-limit", worst, tol, tol)
+    return worst
 
 
-def _check_two_route_witness(tol, default_tol):
+def _check_two_route_witness():
     worst = 0.0
     for kt in (0.3, 1.0, 2.5):
         for b in (0.0, 0.8, 1.6):
             two = thermolimit.xx_witness(kt, b, 1.0).value
             one = thermolimit.xx_witness_single_integral(kt, b, 1.0)
             worst = max(worst, abs(two - one))
-    return _result("two-route-witness", worst, tol, default_tol)
+    return worst
 
 
-def _check_symmetry(tol, default_tol):
+def _check_symmetry():
     worst = 0.0
     for kt in (0.4, 1.3):
         for b in (0.0, 0.9):
@@ -188,18 +177,14 @@ def _check_symmetry(tol, default_tol):
             worst = max(worst,
                         abs(w - witness.witness_from_model(flipped_j, 0.8).value),
                         abs(w - witness.witness_from_model(flipped_b, 0.8).value))
-    return _result("limit-symmetry", worst, tol, default_tol)
+    return worst
 
 
-def _check_lowtemp_ferro(tol):
+def _check_lowtemp_ferro():
     report = thermolimit.lowtemp_ferro_witness(10 ** 6, 0.2, 0.4, 1.0)
     gap_large = abs(report.value - 1.0)
     gap_small = abs(thermolimit.lowtemp_ferro_witness(10 ** 2, 0.2, 0.4, 1.0).value - 1.0)
-    note = ""
-    if gap_large >= gap_small:
-        note = "|W - 1| did not decrease with N"
-    return _result("lowtemp-ferro", gap_large, tol, tol,
-                   note=note)
+    return gap_large, "|W - 1| did not decrease with N" if gap_large >= gap_small else ""
 
 
 def run_validation_suite(tol_override: float | None = None,
@@ -214,27 +199,30 @@ def run_validation_suite(tol_override: float | None = None,
         if not (math.isfinite(tol_override) and tol_override > 0.0):
             raise SpecError(f"tolerance override must be finite and > 0, got {tol_override}")
 
-    def tol_for(name, default):
-        if tol_override is not None and name in TOL_OVERRIDE_CHECKS:
-            return tol_override, default
-        return default, default
-
     # both separable bounds score the product states of one sweep
     xxx_best, xx_best = witness._sweep_maxima(20000, 8, (FAMILY_XXX, FAMILY_XX), _SEED, True)
-    results = [_check_eq2_identity(1e-10, _SEED if seed is None else seed),
-               _check_separable_bound(FAMILY_XXX, xxx_best, 1e-12),
-               _check_separable_bound(FAMILY_XX, xx_best, 1e-12),
-               _check_concurrence_identity(1e-8),
-               _check_jw_vs_exactdiag(1e-8),
-               _check_katsura_vs_jw(1e-3)]
-
-    tol, default = tol_for("magnetization-lnz-derivative", 1e-6)
-    results.append(_check_magnetization_lnz(tol, default, as_printed))
-    results.append(_check_thermo_consistency_finite(1e-5))
-    results.append(_check_thermo_consistency_limit(1e-5))
-    tol, default = tol_for("two-route-witness", 1e-8)
-    results.append(_check_two_route_witness(tol, default))
-    tol, default = tol_for("limit-symmetry", 1e-12)
-    results.append(_check_symmetry(tol, default))
-    results.append(_check_lowtemp_ferro(1e-3))
+    checks = [  # (name, default tolerance, check): a residual, or (residual, note)
+        ("eq2-identity", 1e-10, partial(_check_eq2_identity, _SEED if seed is None else seed)),
+        ("separable-bound-xxx", 1e-12, partial(_check_separable_bound, FAMILY_XXX, xxx_best)),
+        ("separable-bound-xx", 1e-12, partial(_check_separable_bound, FAMILY_XX, xx_best)),
+        ("concurrence-identity", 1e-8, _check_concurrence_identity),
+        ("jw-vs-exactdiag", 1e-8, _check_jw_vs_exactdiag),
+        ("katsura-vs-jw", 1e-3, _check_katsura_vs_jw),
+        ("magnetization-lnz-derivative", 1e-6, partial(_check_magnetization_lnz, as_printed)),
+        ("thermo-consistency-finite", 1e-5, _check_thermo_consistency_finite),
+        ("thermo-consistency-limit", 1e-5, _check_thermo_consistency_limit),
+        ("two-route-witness", 1e-8, _check_two_route_witness),
+        ("limit-symmetry", 1e-12, _check_symmetry),
+        ("lowtemp-ferro", 1e-3, _check_lowtemp_ferro),
+    ]
+    results = []
+    for name, default, check in checks:
+        outcome = check()
+        residual, note = outcome if isinstance(outcome, tuple) else (outcome, "")
+        tol = tol_override if tol_override is not None and name in TOL_OVERRIDE_CHECKS else default
+        passed = bool(residual < tol)
+        if not passed and not note and residual < default:
+            note = f"tolerance-induced: residual passes the default {default:g}"
+        results.append(CheckResult(name, passed, float(residual), float(tol),
+                                   "" if passed else note))  # a note explains a failure
     return results

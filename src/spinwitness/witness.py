@@ -39,8 +39,6 @@ SOURCE_FINITE_EXACT = "finite-exact"
 SOURCE_THERMODYNAMIC_LIMIT = "thermodynamic-limit"
 SOURCE_LOWTEMP_APPROX = "lowtemp-approx"
 SOURCE_EXTERNAL = "external-measurement"
-SOURCES = (SOURCE_FINITE_EXACT, SOURCE_THERMODYNAMIC_LIMIT,
-           SOURCE_LOWTEMP_APPROX, SOURCE_EXTERNAL)
 
 _CORRELATOR_SLOP = 1e-9
 
@@ -94,14 +92,12 @@ class WitnessReport:
 def _report(u, m, b, j: float, n: int | None, source: str, u_plus_bm=None) -> WitnessReport:
     """The report of W = |U + B*M|/(N*|J|), or |u + B*m|/|J| per site where ``n`` is None.
 
-    ``j`` and ``n`` come checked. A closed form of U + B*M (``u_plus_bm``)
-    avoids the cancellation of the N*B terms in the sum of U and B*M; the
-    report still carries U and M. A NaN or infinite U, M or B would yield a
-    meaningless verdict (SpecError); finite inputs whose W overflows raise
-    FloatingPointError.
+    ``j`` and ``n`` come checked; ``source`` is the calling route's own label.
+    A closed form of U + B*M (``u_plus_bm``) avoids the cancellation of the
+    N*B terms in the sum of U and B*M; the report still carries U and M. A
+    NaN or infinite U, M or B would yield a meaningless verdict (SpecError);
+    finite inputs whose W overflows raise FloatingPointError.
     """
-    if source not in SOURCES:
-        raise SpecError(f"unknown witness source {source!r}")
     u, m, b = float(u), float(m), float(b)
     if not math.isfinite(u + m + b):  # or finite inputs whose sum overflows
         for name, value in (("U", u), ("M", m), ("B", b)):
@@ -119,7 +115,7 @@ def _report(u, m, b, j: float, n: int | None, source: str, u_plus_bm=None) -> Wi
                                            "threshold": THRESHOLD})
 
 
-def witness_value(u, m, b, j, n_sites, source: str = SOURCE_EXTERNAL) -> WitnessReport:
+def witness_value(u, m, b, j, n_sites) -> WitnessReport:
     """Evaluate W = |U + B*M| / (N*|J|) from measured totals.
 
     U must be referenced to zero at infinite temperature (the natural
@@ -128,13 +124,13 @@ def witness_value(u, m, b, j, n_sites, source: str = SOURCE_EXTERNAL) -> Witness
     inputs whose W overflows raise FloatingPointError.
     """
     j = require_coupling(j, "witness")
-    return _report(u, m, b, j, require_count(n_sites, "n_sites"), source)
+    return _report(u, m, b, j, require_count(n_sites, "n_sites"), SOURCE_EXTERNAL)
 
 
-def per_site_witness_report(u_per_site, m_per_site, b, j,
-                            source: str = SOURCE_THERMODYNAMIC_LIMIT) -> WitnessReport:
+def per_site_witness_report(u_per_site, m_per_site, b, j) -> WitnessReport:
     """Report W = |u + B*m| / |J| from per-site densities (N -> infinity)."""
-    return _report(u_per_site, m_per_site, b, require_coupling(j, "witness"), None, source)
+    return _report(u_per_site, m_per_site, b, require_coupling(j, "witness"), None,
+                   SOURCE_THERMODYNAMIC_LIMIT)
 
 
 def _eligible_family(family) -> str:
@@ -299,5 +295,5 @@ def witness_from_model(spec, kt: float) -> WitnessReport:
         raise SpecError(
             "finite n_sites required; use thermolimit.xx_witness for the N -> infinity XX chain")
     obs = thermal_observables(vspec, kt)
-    return witness_value(obs.u, obs.m, vspec.b, vspec.jx, vspec.n_sites,
-                         source=SOURCE_FINITE_EXACT)
+    return _report(obs.u, obs.m, vspec.b, require_coupling(vspec.jx, "witness"), vspec.n_sites,
+                   SOURCE_FINITE_EXACT)

@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from spinwitness.quadrature import QuadratureError
 from spinwitness.svgfig import region_geometry
 from spinwitness.thermolimit import region_scan, xx_witness
 from spinwitness.witness import witness_from_model
-from spinwitness.model import ModelSpec, SpecError, spec_from_config
+from spinwitness.model import ModelSpec, SpecError, spec_from_config, validate_spec
 
 
 def run(argv, capsys):
@@ -224,8 +225,13 @@ def _site_count_outcome(parse):
         return SpecError, str(exc).split(" expects ", 1)[1]
 
 
+# int() also reads digit-group underscores and non-ASCII digits; a count must not
+NOT_ASCII_DIGITS = ["1_0", "1_2", "\u0668", "\u0661\u0662", "\uff11\uff12"]
+
+
 @pytest.mark.parametrize("text", ["8", " 12 ", "+7", "0", "-3", "thermodynamic-limit",
-                                  "Thermodynamic-Limit", "8.5", "eight", "1e3", "inf", ""])
+                                  "Thermodynamic-Limit", "8.5", "eight", "1e3", "inf", "",
+                                  *NOT_ASCII_DIGITS])
 def test_site_count_text_means_the_same_in_a_flag_and_a_config(text):
     # --n and a config file's n_sites share one parser: same count, or same error
     flag = _site_count_outcome(lambda: cli._resolve_spec(
@@ -235,6 +241,96 @@ def test_site_count_text_means_the_same_in_a_flag_and_a_config(text):
     assert flag == config
     if text.strip() in ("8", "12", "+7", "0", "-3"):
         assert flag == int(text)
+    if text in NOT_ASCII_DIGITS:
+        assert flag == (SpecError, f"an integer or 'thermodynamic-limit', got {text!r}")
+
+
+@pytest.mark.parametrize("text", ["8", " 12 ", "+7", "-3", "8.5", "eight", "", *NOT_ASCII_DIGITS])
+def test_grid_steps_read_integers_as_the_site_count_does(text, tmp_path, capsys):
+    # --kt-steps and --b-steps take an optional sign and ASCII digits, like --n
+    count = _site_count_outcome(
+        lambda: spec_from_config(f"family = xxx\njx = 1\nn_sites = {text}"))
+    for argv in (["scan", f"--kt-steps={text}"], ["scan", f"--b-steps={text}"],
+                 ["boundary", f"--b-steps={text}"]):
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            assert exc.code == 1 and isinstance(count, tuple)
+            assert f"invalid int value: {text!r}" in capsys.readouterr().err
+        else:
+            assert (args.b_steps if "--b-steps" in argv[1] else args.kt_steps) == count
+    if text in NOT_ASCII_DIGITS:
+        out_path = tmp_path / "region.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--kt-steps", "3", "--b-steps", text, "--out-path", str(out_path)])
+        assert exc.value.code == 1 and not out_path.exists()
+
+
+COUPLING_FLAGS = [{}, {"jx": 0.7}, {"jx": 0.7, "jy": 1.2}, {"jx": 0.7, "jz": 0.9},
+                  {"jx": 0.7, "jy": 1.2, "jz": 0.9}, {"jx": 0.7, "jy": 0.7, "jz": 0.7},
+                  {"jx": 0.7, "jy": 0.7, "jz": 0.0}, {"jy": 1.2, "jz": 0.9}]
+
+
+@pytest.mark.parametrize("family", ["xxx", "xx", "xyz"])
+@pytest.mark.parametrize("couplings", [*COUPLING_FLAGS, "--j"])
+def test_flags_and_a_config_file_fill_couplings_alike(family, couplings, tmp_path, capsys):
+    # one rule fills in the couplings a user leaves out, whether the given ones
+    # come as flags or as config keys; --j sets Jx = Jy = Jz (Jz = 0 for xx)
+    tail = ["--n", "4", "--kt", "1", "--out", "json"]
+    config = tmp_path / "chain.cfg"
+    if couplings == "--j":
+        config.write_text(f"family = {family}\n")
+        by_flags = run(["exact", "--model", family, "--j=-1.3", *tail], capsys)
+        by_file = run(["exact", "--config", str(config), "--j=-1.3", *tail], capsys)
+        jz = 0.0 if family == "xx" else -1.3
+        expected = spec_from_config(f"family = {family}\njx = -1.3\njy = -1.3\njz = {jz}\n"
+                                    "n_sites = 4")
+    else:
+        config.write_text(f"family = {family}\n"
+                          + "".join(f"{key} = {value}\n" for key, value in couplings.items()))
+        by_flags = run(["exact", "--model", family,
+                        *[f"--{key}={value}" for key, value in couplings.items()], *tail], capsys)
+        by_file = run(["exact", "--config", str(config), *tail], capsys)
+        expected = {"jx": 1.0, **couplings}  # the CLI starts from Jx = 1
+        if family != "xyz":
+            expected.setdefault("jy", expected["jx"])
+            expected.setdefault("jz", expected["jx"] if family == "xxx" else 0.0)
+        expected = ModelSpec(family, expected["jx"], expected.get("jy", math.nan),
+                             expected.get("jz", math.nan), n_sites=4)
+    assert by_flags == by_file
+    rc, out, err = by_flags
+    if family == "xyz" and couplings != "--j" and not {"jy", "jz"} <= set(couplings):
+        missing = "jy" if "jy" not in couplings else "jz"
+        assert rc == 1 and f"'{missing}'" in err and f"--{missing}" in err
+    elif rc == 0:
+        assert json.loads(out)["spec"] == asdict(validate_spec(expected))
+    else:  # couplings the family does not allow
+        assert rc == 1 and "requires" in err
+        with pytest.raises(SpecError, match="requires"):
+            validate_spec(expected)
+
+
+def test_a_config_family_changed_by_flag_takes_its_couplings_from_the_new_family(tmp_path,
+                                                                                capsys):
+    # the file's xx chain becomes an xxx chain whose Jz the new family fills in (Jz = Jx)
+    config = tmp_path / "xx.cfg"
+    config.write_text("family = xx\njx = 0.8\nn_sites = 4\n")
+    rc, out, _ = run(["exact", "--config", str(config), "--model", "xxx", "--kt", "1",
+                      "--out", "json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["spec"] == asdict(ModelSpec.xxx(0.8, n_sites=4))
+
+
+def test_flags_complete_a_config_file_that_lacks_a_coupling(tmp_path, capsys):
+    # the file's fields and the flags are merged before the one rule asks for Jy and Jz
+    config = tmp_path / "xyz.cfg"
+    config.write_text("family = xyz\njx = 0.7\nn_sites = 4\n")
+    rc, _, err = run(["exact", "--config", str(config), "--kt", "1"], capsys)
+    assert rc == 1 and "missing required field 'jy': give config key 'jy' or flag --jy" in err
+    rc, out, _ = run(["exact", "--config", str(config), "--jy", "1.2", "--jz", "0.9", "--kt", "1",
+                      "--out", "json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["spec"] == asdict(ModelSpec.xyz(0.7, 1.2, 0.9, n_sites=4))
 
 
 def test_missing_config_file(capsys):

@@ -208,7 +208,9 @@ def test_config_thermodynamic_limit_marker():
 
 
 def test_config_xyz_requires_all_couplings():
-    with pytest.raises(SpecError):
+    # a missing field is named with both ways to give it
+    with pytest.raises(SpecError, match="^missing required field 'jy': give config key 'jy' "
+                                        "or flag --jy$"):
         spec_from_config("family = xyz\njx = 1.0")
     spec = spec_from_config("family = xyz\njx = 1\njy = -0.5\njz = 0.25")
     assert (spec.jx, spec.jy, spec.jz) == (1.0, -0.5, 0.25)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from spinwitness import quadrature
 from spinwitness.quadrature import (
     QuadratureError,
     adaptive_quadrature,
@@ -50,17 +51,18 @@ def test_deterministic():
     assert adaptive_quadrature(f, 0.0, 5.0) == adaptive_quadrature(f, 0.0, 5.0)
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
     # integrable singularity: each bisection only halves the estimate
     f = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / math.sqrt(2.0)) + 1e-300)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
     with pytest.raises(QuadratureError, match="panels"):
-        adaptive_quadrature(f, 0.0, 1.0, abs_tol=1e-12, max_panels=64)
+        adaptive_quadrature(f, 0.0, 1.0, abs_tol=1e-12)
 
 
-def test_wild_oscillation_raises_rather_than_lying():
+def test_wild_oscillation_raises_rather_than_lying(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 128)
     with pytest.raises(QuadratureError):
-        adaptive_quadrature(lambda x: np.sin(1.0 / (x + 1e-12)), 0.0, 1.0,
-                            abs_tol=1e-12, max_panels=128)
+        adaptive_quadrature(lambda x: np.sin(1.0 / (x + 1e-12)), 0.0, 1.0, abs_tol=1e-12)
 
 
 def test_split_points_outside_interval_are_ignored():
@@ -95,14 +97,15 @@ def test_rows_match_the_scalar_routine():
         assert abs(value - adaptive_quadrature(f, 0.0, 5.0, abs_tol=1e-12)) < 2e-12
 
 
-def test_rows_fail_alone_and_do_not_see_each_other():
+def test_rows_fail_alone_and_do_not_see_each_other(monkeypatch):
     singular = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / math.sqrt(2.0)) + 1e-300)
     funcs = [ROW_FUNCS[1], singular, ROW_FUNCS[2]]
-    values, failures = adaptive_quadrature_rows(_rows_of(funcs), 3, 0.0, 1.0, max_panels=64)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
+    values, failures = adaptive_quadrature_rows(_rows_of(funcs), 3, 0.0, 1.0)
     assert set(failures) == {1} and "64 panels" in failures[1]
     assert math.isnan(values[1])
     for i in (0, 2):
-        solo, _ = adaptive_quadrature_rows(_rows_of([funcs[i]]), 1, 0.0, 1.0, max_panels=64)
+        solo, _ = adaptive_quadrature_rows(_rows_of([funcs[i]]), 1, 0.0, 1.0)
         assert values[i] == solo[0]
 
 
@@ -163,19 +166,19 @@ def test_rows_take_their_own_tolerance_in_every_block():
     assert np.count_nonzero(shared != values) > 150  # the tolerances do matter
 
 
-def test_failed_rows_name_their_own_tolerance():
+def test_failed_rows_name_their_own_tolerance(monkeypatch):
     singular = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / math.sqrt(2.0)) + 1e-300)
     step = lambda x: np.where(x < 0.3, 0.0, 1.0)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
     values, failures = adaptive_quadrature_rows(_rows_of([singular, np.cos, step]), 3, 0.0, 1.0,
-                                                abs_tol=np.array([3e-12, 1e-3, 2e-9]),
-                                                max_panels=64)
+                                                abs_tol=np.array([3e-12, 1e-3, 2e-9]))
     assert failures[0] == "quadrature did not reach abs_tol=3e-12 within 64 panels"
     assert set(failures) == {0, 2}
     assert failures[2].startswith("quadrature did not reach abs_tol=2e-09")
     assert np.isnan(values[[0, 2]]).all() and math.isfinite(values[1])
 
 
-# Integrands that fail on [0, 5], each with the max_panels it runs under.
+# Integrands that fail on [0, 5], each with the panel budget it runs under.
 FAILING_FUNCS = [
     (lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / math.sqrt(2.0)) + 1e-300), 64),  # panel budget
     (lambda x: np.where(x < 0.7, np.cos(x), np.nan), 4096),  # NaN estimates are always split
@@ -186,16 +189,18 @@ JUMP = lambda x: np.where(x < 0.3, 0.0, 1.0)
 
 
 def _both_drivers(f, a, b, abs_tol=1e-12, max_panels=4096, seeds=()):
-    """(rows driver, scalar driver) outcomes: a value, or the failure message."""
+    """(rows driver, scalar driver) outcomes under the panel budget ``max_panels``: a value,
+    or the failure message."""
     row = np.array([seeds], dtype=float).reshape(1, -1)
-    values, failures = adaptive_quadrature_rows(_rows_of([f]), 1, a, b, abs_tol=abs_tol,
-                                                max_panels=max_panels, seeds=row)
-    assert set(failures) <= {0} and math.isnan(values[0]) == bool(failures)
-    try:
-        scalar = adaptive_quadrature(f, a, b, abs_tol=abs_tol, max_panels=max_panels,
-                                     seeds=seeds)
-    except QuadratureError as exc:
-        scalar = str(exc)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(quadrature, "MAX_PANELS", max_panels)
+        values, failures = adaptive_quadrature_rows(_rows_of([f]), 1, a, b, abs_tol=abs_tol,
+                                                    seeds=row)
+        assert set(failures) <= {0} and math.isnan(values[0]) == bool(failures)
+        try:
+            scalar = adaptive_quadrature(f, a, b, abs_tol=abs_tol, seeds=seeds)
+        except QuadratureError as exc:
+            scalar = str(exc)
     return failures.get(0, values[0]), scalar
 
 

@@ -303,9 +303,9 @@ def _counting_witness_calls(monkeypatch):
     calls = []
     original = thermolimit._w_minus_one
 
-    def counted(kt_over_j, b_over_j, abs_tol):
+    def counted(kt_over_j, b_over_j):
         calls.append(np.size(kt_over_j))
-        return original(kt_over_j, b_over_j, abs_tol)
+        return original(kt_over_j, b_over_j)
 
     monkeypatch.setattr(thermolimit, "_w_minus_one", counted)
     return calls
@@ -401,10 +401,11 @@ def test_root_finder_gives_nan_without_a_sign_change():
     assert math.isnan(roots[0]) and abs(roots[1] - 0.5) < 1e-12
 
 
-def test_root_finder_raises_when_steps_run_out():
+def test_root_finder_raises_when_steps_run_out(monkeypatch):
     g = _rows_of(lambda x: x ** 3 - 1e-3)
+    monkeypatch.setattr(thermolimit, "_MAX_ROOT_STEPS", 3)
     with pytest.raises(quadrature.QuadratureError, match="residual 1e-09 in 3 steps"):
-        thermolimit._illinois(g, 1, 0.0, 1.0, 1e-9, max_iter=3)
+        thermolimit._illinois(g, 1, 0.0, 1.0, 1e-9)
 
 
 def test_region_scan_values_and_flags():
@@ -700,8 +701,7 @@ def test_region_scan_at_vanishing_temperature_is_exact_or_flagged():
 
 def test_region_scan_isolates_failing_cells(monkeypatch):
     # A two-panel budget fails the cells that need more panels and only them.
-    monkeypatch.setattr(thermolimit, "adaptive_quadrature_rows",
-                        functools.partial(quadrature.adaptive_quadrature_rows, max_panels=2))
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
     kt = np.array([0.05, 0.5, 3.0, 30.0])
     b = np.array([0.0, 1.0, 3.0])
     grid = region_scan(kt, b)

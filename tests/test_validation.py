@@ -70,6 +70,14 @@ def test_as_printed_magnetization_fails_with_a_note():
         assert results[name].passed, name
 
 
+def test_a_note_explains_a_failure_only():
+    # a --tol loose enough to pass the as-printed lnZ check leaves it without its note
+    lnz = {r.name: r for r in run_validation_suite(tol_override=10.0, as_printed=True)}[
+        "magnetization-lnz-derivative"]
+    assert lnz.passed and lnz.tolerance == 10.0 and lnz.residual > 1.0
+    assert lnz.note == ""
+
+
 def test_seed_changes_the_sampled_cases_but_not_the_verdict():
     for seed in (None, 1, 99):
         results = {r.name: r for r in run_validation_suite(seed=seed)}

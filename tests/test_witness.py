@@ -16,7 +16,6 @@ from spinwitness.exactdiag import concurrence, reduced_pair_state, thermal_obser
 from spinwitness.model import ModelSpec, SpecError, require_count
 from spinwitness.witness import (
     SOURCE_FINITE_EXACT,
-    SOURCES,
     THRESHOLD,
     WitnessInputs,
     WitnessReport,
@@ -53,8 +52,6 @@ def test_witness_value_rejections():
         witness_value(1.0, 0.0, 0.0, float("inf"), 4)
     with pytest.raises(SpecError):
         witness_value(1.0, 0.0, 0.0, 1.0, 0)
-    with pytest.raises(SpecError):
-        witness_value(1.0, 0.0, 0.0, 1.0, 4, source="hearsay")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -87,14 +84,6 @@ def test_overflowing_witness_is_a_numerical_failure():
 def test_ordinary_witness_inputs_keep_their_bits(u, m, b, j, n):
     assert witness_value(u, m, b, j, n).value == abs(u + b * m) / (n * abs(j))
     assert per_site_witness_report(u, m, b, j).value == abs(u + b * m) / abs(j)
-
-
-def test_per_site_report_rejects_an_unknown_source():
-    # witness_value always did; the per-site report once labelled any string
-    with pytest.raises(SpecError, match="unknown witness source 'hearsay'"):
-        per_site_witness_report(-1.2, 0.3, 0.5, 1.0, source="hearsay")
-    for source in SOURCES:
-        assert per_site_witness_report(-1.2, 0.3, 0.5, 1.0, source=source).source == source
 
 
 def test_report_to_dict_is_json_ready():
@@ -140,13 +129,11 @@ def test_two_routes_agree_on_thermal_states():
 # exception, with the same message, on every input.
 
 
-def reference_witness_value(u, m, b, j, n_sites, source="external-measurement"):
+def reference_witness_value(u, m, b, j, n_sites):
     j = float(j)
     if j == 0.0 or not math.isfinite(j):
         raise SpecError("witness undefined for J = 0")
     n = require_count(n_sites, "n_sites")
-    if source not in SOURCES:
-        raise SpecError(f"unknown witness source {source!r}")
     values = (float(u), float(m), float(b))
     for name, value in zip(("U", "M", "B"), values):
         if not math.isfinite(value):
@@ -156,7 +143,7 @@ def reference_witness_value(u, m, b, j, n_sites, source="external-measurement"):
     if value == math.inf:
         raise FloatingPointError(f"W = |U + B*M|/(N|J|) = {abs(u + b * m):g}/{n * abs(j):g} "
                                  "overflows the float range")
-    return WitnessReport(value=value, entangled=value > THRESHOLD, source=source,
+    return WitnessReport(value=value, entangled=value > THRESHOLD, source="external-measurement",
                          inputs=WitnessInputs(u=u, m=m, b=b, j=j, n_sites=n))
 
 
@@ -245,11 +232,10 @@ SCALARS = st.one_of(st.floats(-50.0, 50.0), st.floats(allow_nan=True, allow_infi
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(u=SCALARS, m=SCALARS, b=SCALARS, j=SCALARS, n=COUNTS,
-       source=st.sampled_from([*SOURCES, "hearsay"]))
-def test_totals_route_keeps_the_reference_bits_and_errors(u, m, b, j, n, source):
-    assert (outcome(witness_value, u, m, b, j, n, source)
-            == outcome(reference_witness_value, u, m, b, j, n, source))
+@given(u=SCALARS, m=SCALARS, b=SCALARS, j=SCALARS, n=COUNTS)
+def test_totals_route_keeps_the_reference_bits_and_errors(u, m, b, j, n):
+    assert (outcome(witness_value, u, m, b, j, n)
+            == outcome(reference_witness_value, u, m, b, j, n))
 
 
 def test_totals_route_builds_the_same_report():
@@ -508,6 +494,21 @@ def test_witness_from_model():
     report = witness_from_model(spec, 0.8)
     assert report.source == SOURCE_FINITE_EXACT
     assert report.value == abs(obs.u + 0.5 * obs.m) / 6.0
+
+
+def test_each_route_labels_its_own_source():
+    # no caller picks the label: each report builder names the route it computes
+    assert witness_value(-3.0, 0.0, 0.0, 1.0, 2).source == "external-measurement"
+    assert per_site_witness_report(-1.2, 0.3, 0.5, 1.0).source == "thermodynamic-limit"
+    for spec in (ModelSpec.xxx(-0.7, b=0.3, n_sites=5, boundary="open"),
+                 ModelSpec.xx(1.3, b=0.4, n_sites=6)):
+        obs = thermal_observables(spec, 0.9)
+        report = witness_from_model(spec, 0.9)
+        assert report.source == "finite-exact"
+        totals = witness_value(obs.u, obs.m, spec.b, spec.jx, spec.n_sites)
+        assert replace(report, source=totals.source) == totals
+    with pytest.raises(SpecError, match="witness undefined for J = 0"):
+        witness_from_model(ModelSpec.xxx(0.0, n_sites=4), 1.0)
 
 
 def test_witness_from_model_field_flip_invariance():
