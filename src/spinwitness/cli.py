@@ -42,7 +42,6 @@ from .model import (
     SpecError,
     config_fields,
     integer_text,
-    parse_site_count,
     spec_from_fields,
     validate_spec,
 )
@@ -51,7 +50,7 @@ from .svgfig import render_region_svg
 from .thermolimit import (DEFAULT_ROOT_RESIDUAL, ZERO_FIELD_KT_WINDOW, boundary_trace,
                           region_scan, xx_witness)
 from .validation import run_validation_suite
-from .witness import witness_from_model, witness_value
+from .witness import witness_from_model, witness_from_totals
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,15 +200,11 @@ def cmd_witness(args) -> int:
     if args.measured:
         if args.u is None or args.m is None:
             raise SpecError("--measured needs --u and --m")
-        if args.n is None:
-            raise SpecError("--measured needs --n (the site count the totals refer to)")
-        n = parse_site_count(args.n, "--n")
-        if n is None:
-            raise SpecError("--measured needs a finite --n")
-        report = witness_value(args.u, args.m,
-                               args.b if args.b is not None else 0.0,
-                               args.j if args.j is not None else 1.0, n)
-        _render_report(report, args.out)
+        spec = _resolve_spec(args)
+        if spec.n_sites is None:
+            raise SpecError("--measured needs a finite --n or config key n_sites "
+                            "(the site count the totals refer to)")
+        _render_report(witness_from_totals(spec, args.u, args.m), args.out)
         return EXIT_OK
 
     if args.kt is None:

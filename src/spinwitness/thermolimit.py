@@ -40,7 +40,9 @@ loop, seeded by float seeds with the batched seeds' bits, so each scalar
 integral equals its batched row.
 
 Every integral is pre-split around the step of tanh(2K cos w - C) at
-w* = arccos(C/2K) (``_step_seeds``), so low-T steps are resolved.
+w* = arccos(C/2K) (``_step_seeds``), so low-T steps are resolved; past
+|C| = 2|K| there is no step, and its tail is pre-split at the nearer
+end while |C| - 2|K| <= ``_STEP_TAIL``.
 
 U is exactly even in both K and C, and M even in K and odd in C; all
 integrals are evaluated at (|K|, |C|) with M's sign restored afterwards,
@@ -106,6 +108,9 @@ def _tanh_over(f):
 
 
 _SEED_OFFSETS = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0])
+# np.tanh(x) rounds to +-1 for |x| >= 19: where |C| - 2|K| is larger, 2K cos w - C
+# keeps that far from zero and the integrands carry no trace of the step.
+_STEP_TAIL = 19.0
 _FLOAT_SEED_OFFSETS = _SEED_OFFSETS.tolist()
 
 _MAX_FLOAT = float(np.finfo(float).max)
@@ -174,13 +179,18 @@ def _step_seeds(k, c):
 
     Seven seeds per (K, C), along a last axis added to K and C (floats or
     arrays): w* and w* +- {1, 4, 16} s, s = 1/max(2|K| sin w*, sqrt|K|)
-    the width of the tanh step there; NaN if there is no zero (callers of
-    arrays silence that warning). The quadrature drops seeds outside
-    (0, pi) and repeats. A seed on w* alone would let the step hide
-    between a panel's edge and the first nodes of both rules, which then
-    agree and accept the panel.
+    the width of the tanh step there. Where |C| > 2|K| there is no zero,
+    but within ``_STEP_TAIL`` of one the step's tail still shows at the
+    end w* = 0 or pi nearest to it, and is seeded there; further out the
+    seeds are NaN, as for K = 0 (callers of arrays silence that warning).
+    The quadrature drops seeds outside (0, pi) and repeats. A seed on w*
+    alone would let the step hide between a panel's edge and its first
+    node, where the 10- and 21-node sums then agree and accept the panel;
+    an unseeded tail at an end can be accepted the same way, far off.
     """
-    star = np.arccos(c / (2.0 * k))  # NaN for |C/2K| > 1 and for K = 0
+    ratio = c / (2.0 * k)  # +-inf or NaN for K = 0
+    tail = (np.abs(np.abs(c) - 2.0 * np.abs(k)) <= _STEP_TAIL) & (k != 0.0)
+    star = np.arccos(np.where(tail, np.clip(ratio, -1.0, 1.0), ratio))  # NaN past the tail
     ak = np.abs(k)
     width = 1.0 / np.maximum(2.0 * ak * np.sin(star), np.sqrt(ak))
     return star[..., None] + width[..., None] * _SEED_OFFSETS
@@ -195,6 +205,8 @@ def _float_step_seeds(k, c):
     list cuts the same first panels.
     """
     ratio = c / (2.0 * k) if k != 0.0 else math.nan
+    if abs(abs(c) - 2.0 * abs(k)) <= _STEP_TAIL:
+        ratio = min(max(ratio, -1.0), 1.0)  # NaN stays
     if not abs(ratio) <= 1.0:
         return []
     star = float(np.arccos(ratio))

@@ -16,7 +16,7 @@ Detection is one-sided: W <= 1 means "not detected", never "separable".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,6 +125,19 @@ def witness_value(u, m, b, j, n_sites) -> WitnessReport:
     """
     j = require_coupling(j, "witness")
     return _report(u, m, b, j, require_count(n_sites, "n_sites"), SOURCE_EXTERNAL)
+
+
+def witness_from_totals(spec, u, m) -> WitnessReport:
+    """:func:`witness_value` of measured totals U and M on the chain ``spec``: J = Jx, B, N.
+
+    ``spec`` is checked as :func:`witness_from_model` checks it, except for
+    a ring's n_sites >= 3: that rule keeps a Hamiltonian from counting a
+    bond twice, and measured totals have no Hamiltonian to build.
+    :func:`witness_value` checks the count itself.
+    """
+    vspec = validate_spec(replace(spec, n_sites=None))
+    _eligible_family(vspec.family)
+    return witness_value(u, m, vspec.b, vspec.jx, spec.n_sites)
 
 
 def per_site_witness_report(u_per_site, m_per_site, b, j) -> WitnessReport:

@@ -70,6 +70,37 @@ def test_measured_witness_past_the_float_range_exits_2(capsys):
     assert out == "" and "overflows the float range" in err
 
 
+def test_measured_witness_takes_the_model_fields_as_every_command_does(capsys, tmp_path):
+    # J = Jx, B and N come from the config file and the flags by the one rule
+    config = tmp_path / "m.cfg"
+    config.write_text("jx = 2\nb = 0.3\n")
+    measured = ["witness", "--measured", "--config", str(config), "--u", "-6", "--m", "0.5"]
+    for extra, j, b, n in (([], 2.0, 0.3, 2), (["--b", "0"], 2.0, 0.0, 2),
+                           (["--j", "0.5"], 0.5, 0.3, 2)):
+        rc, out, _ = run([*measured, "--n", "2", *extra, "--out", "json"], capsys)
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["W"] == abs(-6.0 + b * 0.5) / (n * j)
+        assert payload["inputs"] == {"U": -6.0, "M": 0.5, "B": b, "J": j, "n_sites": n}
+    config.write_text("jx = 2\nb = 0.3\nn_sites = 3\n")
+    rc, out, _ = run(measured, capsys)
+    assert rc == 0 and "W = 0.975" in out
+    rc, out, _ = run(["witness", "--measured", "--u", "-6", "--m", "0.5", "--b", "0.3",
+                      "--n", "2"], capsys)
+    assert rc == 0 and "W = 2.925" in out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--model", "xyz", "--jx", "0.7", "--jy", "1.2", "--jz", "0.9"], "not witness-eligible"),
+    (["--model", "xx", "--jx", "1", "--jz", "1"], "family 'xx' requires"),
+    (["--j", "0"], "J = 0"),
+    (["--j", "nan"], "finite")])
+def test_measured_witness_rejects_the_models_a_witness_rejects(capsys, args, message):
+    rc, out, err = run(["witness", "--measured", "--u", "-6", "--m", "0.5", "--n", "2", *args],
+                       capsys)
+    assert rc == 1 and out == "" and message in err
+
+
 def test_model_witness_matches_the_library(capsys):
     rc, out, _ = run(["witness", "--model", "xxx", "--n", "6", "--b", "0.5",
                       "--kt", "0.8", "--out", "json"], capsys)

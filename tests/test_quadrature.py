@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre quadrature against closed forms and scipy."""
+"""Adaptive Gauss-Kronrod quadrature against closed forms and scipy."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from spinwitness import quadrature
+from spinwitness import quadrature, thermolimit
 from spinwitness.quadrature import (
     QuadratureError,
     adaptive_quadrature,
@@ -18,6 +18,87 @@ def test_polynomial_is_exact():
     # degree 8 is inside the 10-point rule's exactness range
     value = adaptive_quadrature(lambda x: x ** 8, 0.0, 2.0)
     assert abs(value - 2.0 ** 9 / 9.0) < 1e-12
+
+
+def _one_panel(f):
+    """(value, error estimate) of the single panel [-1, 1]."""
+    value, err, _, _ = quadrature._panel_estimates(f, None, np.array([-1.0]), np.array([1.0]))
+    return float(value[0]), float(err[0])
+
+
+def test_the_kronrod_rule_is_exact_to_degree_31():
+    for k in range(33):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        error = abs(_one_panel(lambda x: x ** k)[0] - exact)
+        assert (error <= 1e-15) == (k <= 31), (k, error)
+    # the estimate is the 10-point rule's error: zero to degree 19, not at 20
+    assert _one_panel(lambda x: x ** 19)[1] <= 1e-15 < _one_panel(lambda x: x ** 20)[1]
+
+
+def test_the_kronrod_nodes_extend_the_gauss_rule():
+    nodes, weights = quadrature._NODES, quadrature._WEIGHTS.reshape(2, -1)
+    assert nodes.shape == (21,) and np.all(np.diff(nodes) > 0)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[:, ::-1])
+    assert np.all(weights[0] > 0) and np.allclose(weights.sum(axis=1), 2.0, rtol=0, atol=1e-15)
+    gauss = weights[1] != 0.0
+    assert np.count_nonzero(gauss) == 10 and gauss[1::2].all()
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(10)
+    for got, ref in ((nodes[gauss], ref_nodes), (weights[1][gauss], ref_weights)):
+        assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+
+
+_GAUSS_10 = np.polynomial.legendre.leggauss(10)
+_GAUSS_20 = np.polynomial.legendre.leggauss(20)
+
+
+def _gauss_10_20_estimates(f, rows, pa, pb):
+    """The reference rule: _panel_estimates with a separate 20-node Gauss-Legendre value
+    (30 evaluations per panel) over the same 10-node estimate."""
+    width = pb - pa
+    half, mid = 0.5 * width, 0.5 * (pa + pb)
+    sums = []
+    for nodes, weights in (_GAUSS_20, _GAUSS_10):
+        x = mid[:, None] + half[:, None] * nodes
+        sums.append(half * np.add.reduce((f(x) if rows is None else f(rows, x)) * weights, axis=1))
+    return sums[0], np.abs(sums[0] - sums[1]), mid, width
+
+
+def _panels_evaluated(estimates, run):
+    """Panels whose nodes ``run()`` evaluates with ``estimates`` as the panel rule."""
+    panels = []
+
+    def counted(f, rows, pa, pb):
+        def g(*args):
+            panels.append(args[-1].shape[0])
+            return f(*args)
+        return estimates(g, rows, pa, pb)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(quadrature, "_panel_estimates", counted)
+        run()
+    return sum(panels)
+
+
+@pytest.mark.parametrize("as_printed", [False, True])
+def test_the_kronrod_value_splits_as_the_gauss_10_20_rule(as_printed):
+    # Both rules accept on the same 10-node estimate, so on the CLI's default
+    # 60x60 scan, plain and printed, the 21-node value splits at most 0.5 %
+    # more panels than a 20-node value did
+    kt, b = np.linspace(0.05, 3.0, 60), np.linspace(0.0, 3.0, 60)
+    run = lambda: thermolimit.region_scan(kt, b, as_printed=as_printed)
+    kronrod = _panels_evaluated(quadrature._panel_estimates, run)
+    assert kronrod <= 1.005 * _panels_evaluated(_gauss_10_20_estimates, run)
+
+
+def test_an_accepted_panel_evaluates_21_nodes():
+    shapes = []
+
+    def f(x):
+        shapes.append(x.shape)
+        return x ** 8
+
+    adaptive_quadrature(f, 0.0, 2.0)
+    assert shapes == [(1, 21)]
 
 
 def test_matches_scipy_on_smooth_integrand():
@@ -184,7 +265,7 @@ FAILING_FUNCS = [
     (lambda x: np.where(x < 0.7, np.cos(x), np.nan), 4096),  # NaN estimates are always split
 ]
 # A jump at x = 0.3: halved down to floating-point resolution for most first
-# panels, accepted where both rules' nodes fall on one side of it.
+# panels, accepted where all 21 nodes fall on one side of it.
 JUMP = lambda x: np.where(x < 0.3, 0.0, 1.0)
 
 
@@ -250,14 +331,16 @@ def test_scalar_driver_counts_panels_as_the_rows_driver(max_panels, f, b, seeds)
 
 
 def test_a_jump_inside_a_panel_needs_a_seed_at_it():
-    # The rule assumes a smooth integrand between seeds: unseeded, the first
-    # panel's nodes all miss the jump and the two rules agree on 4.6875;
-    # seeded at the jump, each side is smooth and the integral is 4.7.
-    assert abs(adaptive_quadrature(JUMP, 0.0, 5.0, abs_tol=1e-12) - 4.6875) < 1e-12
+    # The rule assumes a smooth integrand between seeds: a step at 0.005 lies
+    # between the end and the first node (0.01086 on [0, 5]), so unseeded every
+    # node misses it and both sums agree on 5.0; seeded at the step, each side
+    # is smooth and the integral is 4.995.
+    step = lambda x: np.where(x < 0.005, 0.0, 1.0)
+    assert adaptive_quadrature(step, 0.0, 5.0, abs_tol=1e-12) == 5.0
     for a, b in ((0.0, 5.0), (5.0, 0.0)):
-        rows, scalar = _both_drivers(JUMP, a, b, seeds=(0.3,))
+        rows, scalar = _both_drivers(step, a, b, seeds=(0.005,))
         assert scalar == rows
-        assert abs(scalar - math.copysign(4.7, b - a)) <= 1e-12
+        assert abs(scalar - math.copysign(4.995, b - a)) <= 1e-12
 
 
 def test_rows_take_their_own_nan_padded_seeds():
@@ -273,8 +356,8 @@ def test_rows_take_their_own_nan_padded_seeds():
 
 
 def test_seeds_find_a_step_hidden_at_a_panel_edge():
-    # The step sits at x = 1, the edge of [1, 3]: both rules' nodes lie on
-    # the flat part, agree, and accept a value that misses ln(2)/1e4.
+    # The step sits at x = 1, the edge of [1, 3]: all 21 nodes lie on the
+    # flat part, both sums agree, and accept a value that misses ln(2)/1e4.
     f = lambda x: np.tanh((x - 1.0) * 1e4)
     exact = 2.0 - math.log(2.0) * 1e-4  # (1/s) ln cosh(2s), s = 1e4
     assert abs(adaptive_quadrature(f, 1.0, 3.0) - exact) > 6e-5

@@ -472,20 +472,22 @@ def _scalar_limit_values(kt, b, j):
                                math.nextafter(2.0, 3.0), 2.5, -2.0, -3.0])
 @pytest.mark.parametrize("j", [1.0, -1.0])
 def test_scalar_integrals_seed_only_at_a_step_and_keep_the_bits(monkeypatch, kt, b, j):
+    # A step, or its tail within _STEP_TAIL of 2K cos w - C = 0, is seeded;
+    # past the tail nothing is (B = 2.5 and -3 at kT = 0.02).
     values = _scalar_limit_values(kt, b, j)
-    float_step_seeds, quotients = thermolimit._float_step_seeds, []
+    float_step_seeds, seeded = thermolimit._float_step_seeds, []
 
     def recorded(k, c):
         seeds = float_step_seeds(k, c)
         if seeds:
-            quotients.append(c / (2.0 * k))
+            seeded.append((k, c))
         return seeds
 
     monkeypatch.setattr(thermolimit, "_float_step_seeds", recorded)
     assert _scalar_limit_values(kt, b, j) == values
-    assert all(abs(q) <= 1.0 for q in quotients)
-    if abs(b) <= 2.0:
-        assert len(quotients) == len(values)
+    assert all(abs(c) - 2.0 * abs(k) <= thermolimit._STEP_TAIL for k, c in seeded)
+    near = abs(b) - 2.0 <= thermolimit._STEP_TAIL * kt
+    assert len(seeded) == (len(values) if near else 0)
     monkeypatch.setattr(thermolimit, "_integrate", _always_seeded)
     assert _scalar_limit_values(kt, b, j) == values
 
@@ -613,7 +615,7 @@ def test_an_accepted_first_panel_is_the_only_evaluation(monkeypatch):
 
     monkeypatch.setattr(thermolimit, "_witness_integrand", counted)
     xx_witness_single_integral(20.0, 2.5, 1.0)
-    assert shapes == [(1, 30)]
+    assert shapes == [(1, 21)]
 
 
 def test_a_zero_coupling_has_no_step_and_keeps_the_bits(monkeypatch):
@@ -630,6 +632,37 @@ def _reference_witness(kt, b):
         value = mpmath.quad(lambda w: mpmath.cos(w) * mpmath.tanh(2 * k * mpmath.cos(w) - c),
                             nodes)
         return float(2 / mpmath.pi * abs(value))
+
+
+def _reference_energy_and_magnetization(kt, b):
+    """U and M per site (J = 1) by mpmath's tanh-sinh rule, split at the kink."""
+    with mpmath.workdps(30):
+        k, c = 1 / mpmath.mpf(kt), mpmath.mpf(b) / mpmath.mpf(kt)
+        nodes = [0, mpmath.acos(c / (2 * k)), mpmath.pi] if abs(c) <= 2 * k else [0, mpmath.pi]
+        x = lambda w: 2 * k * mpmath.cos(w) - c
+        u = -mpmath.mpf(kt) * mpmath.quad(lambda w: x(w) * mpmath.tanh(x(w)), nodes) / mpmath.pi
+        m = -mpmath.quad(lambda w: mpmath.tanh(x(w)), nodes) / mpmath.pi
+        return float(u), float(m)
+
+
+# A grid, and points just past B = 2|J| at low kT: there 2K cos w - C has
+# no zero but the tanh step's tail shows at w = 0. With the tail unseeded,
+# W, U or M was 1e-13 to 4.3e-12 off at each of these points (1e-13 to
+# 1.9e-12 with a 10/20-node Gauss rule); seeded, each is within 4.4e-16
+# (measured).
+TAIL_POINTS = [(0.02207, 2.175), (0.02331, 2.22), (0.01269, 2.109), (0.01847, 2.176),
+               (0.02127, 2.141), (0.0062, 2.0667)]
+
+
+@pytest.mark.parametrize("kt, b", [(kt, b) for kt in (0.01, 0.1, 1.0, 5.0)
+                                   for b in (0.0, 1.2, 2.5)] + TAIL_POINTS)
+def test_limit_values_are_within_1e_14_of_the_reference(kt, b):
+    # At the default tolerance W, U and M are within 1e-14 here (at most
+    # 4.4e-16 measured). The tolerance allows more.
+    u, m = _reference_energy_and_magnetization(kt, b)
+    assert abs(xx_witness_single_integral(kt, b, 1.0) - _reference_witness(kt, b)) < 1e-14
+    assert abs(xx_internal_energy(kt, b, 1.0) - u) < 1e-14
+    assert abs(xx_magnetization(kt, b, 1.0) - m) < 1e-14
 
 
 def _reference_printed_witness(kt, b):
@@ -681,7 +714,7 @@ def test_batched_witness_is_accurate_at_low_temperature(b):
 
 def test_region_scan_at_vanishing_temperature_is_exact_or_flagged():
     # At kT = 1e-300 the integrand is a step at the kink: each cell either
-    # resolves it (T -> 0 closed form; the 10/20-node difference is no
+    # resolves it (T -> 0 closed form; the 10/21-node difference is no
     # strict error bound across a jump, hence 1e-9) or fails honestly;
     # neighbours are unaffected.
     kt = np.array([1e-300, 0.5, 2.0])
@@ -702,7 +735,7 @@ def test_region_scan_at_vanishing_temperature_is_exact_or_flagged():
 def test_region_scan_isolates_failing_cells(monkeypatch):
     # A two-panel budget fails the cells that need more panels and only them.
     monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
-    kt = np.array([0.05, 0.5, 3.0, 30.0])
+    kt = np.array([0.05, 0.2, 3.0, 30.0])
     b = np.array([0.0, 1.0, 3.0])
     grid = region_scan(kt, b)
     failed = {(ib, ik) for ib, ik, _ in grid.cell_errors}
@@ -954,10 +987,18 @@ def test_printed_scan_is_the_scalar_route_cell_by_cell(kts, bs, abs_tol, n_error
 def test_scaled_tolerances_are_capped_at_the_largest_float():
     # abs_tol * max(1, K, C) = 100 * 2.5e306 is past the float range; capped,
     # it accepts every first panel as the infinite product once did, and
-    # returns those values rather than rejecting the tolerance
-    for b, w in ((0.0, 1.2732395447351632), (0.5, 1.2328088881230002)):
+    # returns those values rather than rejecting the tolerance. Each is within
+    # a few ulps of its T -> 0 closed form.
+    for b, w in ((0.0, 1.2732395447351625), (0.5, 1.2328088881229995)):
         assert xx_witness(4e-307, b, 1.0, abs_tol=100.0).value == w
-    assert xx_log_partition_density(2.5e306, 1.25e306, abs_tol=100.0) == 3.283098778445416e+306
+        closed = 4.0 / math.pi * math.sqrt(1.0 - (b / 2.0) ** 2)
+        assert abs(w - closed) <= 2.0 * math.ulp(closed)
+    k, c = 2.5e306, 1.25e306
+    lnz = xx_log_partition_density(k, c, abs_tol=100.0)
+    assert lnz == 3.2830987784454135e+306
+    star = math.acos(c / (2.0 * k))  # ln Z -> (1/pi) int |2K cos w - C| dw
+    closed = (4.0 * k * math.sin(star) + c * (math.pi - 2.0 * star)) / math.pi
+    assert abs(lnz - closed) <= 4.0 * math.ulp(closed)
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-10, math.inf])

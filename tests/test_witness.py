@@ -25,6 +25,7 @@ from spinwitness.witness import (
     separable_sweep,
     witness_from_correlators,
     witness_from_model,
+    witness_from_totals,
     witness_value,
 )
 
@@ -509,6 +510,19 @@ def test_each_route_labels_its_own_source():
         assert replace(report, source=totals.source) == totals
     with pytest.raises(SpecError, match="witness undefined for J = 0"):
         witness_from_model(ModelSpec.xxx(0.0, n_sites=4), 1.0)
+
+
+def test_measured_totals_take_the_spec_a_model_witness_takes():
+    # J = Jx, B and N from the spec; a two-site ring is legal for measured totals
+    spec = ModelSpec.xx(2.0, b=0.3, n_sites=2)
+    assert witness_from_totals(spec, -6.0, 0.5) == witness_value(-6.0, 0.5, 0.3, 2.0, 2)
+    assert witness_from_totals(spec, -6.0, 0.5).value == 1.4625
+    for bad, message in ((ModelSpec.xyz(0.7, 1.2, 0.9, n_sites=2), "not witness-eligible"),
+                         (replace(spec, jz=1.0), "family 'xx' requires"),
+                         (ModelSpec.xxx(0.0, n_sites=2), "J = 0"),
+                         (replace(spec, n_sites=0), "n_sites must be >= 1")):
+        with pytest.raises(SpecError, match=message):
+            witness_from_totals(bad, -6.0, 0.5)
 
 
 def test_witness_from_model_field_flip_invariance():
