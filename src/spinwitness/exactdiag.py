@@ -128,6 +128,11 @@ _DEGENERACY_TOL = 1e-9
 # which malloc maps fresh pages for every temporary.
 _GATHER_SIZE = 16000
 
+# Numbers per stack of squared vectors (at least one matrix): 2 MiB, so a
+# group's squares never add more than that to its vectors, while every group
+# of a ring up to N = 12 is still squared whole.
+_SQUARE_SIZE = 1 << 18
+
 _SIGMA_YY = np.array([[0.0, 0.0, 0.0, -1.0],
                       [0.0, 0.0, 1.0, 0.0],
                       [0.0, 1.0, 0.0, 0.0],
@@ -722,14 +727,19 @@ def _terms(n_sites: int, order: int, conserve_sz: bool, sites: tuple,
 def _expectations(terms: _Terms, vectors: np.ndarray) -> np.ndarray:
     """(rows, m d): every table row's expectation in every eigenstate (column) of the group.
 
-    A diagonal row's is sum_i v_i^2 diag_i. A flip row's is the sum of
-    value v_i v_j over its entries, gathered chunk by chunk into two reused
-    buffers.
+    A diagonal row's is sum_i v_i^2 diag_i, squared a few whole matrices at
+    a time, so the squares never cost another copy of the vectors. A flip
+    row's is the sum of value v_i v_j over its entries, gathered chunk by
+    chunk into two reused buffers.
     """
     m, d, _ = vectors.shape
     classes = terms.diagonal.shape[1]
     rows = np.zeros((terms.rows, m, d))
-    rows[:classes] = (terms.diagonal @ (vectors * vectors)).transpose(1, 0, 2)
+    step = max(1, _SQUARE_SIZE // (d * d))
+    for start in range(0, m, step):
+        part = slice(start, start + step)
+        squares = vectors[part] * vectors[part]
+        rows[:classes, part] = (terms.diagonal[part] @ squares).transpose(1, 0, 2)
     if terms.chunks:
         flat, flips = vectors.reshape(m * d, d), rows[classes:].reshape(-1, d)
         size = terms.chunks[0][0].size  # the first chunk is full

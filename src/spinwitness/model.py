@@ -100,21 +100,44 @@ def frozen_instance(cls, fields: dict):
     return instance
 
 
-def require_count(value, name: str) -> int:
-    """``value`` as a positive int.
-
-    A bool, or a value that an int does not equal (2.5, "8"), is a usage
-    error rather than something to truncate.
-    """
+def _integer(value, name: str) -> int:
+    """``value`` as an int. A bool, or a value that an int does not equal (2.5,
+    "8"), is a usage error rather than something to truncate."""
     try:
-        count = int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError):
-        count = None
-    if count is None or count != value or isinstance(value, bool):
+        number = None
+    if number is None or number != value or isinstance(value, bool):
         raise SpecError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
+def require_count(value, name: str) -> int:
+    """``value`` as a positive int, by the integer rule of :func:`_integer`."""
+    count = _integer(value, name)
     if count < 1:
         raise SpecError(f"{name} must be >= 1, got {value}")
     return count
+
+
+def require_boundary(boundary) -> str:
+    """``boundary`` lowercased; SpecError unless it is one of :data:`BOUNDARIES`."""
+    name = str(boundary).lower()
+    if name not in BOUNDARIES:
+        raise SpecError(f"unknown boundary {boundary!r}; expected one of {BOUNDARIES}")
+    return name
+
+
+def require_seed(seed) -> int | None:
+    """``seed`` as a random generator seed: None, or a non-negative int by the
+    integer rule of :func:`_integer`. numpy's own errors for a negative or a
+    fractional seed would read as numerical failures."""
+    if seed is None:
+        return None
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise SpecError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def validate_spec(spec) -> ModelSpec:
@@ -130,9 +153,7 @@ def validate_spec(spec) -> ModelSpec:
     family = str(spec.family).lower()
     if family not in FAMILIES:
         raise SpecError(f"unknown family {spec.family!r}; expected one of {FAMILIES}")
-    boundary = str(spec.boundary).lower()
-    if boundary not in BOUNDARIES:
-        raise SpecError(f"unknown boundary {spec.boundary!r}; expected one of {BOUNDARIES}")
+    boundary = require_boundary(spec.boundary)
     sign = str(spec.sign_convention).lower()
     if sign not in SIGN_CONVENTIONS:
         raise SpecError(

@@ -20,7 +20,8 @@ from functools import partial
 import numpy as np
 
 from . import exactdiag, freefermion, thermolimit, witness
-from .model import BOUNDARY_OPEN, BOUNDARY_PERIODIC, FAMILY_XX, FAMILY_XXX, ModelSpec, SpecError
+from .model import (BOUNDARY_OPEN, BOUNDARY_PERIODIC, FAMILY_XX, FAMILY_XXX, ModelSpec, SpecError,
+                    require_seed)
 
 _SEED = 20240811
 
@@ -192,8 +193,10 @@ def run_validation_suite(tol_override: float | None = None,
                          seed: int | None = None) -> list[CheckResult]:
     """Run every cross-check; returns one :class:`CheckResult` per check.
 
-    SpecError unless ``tol_override`` is None or finite and > 0.
+    SpecError unless ``tol_override`` is None or finite and > 0, and unless
+    ``seed`` is None or an integer >= 0.
     """
+    seed = require_seed(seed)
     if tol_override is not None:
         tol_override = float(tol_override)
         if not (math.isfinite(tol_override) and tol_override > 0.0):

@@ -28,8 +28,10 @@ from .model import (
     WITNESS_ELIGIBLE_FAMILIES,
     SpecError,
     frozen_instance,
+    require_boundary,
     require_count,
     require_coupling,
+    require_seed,
     validate_spec,
 )
 
@@ -45,6 +47,17 @@ _CORRELATOR_SLOP = 1e-9
 # Site vectors the separable sweep draws and scores at a time (4096 samples
 # at N = 8, at least one sample), so its memory does not grow with the input.
 _SWEEP_BLOCK_SITES = 1 << 15
+
+# The pruning slack of the sweep (see _sweep_maxima), per N^2 (u = 2^-53). A
+# computed score or bound is built from at most four sums of N terms, each term
+# at most 2 in size once scaled, and a sum taken in any order is within
+# 2 (N - 1) N u of the exact sum of its terms; the roundings inside each term,
+# the cosine's and the folded angle's included, add under 60 u a term. So a
+# computed score lies within 8 N^2 u + 60 N u of what its computed bounds say,
+# and a test that sets one sample's upper bound against another sample's lower
+# bound needs twice that: under 64 N^2 u for N >= 3. N^2 2^-44 = 512 N^2 u
+# leaves eightfold room and is still only 4e-12 at N = 8.
+_SWEEP_MARGIN = 2.0 ** -44
 
 
 @dataclass(frozen=True)
@@ -180,6 +193,7 @@ def product_state_witness(bloch_vectors, family, boundary=BOUNDARY_PERIODIC) -> 
 
     Product-state correlators factorize, <s_i^a s_j^a> = u_i[a]*u_j[a], so
     the witness is (1/N)|sum_bonds u_i . u_j| (xy components only for XX).
+    ``boundary`` is read as :class:`ModelSpec` reads it (case-insensitive).
     """
     u = np.asarray(bloch_vectors, dtype=float)
     if u.ndim != 2 or u.shape[1] != 3:
@@ -190,6 +204,7 @@ def product_state_witness(bloch_vectors, family, boundary=BOUNDARY_PERIODIC) -> 
     if not np.max(np.abs(norms - 1.0)) <= 1e-9:  # a NaN component fails too
         raise SpecError("Bloch vectors must be unit length")
     family = _eligible_family(family)
+    boundary = require_boundary(boundary)
     v = u[:, :3 if family == FAMILY_XXX else 2]
     partner = np.roll(v, -1, axis=0) if boundary == BOUNDARY_PERIODIC else v[1:]
     total = float(np.einsum("na,na->", v[:partner.shape[0]], partner))
@@ -224,56 +239,134 @@ def separable_sweep(n_samples, n_sites, family, seed, include_corners: bool = Tr
     (Archimedes' hat-box theorem). A bond scores
     u_i . u_j = z_i z_j + r_i r_j cos(phi_i - phi_j), r = sqrt(1 - z^2),
     and the XX family keeps only the r_i r_j cos term, so no vector is
-    formed or normalized: a site costs two uniforms, one square root and
-    one cosine. The Cauchy-Schwarz bound guarantees the result never
-    exceeds 1 beyond roundoff; aligned corner states saturate it exactly.
-    Mixed separable states need no sampling: the witness is convex, so its
-    maximum over separable states is attained on pure products.
+    formed or normalized. The Cauchy-Schwarz bound guarantees the result
+    never exceeds 1 beyond roundoff; aligned corner states saturate it
+    exactly. Mixed separable states need no sampling: the witness is
+    convex, so its maximum over separable states is attained on pure
+    products.
+
+    Only samples that could beat the largest score so far are scored: a
+    bound from z alone (|S| <= |sum z_i z_j| + N - sum z^2) and a bracket
+    of each bond's cosine by quadratics in its folded angle rule out the
+    others (see :func:`_sweep_maxima`). At 10^5 samples and N = 8 about
+    one sample in 3000 reaches a cosine, and drawing the uniforms is most
+    of the time (about 12-13 ms on a 2-vCPU VM).
 
     Samples are drawn and scored in blocks of about 2^15 sites, so memory
     is constant in ``n_samples`` and in ``n_sites`` (a few MiB; only a ring
     of more than 2^15 sites makes a one-sample block larger). Blocks are
     consecutive draws from one generator, so the result is the same bits
-    as scoring every sample at once.
+    as scoring every sample at once. ``seed`` is None or an integer >= 0
+    (SpecError otherwise).
     """
     n_samples = require_count(n_samples, "n_samples")
     n = require_count(n_sites, "n_sites")
     if n < 3:
         raise SpecError(f"the sweep samples rings, which need n_sites >= 3, got {n}")
-    return _sweep_maxima(n_samples, n, (_eligible_family(family),), seed, include_corners)[0]
+    return _sweep_maxima(n_samples, n, (_eligible_family(family),), require_seed(seed),
+                         include_corners)[0]
 
 
 def _largest_sum(dots: np.ndarray) -> float:
-    """The largest |row sum| of the (samples, bonds) ``dots``."""
-    return float(np.max(np.abs(dots.sum(axis=1))))
+    """The largest |row sum| of the (samples, bonds) ``dots``, 0 for no samples."""
+    return float(np.max(np.abs(dots.sum(axis=1)), initial=0.0))
+
+
+def _contenders(largest: dict, low, high, zz_sum, margin: float) -> np.ndarray:
+    """Indices of the rows that may hold a family's largest |score|.
+
+    Each row's xy sum lies in [``low``, ``high``]; its XXX score adds
+    ``zz_sum``. A row stays if, for some family, its bound on |score|
+    reaches both the largest score so far and every row's lower bound on
+    |score|, less ``margin``.
+    """
+    keep = np.zeros(len(high), dtype=bool)
+    for family, best in largest.items():
+        lo, hi = (low + zz_sum, high + zz_sum) if family == FAMILY_XXX else (low, high)
+        floor = max(best, float(np.max(lo, initial=0.0)), -float(np.min(hi, initial=0.0)))
+        keep |= np.maximum(hi, -lo) >= floor - margin
+    return np.flatnonzero(keep)
+
+
+def _take_rows(x: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The ``rows`` of the 2-D ``x``, copied into the front of the flat ``buf``."""
+    out = buf[:len(rows) * x.shape[1]].reshape(len(rows), x.shape[1])
+    return np.take(x, rows, axis=0, out=out, mode="clip")  # "raise" would buffer out
 
 
 def _sweep_maxima(n_samples: int, n: int, families: tuple, seed,
                   include_corners: bool) -> list[float]:
     """:func:`separable_sweep` of each of ``families`` (eligible, lowercase), all scored on
-    the same draws: the XX row sums are taken before the zz term is added."""
+    the same draws: the XX row sums are taken before the zz term is added.
+
+    A sample's score is S = Z + X, Z = sum_b z_i z_j (0 for XX) and
+    X = sum_b r_i r_j cos(d_b), d_b = phi_i - phi_j. Two brackets on X decide
+    which samples get a cosine:
+
+    - from z alone, |X| <= sum_b r_i r_j <= N - sum z^2, since
+      r_i r_j <= (r_i^2 + r_j^2)/2 around the ring and r^2 = 1 - z^2;
+    - with w_b = |d_b| folded into [0, pi], cos d_b = cos w_b lies between
+      max(-1, 1 - w^2/2) and 1 - 2 w^2/pi^2, both exact inequalities.
+
+    Each bracket bounds |S| from above and from below. A sample goes on
+    only if its upper bound reaches both its family's largest score so far
+    and every lower bound in its block, less ``_SWEEP_MARGIN`` N^2, so no
+    pruned sample could have held the maximum. The samples that remain are
+    scored with the arithmetic of scoring every sample, and each maximum
+    keeps its bits.
+    """
     rng = np.random.default_rng(seed)
-    block = max(1, _SWEEP_BLOCK_SITES // n)
+    block = min(n_samples, max(1, _SWEEP_BLOCK_SITES // n))
+    margin = _SWEEP_MARGIN * n * n
+    ones = np.ones(n)
+    draws = np.empty((block, n, 2))  # reused by every block, as are a, b and c
+    a, b, c = (np.empty(block * n) for _ in range(3))
+    with_zz = FAMILY_XXX in families
     largest = dict.fromkeys(families, 0.0)
     for start in range(0, n_samples, block):
         m = min(block, n_samples - start)
-        uniforms = rng.random((m, n, 2)).reshape(m * n, 2)
-        z, phi = uniforms[:, 0], uniforms[:, 1]  # views: the draws become z and phi in place
+        uniforms = rng.random(out=draws[:m]).reshape(m, n, 2)
+        z, phi = uniforms[..., 0], uniforms[..., 1]  # views: z is formed in place, phi per row kept
         z *= 2.0
         z -= 1.0
-        phi *= 2.0 * math.pi
-        r = z * z
+        room = n - np.multiply(z, z, out=a[:m * n].reshape(m, n)) @ ones  # N - sum z^2
+        zz_sum = 0.0
+        if with_zz:
+            zz_sum = _ring_bonds(np.multiply, z.reshape(m * n), n, a[:m * n]).reshape(m, n) @ ones
+        rows = _contenders(largest, -room, room, zz_sum, margin)
+        if with_zz:
+            zz_sum = zz_sum[rows]
+
+        k = len(rows)
+        r = _take_rows(z, rows, a)
+        np.multiply(r, r, out=r)
         np.subtract(1.0, r, out=r)
         np.sqrt(r, out=r)
-        dots = _ring_bonds(np.subtract, phi, n, np.empty(m * n))
+        rr = _ring_bonds(np.multiply, r.reshape(k * n), n, b[:k * n]).reshape(k, n)
+        angles = _take_rows(phi, rows, c).reshape(k * n)
+        angles *= 2.0 * math.pi
+        delta = _ring_bonds(np.subtract, angles, n, a[:k * n]).reshape(k, n)
+        w = np.abs(delta, out=c[:k * n].reshape(k, n))
+        np.subtract(math.pi, w, out=w)  # w = pi - |pi - |d||, the angle of d in [0, pi]
+        np.abs(w, out=w)
+        np.subtract(math.pi, w, out=w)
+        np.square(w, out=w)
+        rr_sum = rr @ ones
+        high = rr_sum - (2.0 / math.pi ** 2) * np.einsum("ij,ij->i", rr, w)
+        np.minimum(w, 4.0, out=w)
+        low = rr_sum - 0.5 * np.einsum("ij,ij->i", rr, w)
+        keep = _contenders(largest, low, high, zz_sum, margin)
+
+        dots = _take_rows(delta, keep, c)
         np.cos(dots, out=dots)
-        pair = _ring_bonds(np.multiply, r, n, np.empty(m * n))
-        dots *= pair
+        dots *= _take_rows(rr, keep, a)
         if FAMILY_XX in largest:
-            largest[FAMILY_XX] = max(largest[FAMILY_XX], _largest_sum(dots.reshape(m, n)))
-        if FAMILY_XXX in largest:
-            dots += _ring_bonds(np.multiply, z, n, pair)
-            largest[FAMILY_XXX] = max(largest[FAMILY_XXX], _largest_sum(dots.reshape(m, n)))
+            largest[FAMILY_XX] = max(largest[FAMILY_XX], _largest_sum(dots))
+        if with_zz:
+            k = len(keep)
+            zs = z[rows[keep]].reshape(k * n)
+            dots += _ring_bonds(np.multiply, zs, n, b[:k * n]).reshape(k, n)
+            largest[FAMILY_XXX] = max(largest[FAMILY_XXX], _largest_sum(dots))
     corners = _corner_states(n) if include_corners else ()
     return [max([largest[family] / n] + [product_state_witness(c, family) for c in corners])
             for family in families]

@@ -671,6 +671,13 @@ def test_validate_text_table(capsys):
     assert out.count("PASS") == 12
 
 
+def test_validate_rejects_a_negative_seed(capsys):
+    # numpy's ValueError once made this a numerical failure (exit 2)
+    rc, out, err = run(["validate", "--seed", "-1"], capsys)
+    assert rc == 1 and out == ""
+    assert "seed must be >= 0, got -1" in err
+
+
 def test_validate_tight_tolerance_exits_three(capsys):
     rc, out, _ = run(["validate", "--tol", "1e-14"], capsys)
     assert rc == 3

@@ -682,6 +682,29 @@ def test_flip_rows_across_chunk_edges_match_dense(tiny_gather_chunks, family, bo
         assert np.max(np.abs(rho - ref_pair(*pair))) < 1e-11, pair
 
 
+@pytest.mark.parametrize("n, boundary, couplings", [
+    (13, "periodic", (0.4, -0.9, 1.1, 0.35)),  # twelve 315-state blocks, two at a time
+    (11, "open", (0.4, -0.9, 1.1, 0.35)),      # two reflection halves, one at a time
+])
+def test_diagonal_rows_squared_a_few_matrices_at_a_time_keep_the_whole_stack_bits(
+        n, boundary, couplings):
+    # Squaring the whole (m, d, d) stack at once doubled the memory of a
+    # group's vectors (9.3 MiB for the N = 13 XYZ ring's 12 x 315 group);
+    # each sub-stack keeps the same matmul per matrix. Parity-sector groups
+    # are the ones wide enough to be split before the site cap.
+    order = n if boundary == "periodic" else 1
+    classes = exactdiag._classes(n, order, bond_list(n, boundary))
+    terms = exactdiag._terms(n, order, couplings[3] == 0.0, classes.sites, classes.bonds)
+    split = 0
+    for t, (_, vectors) in zip(terms, exactdiag._solve(n, boundary, *couplings)):
+        m, d, _ = vectors.shape
+        rows = t.diagonal.shape[1]
+        whole = (t.diagonal @ (vectors * vectors)).transpose(1, 0, 2).reshape(rows, m * d)
+        assert np.array_equal(exactdiag._expectations(t, vectors)[:rows], whole)
+        split += m * d * d > exactdiag._SQUARE_SIZE and m > 1
+    assert split  # some group is squared in several sub-stacks
+
+
 # The eigensystem cache starts cold. The N = 8 ring's parity sectors have
 # momentum blocks of 14, 17, 14 (even sector) and 16, 16, 16 (odd sector)
 # states at q = 1, 2, 3; reflection splits q = 0 into 18 + 2 and 12 + 4, and

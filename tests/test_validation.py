@@ -61,6 +61,15 @@ def test_tolerance_override_must_be_finite_and_positive(bad):
         run_validation_suite(tol_override=bad)
 
 
+@pytest.mark.parametrize("seed, message", [(-1, "seed must be >= 0, got -1"),
+                                           (1.5, "seed must be an integer"),
+                                           (True, "seed must be an integer")])
+def test_bad_seeds_are_bad_input(seed, message):
+    # numpy's ValueError for -1 once reached the CLI as a numerical failure
+    with pytest.raises(SpecError, match=message):
+        run_validation_suite(seed=seed)
+
+
 def test_as_printed_magnetization_fails_with_a_note():
     results = {r.name: r for r in run_validation_suite(as_printed=True)}
     lnz = results["magnetization-lnz-derivative"]

@@ -304,6 +304,13 @@ def test_product_state_validation():
         product_state_witness(with_nan, "xxx")
     with pytest.raises(SpecError, match="empty"):  # not numpy's zero-size reduction error
         product_state_witness(np.empty((0, 3)), "xxx")
+    # the boundary is read by the model's rule: "Periodic" was once scored as an open chain
+    aligned = np.tile([0.0, 0.0, 1.0], (4, 1))
+    assert product_state_witness(aligned, "xxx", "Periodic") == 1.0
+    assert product_state_witness(aligned, "xxx", "OPEN") == 0.75
+    for boundary in ("ring", "periodc", None):
+        with pytest.raises(SpecError, match="unknown boundary"):
+            product_state_witness(aligned, "xxx", boundary)
 
 
 def test_xx_sum_is_two_thirds_on_isotropic_ground_state():
@@ -338,6 +345,24 @@ def test_separable_sweep_rejections():
         separable_sweep(10, 2, "xxx", seed=1)
     with pytest.raises(SpecError):
         separable_sweep(10, 6, "xyz", seed=1)
+
+
+@pytest.mark.parametrize("seed, message", [(-1, "seed must be >= 0, got -1"),
+                                           (1.5, "seed must be an integer"),
+                                           (True, "seed must be an integer"),
+                                           ("3", "seed must be an integer")])
+def test_separable_sweep_rejects_bad_seeds(seed, message):
+    # numpy's own ValueError (-1) and TypeError (1.5) read as numerical failures
+    with pytest.raises(SpecError, match=message):
+        separable_sweep(10, 4, "xxx", seed=seed)
+
+
+def test_separable_sweep_takes_none_and_integral_seeds():
+    assert separable_sweep(10, 4, "xxx", seed=None) == 1.0
+    reference = separable_sweep(50, 4, "xx", seed=7, include_corners=False)
+    for seed in (np.int64(7), 7.0):
+        assert separable_sweep(50, 4, "xx", seed=seed, include_corners=False) == reference
+    assert separable_sweep(10, 4, "xxx", seed=0) == 1.0
 
 
 def sweep_bond_dots(n_samples, n, family, seed):
@@ -395,6 +420,37 @@ def test_one_sweep_scores_both_families_bit_for_bit(monkeypatch, n, per_block):
                         for family in ("xxx", "xx")]
         assert both == [unblocked_sweep(n_samples, n, family, n, corners)
                         for family in ("xxx", "xx")]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 64), n_samples=st.integers(1, 3000),
+       families=st.sampled_from([("xxx",), ("xx",), ("xxx", "xx"), ("xx", "xxx")]),
+       corners=st.booleans(), per_block=st.integers(1, 8))
+def test_pruned_sweep_is_bit_identical_to_scoring_every_sample(seed, n, n_samples, families,
+                                                               corners, per_block):
+    # Blocks of a few samples: the running maximum prunes from the second
+    # block on, and each block's lower bounds prune inside it.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(witness, "_SWEEP_BLOCK_SITES", per_block * n)
+        maxima = witness._sweep_maxima(n_samples, n, families, seed, corners)
+    assert maxima == [unblocked_sweep(n_samples, n, family, seed, corners) for family in families]
+
+
+@pytest.mark.parametrize("family", ["xxx", "xx"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_few_bonds_of_a_sweep_reach_the_cosine(monkeypatch, family, seed):
+    # The bound from z alone lets 50-75% of these samples through; the
+    # folded-angle bracket leaves under 1% to be scored. Scoring every
+    # sample again would fail here.
+    cos, counted = np.cos, []
+
+    def counting(x, *args, **kwargs):
+        counted.append(np.size(x))
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counting)
+    separable_sweep(20_000, 8, family, seed=seed, include_corners=False)
+    assert 0 < sum(counted) < 0.05 * 20_000 * 8
 
 
 def test_xxx_bond_dots_are_uniform_on_minus_one_to_one():
