@@ -756,7 +756,9 @@ def _expectations(terms: _Terms, vectors: np.ndarray) -> np.ndarray:
 def _pair_means(sums: np.ndarray, sizes) -> np.ndarray:
     """The mean xx, yy and zz rows of C pair classes from their zz, antiparallel and parallel
     flip sums (3 C rows), ``sizes`` the classes' pair counts."""
-    zz, antiparallel, parallel = np.split(sums / np.tile(sizes, 3)[:, None], 3)
+    c = len(sizes)
+    means = sums / np.array(sizes * 3)[:, None]
+    zz, antiparallel, parallel = means[:c], means[c:2 * c], means[2 * c:]
     return np.concatenate((antiparallel + parallel, antiparallel - parallel, zz))
 
 

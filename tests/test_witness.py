@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from spinwitness import witness
+from spinwitness import validation, witness
 from spinwitness.exactdiag import concurrence, reduced_pair_state, thermal_observables
 from spinwitness.model import ModelSpec, SpecError, require_count
 from spinwitness.witness import (
@@ -436,21 +436,58 @@ def test_pruned_sweep_is_bit_identical_to_scoring_every_sample(seed, n, n_sample
     assert maxima == [unblocked_sweep(n_samples, n, family, seed, corners) for family in families]
 
 
-@pytest.mark.parametrize("family", ["xxx", "xx"])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_few_bonds_of_a_sweep_reach_the_cosine(monkeypatch, family, seed):
-    # The bound from z alone lets 50-75% of these samples through; the
-    # folded-angle bracket leaves under 1% to be scored. Scoring every
-    # sample again would fail here.
-    cos, counted = np.cos, []
+@pytest.fixture
+def cosine_sizes(monkeypatch):
+    """The size of each argument np.cos receives in the test."""
+    cos, sizes = np.cos, []
 
     def counting(x, *args, **kwargs):
-        counted.append(np.size(x))
+        sizes.append(np.size(x))
         return cos(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "cos", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("family", ["xxx", "xx"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_few_bonds_of_a_sweep_reach_the_cosine(cosine_sizes, family, seed):
+    # The bound from z alone lets 50-75% of these samples through; the
+    # folded-angle bracket leaves under 1% to be scored. Scoring every
+    # sample again would fail here.
     separable_sweep(20_000, 8, family, seed=seed, include_corners=False)
-    assert 0 < sum(counted) < 0.05 * 20_000 * 8
+    assert 0 < sum(cosine_sizes) < 0.05 * 20_000 * 8
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: separable_sweep(10 ** 5, 8, "xxx", seed=5),
+    lambda: witness._sweep_maxima(20_000, 8, ("xxx", "xx"), validation._SEED, True),
+    lambda: separable_sweep(100, 2000, "xxx", seed=5)], ids=["benchmark", "validate", "wide"])
+def test_corners_stop_every_draw_of_a_sweep_at_the_z_bound(cosine_sizes, sweep):
+    # The corners start each maximum at N, which no draw's z bound reaches
+    # here; from a maximum of 0, 31 272 of the first input's draws passed it.
+    assert sweep() in (1.0, [1.0, 1.0])
+    assert sum(cosine_sizes) == 0
+
+
+def test_sweep_without_corners_prunes_only_what_cannot_win():
+    # A keep test of bound >= floor + 1e-3, in place of floor - margin,
+    # prunes every sample here and returns 0.0 for both families.
+    maxima = witness._sweep_maxima(2000, 3, ("xxx", "xx"), 11, False)
+    assert maxima == [unblocked_sweep(2000, 3, family, 11, False) for family in ("xxx", "xx")]
+    assert 0.97 < min(maxima)
+
+
+def test_contenders_keep_bounds_within_the_margin_of_the_floor():
+    margin = witness._SWEEP_MARGIN * 64
+    high = np.array([8.0 - margin / 2, 8.0 - 2 * margin, 1.0])
+    low = np.zeros(3)
+    for family in ("xxx", "xx"):
+        assert witness._contenders({family: 8.0}, low, high, 0.0, margin).tolist() == [0]
+        assert witness._contenders({family: 8.0}, -high, -low, 0.0, margin).tolist() == [0]
+    # another row's lower bound in the block is a floor too
+    low[2], high[2] = 8.0, 9.0
+    assert witness._contenders({"xx": 0.0}, low, high, 0.0, margin).tolist() == [0, 2]
 
 
 def test_xxx_bond_dots_are_uniform_on_minus_one_to_one():
