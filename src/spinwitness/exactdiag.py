@@ -303,8 +303,6 @@ class _Group(NamedTuple):
 
     states: slice         # the group's basis states in the layout's _Basis, block by block
     reps: np.ndarray      # (m, d): each basis state's representative, block by block
-    momenta: np.ndarray   # (m,): q of each block
-    parity: np.ndarray    # (m,): +1 or -1 for the spin-inversion halves of k = N/2, else 0
 
 
 class _Basis(NamedTuple):
@@ -541,7 +539,7 @@ def _layout(n_sites: int, order: int, conserve_sz: bool) -> _Layout:
     groups = []
     for lo, hi in zip(group_starts[:-1], group_starts[1:]):
         d = int(size[lo])
-        groups.append(_Group(slice(lo, hi), a[lo:hi].reshape(-1, d), q[lo:hi:d], p[lo:hi:d]))
+        groups.append(_Group(slice(lo, hi), a[lo:hi].reshape(-1, d)))
     basis = _Basis(a, orbits.astype(float), angles, 4 * q, (1 - p) * order, lookup,
                    np.append(block, -1), row, column, group)
     source = numbered

@@ -49,10 +49,10 @@ _CORRELATOR_SLOP = 1e-9
 _SWEEP_BLOCK_SITES = 1 << 15
 
 # The pruning slack of the sweep (see _sweep_maxima), per N^2 (u = 2^-53). A
-# computed score or bound is built from at most four sums of N terms, each term
-# at most 2 in size once scaled, and a sum taken in any order is within
+# computed score or z bound is built from at most four sums of N terms, each
+# term at most 2 in size once scaled, and a sum taken in any order is within
 # 2 (N - 1) N u of the exact sum of its terms; the roundings inside each term,
-# the cosine's and the folded angle's included, add under 60 u a term. So a
+# the square root's and the cosine's included, add under 60 u a term. So a
 # computed score lies within 8 N^2 u + 60 N u of what its computed bounds say,
 # and a test that sets one sample's upper bound against another sample's lower
 # bound needs twice that: under 64 N^2 u for N >= 3. N^2 2^-44 = 512 N^2 u
@@ -173,18 +173,23 @@ def witness_from_correlators(bond_correlators, n_sites, family) -> float:
 
     This is the correlator side of the witness identity; it must match
     :func:`witness_value` on the same thermal state to near machine
-    precision.
+    precision. A ring has N bonds and an open chain N - 1; any other count
+    is a SpecError.
     """
     with_zz = _eligible_family(family) == FAMILY_XXX
     n = require_count(n_sites, "n_sites")
     bound = 1.0 + _CORRELATOR_SLOP
     total = 0.0
-    for xx, yy, zz in bond_correlators:
+    bonds = 0
+    for bonds, (xx, yy, zz) in enumerate(bond_correlators, 1):
         xx, yy, zz = float(xx), float(yy), float(zz)
         if not (abs(xx) <= bound and abs(yy) <= bound and abs(zz) <= bound):  # NaN fails
             c = next(c for c in (xx, yy, zz) if not abs(c) <= bound)
             raise SpecError(f"correlator component {c} outside [-1, 1]")
         total += xx + yy + zz if with_zz else xx + yy
+    if bonds not in (n, n - 1):
+        raise SpecError(f"{bonds} bond correlators for {n} sites: a ring has {n} bonds, "
+                        f"an open chain {n - 1}")
     return abs(total) / n
 
 
@@ -209,14 +214,6 @@ def product_state_witness(bloch_vectors, family, boundary=BOUNDARY_PERIODIC) -> 
     partner = np.roll(v, -1, axis=0) if boundary == BOUNDARY_PERIODIC else v[1:]
     total = float(np.einsum("na,na->", v[:partner.shape[0]], partner))
     return abs(total) / u.shape[0]
-
-
-def _corner_states(n_sites: int):
-    """Hand-picked extremal product states: aligned and alternating, z and x."""
-    aligned_z = np.tile([0.0, 0.0, 1.0], (n_sites, 1))
-    aligned_x = np.tile([1.0, 0.0, 0.0], (n_sites, 1))
-    signs = np.where(np.arange(n_sites) % 2 == 0, 1.0, -1.0)[:, None]
-    return (aligned_z, aligned_x, aligned_z * signs, aligned_x * signs)
 
 
 def _ring_bonds(op, x, n, out):
@@ -245,14 +242,11 @@ def separable_sweep(n_samples, n_sites, family, seed, include_corners: bool = Tr
     convex, so its maximum over separable states is attained on pure
     products.
 
-    Only samples that could beat the largest score so far are scored: a
-    bound from z alone (|S| <= |sum z_i z_j| + N - sum z^2) and a bracket
-    of each bond's cosine by quadratics in its folded angle rule out the
-    others (see :func:`_sweep_maxima`). The corner states are scored first,
-    so the largest score starts at exactly 1: at 10^5 samples and N = 8 no
-    sample gets past the z bound, and the sweep takes about 8.6 ms on a
-    2-vCPU VM, 4.7 ms of it drawing the uniforms. Without the corners about
-    one sample in 3000 reaches a cosine, in about 14 ms.
+    Only samples that could beat the largest score so far get a cosine: a
+    bound from z alone, |S| <= |sum z_i z_j| + N - sum z^2, rules out the
+    others (see :func:`_sweep_maxima`). With the corners the largest score
+    starts at exactly 1, and at 10^5 samples and N = 8 no sample passes the
+    bound.
 
     Samples are drawn and scored in blocks of about 2^15 sites, so memory
     is constant in ``n_samples`` and in ``n_sites`` (a few MiB; only a ring
@@ -290,53 +284,37 @@ def _contenders(largest: dict, low, high, zz_sum, margin: float) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _take_rows(x: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """The ``rows`` of the 2-D ``x``, copied into the front of the flat ``buf``."""
-    out = buf[:len(rows) * x.shape[1]].reshape(len(rows), x.shape[1])
-    return np.take(x, rows, axis=0, out=out, mode="clip")  # "raise" would buffer out
-
-
 def _sweep_maxima(n_samples: int, n: int, families: tuple, seed,
                   include_corners: bool) -> list[float]:
     """:func:`separable_sweep` of each of ``families`` (eligible, lowercase), all scored on
     the same draws: the XX row sums are taken before the zz term is added.
 
     A sample's score is S = Z + X, Z = sum_b z_i z_j (0 for XX) and
-    X = sum_b r_i r_j cos(d_b), d_b = phi_i - phi_j. Two brackets on X decide
-    which samples get a cosine:
+    X = sum_b r_i r_j cos(phi_i - phi_j). Since r_i r_j <= (r_i^2 + r_j^2)/2
+    around the ring and r^2 = 1 - z^2, |X| <= N - sum z^2, which bounds |S|
+    from above and from below without a cosine. A sample is scored only if
+    its upper bound reaches both its family's largest score so far and
+    every lower bound in its block, less ``_SWEEP_MARGIN`` N^2, so no pruned
+    sample could have held the maximum; each maximum keeps the bits of
+    scoring every sample.
 
-    - from z alone, |X| <= sum_b r_i r_j <= N - sum z^2, since
-      r_i r_j <= (r_i^2 + r_j^2)/2 around the ring and r^2 = 1 - z^2;
-    - with w_b = |d_b| folded into [0, pi], cos d_b = cos w_b lies between
-      max(-1, 1 - w^2/2) and 1 - 2 w^2/pi^2, both exact inequalities.
-
-    Each bracket bounds |S| from above and from below. A sample goes on
-    only if its upper bound reaches both its family's largest score so far
-    and every lower bound in its block, less ``_SWEEP_MARGIN`` N^2, so no
-    pruned sample could have held the maximum. The samples that remain are
-    scored with the arithmetic of scoring every sample, and each maximum
-    keeps its bits.
-
-    With ``include_corners`` the corner states are scored first: the
-    x-aligned one saturates Cauchy-Schwarz, so each largest score starts at
-    exactly N. The z bound reaches N only if the z are nearly equal or
-    alternate in sign (XXX), or are all nearly 0 (XX), so almost every block
-    ends at the z bound.
+    With ``include_corners`` each largest score starts at exactly N, the
+    x-aligned product state's score in both families, and the z bound
+    reaches N only if the z are nearly equal or alternate in sign (XXX), or
+    are all nearly 0 (XX).
     """
     rng = np.random.default_rng(seed)
     block = min(n_samples, max(1, _SWEEP_BLOCK_SITES // n))
     margin = _SWEEP_MARGIN * n * n
     ones = np.ones(n)
-    draws = np.empty((block, n, 2))  # reused by every block, as are a, b and c
-    a, b, c = (np.empty(block * n) for _ in range(3))
+    draws = np.empty((block, n, 2))  # reused by every block, as is a
+    a = np.empty(block * n)
     with_zz = FAMILY_XXX in families
-    corners = _corner_states(n) if include_corners else ()
-    largest = {family: n * max([product_state_witness(s, family) for s in corners], default=0.0)
-               for family in families}  # n * 1.0 = N exactly with corners
+    largest = dict.fromkeys(families, float(n) if include_corners else 0.0)
     for start in range(0, n_samples, block):
         m = min(block, n_samples - start)
         uniforms = rng.random(out=draws[:m]).reshape(m, n, 2)
-        z, phi = uniforms[..., 0], uniforms[..., 1]  # views: z is formed in place, phi per row kept
+        z, phi = uniforms[..., 0], uniforms[..., 1]  # views: z is formed in place
         z *= 2.0
         z -= 1.0
         room = n - np.multiply(z, z, out=a[:m * n].reshape(m, n)) @ ones  # N - sum z^2
@@ -346,38 +324,20 @@ def _sweep_maxima(n_samples: int, n: int, families: tuple, seed,
         rows = _contenders(largest, -room, room, zz_sum, margin)
         if not len(rows):
             continue
-        if with_zz:
-            zz_sum = zz_sum[rows]
 
         k = len(rows)
-        r = _take_rows(z, rows, a)
-        np.multiply(r, r, out=r)
-        np.subtract(1.0, r, out=r)
-        np.sqrt(r, out=r)
-        rr = _ring_bonds(np.multiply, r.reshape(k * n), n, b[:k * n]).reshape(k, n)
-        angles = _take_rows(phi, rows, c).reshape(k * n)
+        zs = z[rows].reshape(k * n)
+        angles = phi[rows].reshape(k * n)
         angles *= 2.0 * math.pi
-        delta = _ring_bonds(np.subtract, angles, n, a[:k * n]).reshape(k, n)
-        w = np.abs(delta, out=c[:k * n].reshape(k, n))
-        np.subtract(math.pi, w, out=w)  # w = pi - |pi - |d||, the angle of d in [0, pi]
-        np.abs(w, out=w)
-        np.subtract(math.pi, w, out=w)
-        np.square(w, out=w)
-        rr_sum = rr @ ones
-        high = rr_sum - (2.0 / math.pi ** 2) * np.einsum("ij,ij->i", rr, w)
-        np.minimum(w, 4.0, out=w)
-        low = rr_sum - 0.5 * np.einsum("ij,ij->i", rr, w)
-        keep = _contenders(largest, low, high, zz_sum, margin)
-
-        dots = _take_rows(delta, keep, c)
+        dots = _ring_bonds(np.subtract, angles, n, np.empty(k * n))
         np.cos(dots, out=dots)
-        dots *= _take_rows(rr, keep, a)
+        r = np.sqrt(1.0 - zs * zs)
+        dots *= _ring_bonds(np.multiply, r, n, a[:k * n])
+        dots = dots.reshape(k, n)
         if FAMILY_XX in largest:
             largest[FAMILY_XX] = max(largest[FAMILY_XX], _largest_sum(dots))
         if with_zz:
-            k = len(keep)
-            zs = z[rows[keep]].reshape(k * n)
-            dots += _ring_bonds(np.multiply, zs, n, b[:k * n]).reshape(k, n)
+            dots += _ring_bonds(np.multiply, zs, n, a[:k * n]).reshape(k, n)
             largest[FAMILY_XXX] = max(largest[FAMILY_XXX], _largest_sum(dots))
     return [largest[family] / n for family in families]
 

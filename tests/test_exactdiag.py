@@ -601,7 +601,7 @@ def test_rings_with_a_momentum_pi_block(family, n):
         spec = sector_case_spec(family, "periodic", "singlet-ground", n, b=b)
         vspec = validate_spec(spec)
         ring = exactdiag._layout(n, n, vspec.jx == vspec.jy)
-        assert any((2 * g.momenta == n).any() for g in ring.groups)
+        assert (ring.basis.momenta4 == 2 * n).any()  # 4 q = 2 N: q = N/2
         for kt in (0.3, None):
             ref, ref_pair = dense_reference(spec, kt)
             if kt is None:
@@ -832,7 +832,8 @@ SPLIT_CASES += [("xxx", "periodic", "singlet-ground", 10, 0.0),
 def test_spin_inversion_halves_match_dense(family, boundary, sign, n, b):
     spec = split_case_spec(family, boundary, sign, n, b)
     if boundary == "periodic":
-        assert any(g.parity.any() for g in exactdiag._layout(n, n, True).groups)
+        # a half's sign p = +-1 has the angle (1 - p) N, 0 or 2N; p = 0 has N
+        assert (exactdiag._layout(n, n, True).basis.sign_angle != n).any()
     ref, _ = dense_reference(spec, None)
     assert_observables_close(ground_state_observables(spec), ref, 1e-11)
     assert abs(ground_state_energy(spec) - ref.u) < 1e-11 * max(1.0, abs(ref.u))

@@ -161,6 +161,10 @@ def reference_witness_from_correlators(bond_correlators, n_sites, family):
             if not abs(c) <= 1.0 + 1e-9:  # NaN included
                 raise SpecError(f"correlator component {c} outside [-1, 1]")
         total += xx + yy + (zz if family == "xxx" else 0.0)
+    bonds = len(bond_correlators)
+    if bonds not in (n, n - 1):
+        raise SpecError(f"{bonds} bond correlators for {n} sites: a ring has {n} bonds, "
+                        f"an open chain {n - 1}")
     return abs(total) / n
 
 
@@ -225,6 +229,18 @@ def test_correlator_route_names_the_first_component_out_of_range():
     # a NaN component fails the bound test rather than making W NaN
     with pytest.raises(SpecError, match=r"component nan outside"):
         witness_from_correlators([(0.1, math.nan, 0.3)], 1, "xxx")
+
+
+def test_correlator_route_takes_a_ring_or_an_open_chain_of_bonds_only():
+    bond = (-0.25, -0.25, -0.5)  # sums exactly: -1 with zz, -0.5 without
+    for bonds, n in (([bond], 5), ([], 3), ([bond] * 6, 4), ([bond] * 2, 4)):
+        for family in ("xxx", "xx"):
+            with pytest.raises(SpecError, match=rf"{len(bonds)} bond correlators for {n} sites"):
+                witness_from_correlators(bonds, n, family)
+            assert outcome(reference_witness_from_correlators, bonds, n, family)[0] is SpecError
+    for bonds in ([bond] * 4, [bond] * 3):  # a ring of 4 sites, an open chain of 4
+        assert witness_from_correlators(bonds, 4, "xxx") == len(bonds) / 4
+        assert witness_from_correlators(iter(bonds), 4, "xx") == len(bonds) / 8
 
 
 SCALARS = st.one_of(st.floats(-50.0, 50.0), st.floats(allow_nan=True, allow_infinity=True),
@@ -451,12 +467,21 @@ def cosine_sizes(monkeypatch):
 
 @pytest.mark.parametrize("family", ["xxx", "xx"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_few_bonds_of_a_sweep_reach_the_cosine(cosine_sizes, family, seed):
-    # The bound from z alone lets 50-75% of these samples through; the
-    # folded-angle bracket leaves under 1% to be scored. Scoring every
-    # sample again would fail here.
+def test_sweep_takes_cosines_only_of_the_samples_past_the_z_bound(cosine_sizes, monkeypatch,
+                                                                 family, seed):
+    # Each sample the z bound keeps gets one cosine per bond, and no other
+    # sample gets any; without the corners 50-75% of these samples pass.
+    contenders, kept = witness._contenders, []
+
+    def counting(*args):
+        rows = contenders(*args)
+        kept.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(witness, "_contenders", counting)
     separable_sweep(20_000, 8, family, seed=seed, include_corners=False)
-    assert 0 < sum(cosine_sizes) < 0.05 * 20_000 * 8
+    assert 0 < sum(kept) < 20_000
+    assert sum(cosine_sizes) == 8 * sum(kept)
 
 
 @pytest.mark.parametrize("sweep", [
