@@ -6,34 +6,14 @@ package evaluates W on exact finite chains (diagonalized in symmetry
 sectors), on the infinite XX chain (closed-form integrals, with a
 free-fermion oracle in between), and maps the entangled region of the
 (kT/|J|, B/|J|) plane.
+
+The names below are the library surface that README documents; model
+constants, ground-state and free-fermion helpers import from their modules.
 """
 
-from .exactdiag import (
-    PairState,
-    ThermalObservables,
-    bond_list,
-    concurrence,
-    ground_state_energy,
-    ground_state_observables,
-    reduced_pair_state,
-    thermal_observables,
-    thermo_consistency,
-)
-from .freefermion import ModeSpectrum, jw_modes, jw_observables, jw_observables_for_spec
-from .model import (
-    BOUNDARY_OPEN,
-    BOUNDARY_PERIODIC,
-    FAMILY_XX,
-    FAMILY_XXX,
-    FAMILY_XYZ,
-    SIGN_AS_PRINTED,
-    SIGN_SINGLET_GROUND,
-    THERMODYNAMIC_LIMIT,
-    ModelSpec,
-    SpecError,
-    spec_from_config,
-    validate_spec,
-)
+from .exactdiag import (PairState, ThermalObservables, concurrence, reduced_pair_state,
+                        thermal_observables)
+from .model import ModelSpec, SpecError, validate_spec
 from .quadrature import QuadratureError
 from .thermolimit import (
     BoundaryCurve,
@@ -42,7 +22,6 @@ from .thermolimit import (
     critical_field_low_temperature,
     critical_field_zero_temperature,
     critical_temperature_zero_field,
-    lowtemp_ferro_log_partition,
     lowtemp_ferro_witness,
     region_scan,
     xx_internal_energy,
@@ -53,8 +32,6 @@ from .thermolimit import (
 )
 from .validation import CheckResult, run_validation_suite
 from .witness import (
-    THRESHOLD,
-    WitnessInputs,
     WitnessReport,
     concurrence_from_energy,
     per_site_witness_report,
@@ -68,23 +45,13 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUNDARY_OPEN", "BOUNDARY_PERIODIC", "BoundaryCurve", "CheckResult",
-    "FAMILY_XX", "FAMILY_XXX", "FAMILY_XYZ",
-    "ModeSpectrum", "ModelSpec", "PairState",
-    "QuadratureError", "RegionGrid", "SIGN_AS_PRINTED", "SIGN_SINGLET_GROUND",
-    "SpecError", "THERMODYNAMIC_LIMIT", "THRESHOLD", "ThermalObservables",
-    "WitnessInputs", "WitnessReport",
-    "bond_list", "boundary_trace", "concurrence",
-    "concurrence_from_energy", "critical_field_low_temperature",
-    "critical_field_zero_temperature", "critical_temperature_zero_field",
-    "ground_state_energy", "ground_state_observables",
-    "jw_modes", "jw_observables", "jw_observables_for_spec",
-    "lowtemp_ferro_log_partition", "lowtemp_ferro_witness",
-    "per_site_witness_report", "product_state_witness", "reduced_pair_state",
-    "region_scan", "run_validation_suite", "separable_sweep",
-    "spec_from_config", "thermal_observables", "thermo_consistency",
-    "validate_spec", "witness_from_correlators",
-    "witness_from_model", "witness_value", "xx_internal_energy",
-    "xx_log_partition_density", "xx_magnetization", "xx_witness",
-    "xx_witness_single_integral",
+    "ModelSpec", "SpecError", "validate_spec", "QuadratureError",
+    "thermal_observables", "ThermalObservables", "reduced_pair_state", "PairState", "concurrence",
+    "witness_value", "witness_from_model", "witness_from_correlators", "per_site_witness_report",
+    "WitnessReport", "product_state_witness", "separable_sweep", "concurrence_from_energy",
+    "xx_witness", "xx_witness_single_integral", "xx_internal_energy", "xx_magnetization",
+    "xx_log_partition_density", "region_scan", "RegionGrid", "boundary_trace", "BoundaryCurve",
+    "critical_temperature_zero_field", "critical_field_zero_temperature",
+    "critical_field_low_temperature", "lowtemp_ferro_witness",
+    "run_validation_suite", "CheckResult",
 ]

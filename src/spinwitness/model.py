@@ -128,6 +128,15 @@ def require_boundary(boundary) -> str:
     return name
 
 
+def require_ring(n_sites: int) -> int:
+    """``n_sites`` of a ring; SpecError below three sites, where a ring would
+    bond a site to itself (one site) or count its only bond twice (two)."""
+    if n_sites < 3:
+        raise SpecError(f"periodic boundary requires n_sites >= 3 (got {n_sites}); a smaller "
+                        "ring bonds a site to itself or counts its only bond twice")
+    return n_sites
+
+
 def require_seed(seed) -> int | None:
     """``seed`` as a random generator seed: None, or a non-negative int by the
     integer rule of :func:`_integer`. numpy's own errors for a negative or a
@@ -173,10 +182,8 @@ def validate_spec(spec) -> ModelSpec:
     n_sites = spec.n_sites
     if n_sites is not None:
         n_sites = require_count(n_sites, "n_sites")
-        if boundary == BOUNDARY_PERIODIC and n_sites < 3:
-            raise SpecError(
-                f"periodic boundary requires n_sites >= 3 (got {n_sites}); "
-                "a 2-site ring double-counts its only bond")
+        if boundary == BOUNDARY_PERIODIC:
+            require_ring(n_sites)
 
     return frozen_instance(ModelSpec, {
         "family": family, "jx": jx, "jy": jy, "jz": jz, "b": b, "n_sites": n_sites,

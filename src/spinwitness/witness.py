@@ -31,6 +31,7 @@ from .model import (
     require_boundary,
     require_count,
     require_coupling,
+    require_ring,
     require_seed,
     validate_spec,
 )
@@ -173,8 +174,9 @@ def witness_from_correlators(bond_correlators, n_sites, family) -> float:
 
     This is the correlator side of the witness identity; it must match
     :func:`witness_value` on the same thermal state to near machine
-    precision. A ring has N bonds and an open chain N - 1; any other count
-    is a SpecError.
+    precision. A ring has N bonds and an open chain N - 1; any other count,
+    or a ring of fewer than three sites (as :func:`validate_spec` rules), is
+    a SpecError.
     """
     with_zz = _eligible_family(family) == FAMILY_XXX
     n = require_count(n_sites, "n_sites")
@@ -187,9 +189,9 @@ def witness_from_correlators(bond_correlators, n_sites, family) -> float:
             c = next(c for c in (xx, yy, zz) if not abs(c) <= bound)
             raise SpecError(f"correlator component {c} outside [-1, 1]")
         total += xx + yy + zz if with_zz else xx + yy
-    if bonds not in (n, n - 1):
-        raise SpecError(f"{bonds} bond correlators for {n} sites: a ring has {n} bonds, "
-                        f"an open chain {n - 1}")
+    if bonds != n - 1 and not bonds == n >= 3:
+        ring = f"a ring has {n} bonds" if n >= 3 else "a ring needs n_sites >= 3"
+        raise SpecError(f"{bonds} bond correlators for {n} sites: {ring}, an open chain {n - 1}")
     return abs(total) / n
 
 
@@ -198,7 +200,8 @@ def product_state_witness(bloch_vectors, family, boundary=BOUNDARY_PERIODIC) -> 
 
     Product-state correlators factorize, <s_i^a s_j^a> = u_i[a]*u_j[a], so
     the witness is (1/N)|sum_bonds u_i . u_j| (xy components only for XX).
-    ``boundary`` is read as :class:`ModelSpec` reads it (case-insensitive).
+    ``boundary`` is read as :class:`ModelSpec` reads it (case-insensitive),
+    and a ring needs three sites, as there.
     """
     u = np.asarray(bloch_vectors, dtype=float)
     if u.ndim != 2 or u.shape[1] != 3:
@@ -209,9 +212,11 @@ def product_state_witness(bloch_vectors, family, boundary=BOUNDARY_PERIODIC) -> 
     if not np.max(np.abs(norms - 1.0)) <= 1e-9:  # a NaN component fails too
         raise SpecError("Bloch vectors must be unit length")
     family = _eligible_family(family)
-    boundary = require_boundary(boundary)
+    ring = require_boundary(boundary) == BOUNDARY_PERIODIC
+    if ring:
+        require_ring(u.shape[0])
     v = u[:, :3 if family == FAMILY_XXX else 2]
-    partner = np.roll(v, -1, axis=0) if boundary == BOUNDARY_PERIODIC else v[1:]
+    partner = np.roll(v, -1, axis=0) if ring else v[1:]
     total = float(np.einsum("na,na->", v[:partner.shape[0]], partner))
     return abs(total) / u.shape[0]
 
@@ -256,9 +261,7 @@ def separable_sweep(n_samples, n_sites, family, seed, include_corners: bool = Tr
     (SpecError otherwise).
     """
     n_samples = require_count(n_samples, "n_samples")
-    n = require_count(n_sites, "n_sites")
-    if n < 3:
-        raise SpecError(f"the sweep samples rings, which need n_sites >= 3, got {n}")
+    n = require_ring(require_count(n_sites, "n_sites"))
     return _sweep_maxima(n_samples, n, (_eligible_family(family),), require_seed(seed),
                          include_corners)[0]
 
@@ -268,19 +271,20 @@ def _largest_sum(dots: np.ndarray) -> float:
     return float(np.max(np.abs(dots.sum(axis=1)), initial=0.0))
 
 
-def _contenders(largest: dict, low, high, zz_sum, margin: float) -> np.ndarray:
+def _contenders(largest: dict, room, zz_sum, margin: float) -> np.ndarray:
     """Indices of the rows that may hold a family's largest |score|.
 
-    Each row's xy sum lies in [``low``, ``high``]; its XXX score adds
-    ``zz_sum``. A row stays if, for some family, its bound on |score|
-    reaches both the largest score so far and every row's lower bound on
-    |score|, less ``margin``.
+    Each row's xy sum lies in [-``room``, ``room``]; its XXX score adds
+    ``zz_sum``, so |score| is at most room + |zz| and at least |zz| - room
+    (room and 0 for XX). A row stays if, for some family, its upper bound
+    reaches both the largest score so far and every row's lower bound, less
+    ``margin``.
     """
-    keep = np.zeros(len(high), dtype=bool)
+    keep = np.zeros(len(room), dtype=bool)
     for family, best in largest.items():
-        lo, hi = (low + zz_sum, high + zz_sum) if family == FAMILY_XXX else (low, high)
-        floor = max(best, float(np.max(lo, initial=0.0)), -float(np.min(hi, initial=0.0)))
-        keep |= np.maximum(hi, -lo) >= floor - margin
+        zz = np.abs(zz_sum) if family == FAMILY_XXX else 0.0
+        floor = max(best, float(np.max(zz - room, initial=0.0)))
+        keep |= room + zz >= floor - margin
     return np.flatnonzero(keep)
 
 
@@ -321,7 +325,7 @@ def _sweep_maxima(n_samples: int, n: int, families: tuple, seed,
         zz_sum = 0.0
         if with_zz:
             zz_sum = _ring_bonds(np.multiply, z.reshape(m * n), n, a[:m * n]).reshape(m, n) @ ones
-        rows = _contenders(largest, -room, room, zz_sum, margin)
+        rows = _contenders(largest, room, zz_sum, margin)
         if not len(rows):
             continue
 

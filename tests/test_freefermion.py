@@ -1,10 +1,11 @@
-"""Free-fermion XX solution: mode algebra, spectra, and the large-N bridge."""
+"""Free-fermion XX solution: mode algebra, spectra, the large-N bridge and the ring oracle."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from spinwitness import thermolimit
 from spinwitness.exactdiag import build_hamiltonian, thermal_observables
@@ -116,3 +117,58 @@ def test_overflowing_fermi_argument_is_exact():
     u, m = jw_observables(2, 1e-300, 1e300, 0.3)
     energies = jw_modes(2, 1e300, 0.3).energies
     assert (u, m) == ((energies[1] - 0.6) / 2, 0.0)
+
+
+def xx_ring_oracle(n, kt, sj, b):
+    """(ln Z, U, M) of the periodic XX ring from its free-fermion modes.
+
+    Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961). With spin up an empty
+    site, H = sum_k e_k n_k - B N, e_k = 4 sJ cos k + 2B. Even fermion numbers
+    take the antiperiodic momenta A: k = 2 pi (m + 1/2)/N, odd ones the
+    periodic P: k = 2 pi m/N, so with x_k = exp(-beta e_k)
+
+        Z e^{-beta B N} = [Pi_A(1 + x) + Pi_A(1 - x) + Pi_P(1 + x) - Pi_P(1 - x)]/2.
+
+    Each product is a sign times exp(sum log|1 +- x_k|), with 1 - x_k taken
+    as -expm1(-beta e_k): at B = 0 a mode with cos k ~ 1e-16 makes a plain
+    1 - exp(-beta e_k) exactly 0. U = -d ln Z/d beta and M = (d ln Z/dB)/beta
+    come from the products' analytic derivatives.
+    """
+    beta = 1.0 / kt
+    logs, signs, d_beta, d_b = [], [], [], []
+    for shift, odd_sign in ((0.5, 1.0), (0.0, -1.0)):  # A, then P
+        e = 4.0 * sj * np.cos(2.0 * np.pi * (np.arange(n) + shift) / n) + 2.0 * b
+        t = beta * e
+        fermi = special.expit(-t)  # x/(1 + x)
+        logs.append(np.logaddexp(0.0, -t).sum())
+        signs.append(1.0)
+        d_beta.append(-(e * fermi).sum())
+        d_b.append(-2.0 * beta * fermi.sum())
+        one_minus_x = -np.expm1(-t)
+        bose = 1.0 / np.expm1(t)  # x/(1 - x)
+        logs.append(np.log(np.abs(one_minus_x)).sum())
+        signs.append(odd_sign * np.prod(np.sign(one_minus_x)))
+        d_beta.append((e * bose).sum())
+        d_b.append(2.0 * beta * bose.sum())
+    logs = np.array(logs)
+    weights = np.array(signs) * np.exp(logs - logs.max())
+    total = weights.sum()
+    ln_z = beta * b * n + math.log(0.5) + logs.max() + math.log(total)
+    u = -b * n - (weights @ np.array(d_beta)) / total
+    m = n + (weights @ np.array(d_b)) / (beta * total)
+    return ln_z, u, m
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_xx_rings_match_their_free_fermion_partition_function(n):
+    # 36 points per N, 432 in all; the worst was 5e-13 relative (U). M at
+    # B = 0 vanishes by symmetry, so M is compared on the scale of N.
+    for j, convention, b, kt in itertools.product(
+            (1.0, -0.7), ("singlet-ground", "as-printed"), (0.0, 0.45, -1.3), (0.3, 1.0, 3.0)):
+        s = 1.0 if convention == "singlet-ground" else -1.0
+        obs = thermal_observables(ModelSpec.xx(j, b=b, n_sites=n, sign_convention=convention), kt)
+        ln_z, u, m = xx_ring_oracle(n, kt, s * j, b)
+        point = (j, convention, b, kt)
+        assert abs(ln_z - obs.log_partition) <= 1e-11 * abs(obs.log_partition), point
+        assert abs(u - obs.u) <= 1e-11 * abs(obs.u), point
+        assert abs(m - obs.m) <= 1e-11 * max(abs(obs.m), n), point

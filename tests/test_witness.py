@@ -102,9 +102,10 @@ def test_per_site_report_marks_the_limit():
 
 
 def test_witness_from_correlators_hand_sum():
+    # two bonds: an open chain of three sites, since a ring needs three
     bonds = [(-0.5, -0.4, -0.3), (-0.2, -0.1, 0.6)]
-    assert abs(witness_from_correlators(bonds, 2, "xxx") - abs(-0.5 - 0.4 - 0.3 - 0.2 - 0.1 + 0.6) / 2) < 1e-15
-    assert abs(witness_from_correlators(bonds, 2, "xx") - abs(-0.5 - 0.4 - 0.2 - 0.1) / 2) < 1e-15
+    assert abs(witness_from_correlators(bonds, 3, "xxx") - abs(-0.5 - 0.4 - 0.3 - 0.2 - 0.1 + 0.6) / 3) < 1e-15
+    assert abs(witness_from_correlators(bonds, 3, "xx") - abs(-0.5 - 0.4 - 0.2 - 0.1) / 3) < 1e-15
 
 
 def test_witness_from_correlators_rejections():
@@ -162,8 +163,10 @@ def reference_witness_from_correlators(bond_correlators, n_sites, family):
                 raise SpecError(f"correlator component {c} outside [-1, 1]")
         total += xx + yy + (zz if family == "xxx" else 0.0)
     bonds = len(bond_correlators)
-    if bonds not in (n, n - 1):
-        raise SpecError(f"{bonds} bond correlators for {n} sites: a ring has {n} bonds, "
+    open_chain, ring = bonds == n - 1, bonds == n and n >= 3  # a ring needs three sites
+    if not (open_chain or ring):
+        ring_rule = f"a ring has {n} bonds" if n >= 3 else "a ring needs n_sites >= 3"
+        raise SpecError(f"{bonds} bond correlators for {n} sites: {ring_rule}, "
                         f"an open chain {n - 1}")
     return abs(total) / n
 
@@ -199,8 +202,10 @@ def test_correlator_route_keeps_the_reference_bits(seed, n, open_chain, family, 
     bonds = outer(container(t) for t in values.tolist())
     expected = outcome(reference_witness_from_correlators, bonds, n, family)
     assert outcome(witness_from_correlators, bonds, n, family) == expected
-    # a NaN component is rejected, an XX chain's unused zz included
-    assert isinstance(expected, tuple) == (nan_at is not None and nan_at < values.size)
+    # a NaN component is rejected, an XX chain's unused zz included, and so
+    # is a ring of one or two sites
+    with_nan = nan_at is not None and nan_at < values.size
+    assert isinstance(expected, tuple) == (with_nan or (not open_chain and n < 3))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -232,8 +237,14 @@ def test_correlator_route_names_the_first_component_out_of_range():
 
 
 def test_correlator_route_takes_a_ring_or_an_open_chain_of_bonds_only():
+    # A ring needs three sites: a two-site ring of the singlet's bond once
+    # read W = 3, twice its open chain's 1.5, and a one-site ring bonded its
+    # site to itself.
+    singlet = (-1.0, -1.0, -1.0)
+    assert witness_from_correlators([singlet], 2, "xxx") == 1.5
     bond = (-0.25, -0.25, -0.5)  # sums exactly: -1 with zz, -0.5 without
-    for bonds, n in (([bond], 5), ([], 3), ([bond] * 6, 4), ([bond] * 2, 4)):
+    for bonds, n in (([bond], 5), ([], 3), ([bond] * 6, 4), ([bond] * 2, 4), ([singlet] * 2, 2),
+                     ([bond], 1)):
         for family in ("xxx", "xx"):
             with pytest.raises(SpecError, match=rf"{len(bonds)} bond correlators for {n} sites"):
                 witness_from_correlators(bonds, n, family)
@@ -296,6 +307,10 @@ def _product_witness_by_bond_loop(u, family, boundary):
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 @pytest.mark.parametrize("family", ["xxx", "xx"])
 def test_product_state_witness_matches_a_bond_loop(n, boundary, family):
+    if boundary == "periodic" and n < 3:
+        with pytest.raises(SpecError, match="periodic boundary requires n_sites >= 3"):
+            product_state_witness(np.tile([1.0, 0.0, 0.0], (n, 1)), family, boundary=boundary)
+        return
     rng = np.random.default_rng(n)
     u = rng.normal(size=(n, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -327,6 +342,12 @@ def test_product_state_validation():
     for boundary in ("ring", "periodc", None):
         with pytest.raises(SpecError, match="unknown boundary"):
             product_state_witness(aligned, "xxx", boundary)
+    # a ring needs three sites, as a ModelSpec's does; one or two make an open chain
+    for n in (1, 2):
+        for boundary in ("periodic", "Periodic"):
+            with pytest.raises(SpecError, match="periodic boundary requires n_sites >= 3"):
+                product_state_witness(aligned[:n], "xx", boundary)
+        assert product_state_witness(aligned[:n], "xxx", "open") == (n - 1) / n
 
 
 def test_xx_sum_is_two_thirds_on_isotropic_ground_state():
@@ -504,15 +525,25 @@ def test_sweep_without_corners_prunes_only_what_cannot_win():
 
 
 def test_contenders_keep_bounds_within_the_margin_of_the_floor():
+    # A row's |score| lies in [|zz| - room, room + |zz|] (XXX) or [0, room]
+    # (XX). Upper bounds of 8 - margin/2, 8 - 2 margin and 1 against a floor
+    # of 8: a keep test of bound >= floor, or of bound >= floor + 1e-3,
+    # drops the first row too.
     margin = witness._SWEEP_MARGIN * 64
-    high = np.array([8.0 - margin / 2, 8.0 - 2 * margin, 1.0])
-    low = np.zeros(3)
+    room = np.array([8.0 - margin / 2, 8.0 - 2 * margin, 1.0])
     for family in ("xxx", "xx"):
-        assert witness._contenders({family: 8.0}, low, high, 0.0, margin).tolist() == [0]
-        assert witness._contenders({family: 8.0}, -high, -low, 0.0, margin).tolist() == [0]
-    # another row's lower bound in the block is a floor too
-    low[2], high[2] = 8.0, 9.0
-    assert witness._contenders({"xx": 0.0}, low, high, 0.0, margin).tolist() == [0, 2]
+        assert witness._contenders({family: 8.0}, room, 0.0, margin).tolist() == [0]
+    zz, xxx_room = np.array([5.0, -5.0, 0.5]), room - np.array([5.0, 5.0, 0.5])
+    for sign in (1.0, -1.0):
+        assert witness._contenders({"xxx": 8.0}, xxx_room, sign * zz, margin).tolist() == [0]
+        # the XX score has no zz term
+        assert witness._contenders({"xx": 8.0}, room, sign * zz, margin).tolist() == [0]
+    # another row's lower bound |zz| - room in the block is a floor too
+    zz = np.array([0.0, 0.0, 9.0])
+    for sign in (1.0, -1.0):
+        assert witness._contenders({"xxx": 0.0}, room, sign * zz, margin).tolist() == [0, 2]
+        assert witness._contenders({"xxx": 0.0, "xx": 0.0}, room, sign * zz,
+                                   margin).tolist() == [0, 1, 2]
 
 
 def test_xxx_bond_dots_are_uniform_on_minus_one_to_one():
@@ -667,4 +698,8 @@ BLOCH = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda u: math.hypot(*u) >
 def test_product_states_never_exceed_the_separable_bound(family, boundary, vectors):
     u = np.array(vectors)
     u /= np.sqrt((u * u).sum(axis=1))[:, None]
+    if boundary == "periodic" and len(u) < 3:  # two vectors make no ring
+        with pytest.raises(SpecError, match="periodic boundary requires n_sites >= 3"):
+            product_state_witness(u, family, boundary)
+        return
     assert product_state_witness(u, family, boundary) <= 1.0 + 1e-12
